@@ -10,9 +10,9 @@ from .assignment import (
     AssignmentResult,
     PathSet,
     UnreachableODError,
+    assign,
     assign_all_or_nothing,
     assign_iterative,
-    total_link_flows,
 )
 from .calibrate import (
     CalibrationResult,
@@ -20,8 +20,6 @@ from .calibrate import (
     WeightVector,
     calibrate,
     nelder_mead,
-    objective_fn,
-    predict_flows,
     simulated_annealing,
     split_test,
 )
@@ -54,7 +52,6 @@ from .network import (
     Node,
     free_flow_times,
     shortest_path_tree,
-    skim_matrix,
     validate,
     volume_delay,
 )

@@ -28,6 +28,7 @@ from .network import (
 
 DEFAULT_N_OUTER = 5
 DEFAULT_GAP_TOL = 1e-3
+ASSIGNMENT_MODES = ("oneoff", "iterative")
 
 
 class UnreachableODError(RuntimeError):
@@ -45,46 +46,48 @@ class UnreachableODError(RuntimeError):
 class PathSet:
     """Anchor-to-anchor shortest paths under one fixed set of link times.
 
-    Precomputes the link set of every OD pair's path once, so that repeated
-    OD matrices (e.g. inside a calibration loop) can be loaded as a single
-    matrix product against the path-link incidence.
+    One shortest_path_tree call covers all zone anchors. Walking every OD
+    pair back from its destination along the predecessor links, all pairs
+    in step, gives the link x OD-pair incidence, so repeated OD matrices
+    (e.g. inside a calibration loop) load as a single matrix product.
     """
 
     def __init__(self, network: Network, link_times: LinkTimes):
         self.network = network
         self.zone_ids = tuple(sorted(network.zone_anchors))
-        self.link_ids = tuple(sorted(network.links))
+        self.link_ids = network.link_ids
         self.link_index = {lid: k for k, lid in enumerate(self.link_ids)}
         n = len(self.zone_ids)
-        m = len(self.link_ids)
         anchors = [network.zone_anchors[z] for z in self.zone_ids]
-        self._costs = np.zeros((n, n))
-        self._unreachable: list[tuple[int, int]] = []
-        link_rows: list[int] = []
-        pair_cols: list[int] = []
-        for i in range(n):
-            tree = shortest_path_tree(network, link_times, anchors[i])
-            for j in range(n):
-                if i == j:
-                    continue
-                d = tree.dist[anchors[j]]
-                if math.isinf(d):
-                    self._costs[i, j] = math.inf
-                    self._unreachable.append((i, j))
-                    continue
-                self._costs[i, j] = d
-                for lid in tree.path_links(anchors[j]):
-                    link_rows.append(self.link_index[lid])
-                    pair_cols.append(i * n + j)
+        dist, pred = shortest_path_tree(network, link_times, anchors)
+        anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
+        self._costs = dist[:, anchor_pos]
+
+        tail, _ = network.link_ends
+        rows, cols = np.nonzero(np.isfinite(self._costs))
+        pair, node = rows * n + cols, anchor_pos[cols]
+        link_rows = [np.empty(0, dtype=np.intp)]
+        pair_cols = [np.empty(0, dtype=np.intp)]
+        walking = node != anchor_pos[rows]
+        while walking.any():
+            rows, pair, node = rows[walking], pair[walking], node[walking]
+            link = pred[rows, node]
+            link_rows.append(link)
+            pair_cols.append(pair)
+            node = tail[link]
+            walking = node != anchor_pos[rows]
+        link_rows, pair_cols = np.concatenate(link_rows), np.concatenate(pair_cols)
         # links x OD-pairs incidence; loading an OD matrix is one matvec
         self._incidence = sparse.csr_matrix(
-            (np.ones(len(link_rows)), (link_rows, pair_cols)), shape=(m, n * n)
+            (np.ones(link_rows.size), (link_rows, pair_cols)),
+            shape=(len(self.link_ids), n * n),
         )
 
     def cost_matrix(self) -> CostMatrix:
         """Skim matrix over the same zones, intrazonal diagonal filled."""
-        if self._unreachable:
-            i, j = self._unreachable[0]
+        unreachable = np.argwhere(np.isinf(self._costs))
+        if unreachable.size:
+            i, j = unreachable[0]
             raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
         values = self._costs.copy()
         fill_intrazonal(values)
@@ -102,9 +105,10 @@ class PathSet:
     def flow_vector(self, od: ODMatrix) -> np.ndarray:
         """Link flows (ordered by link_ids) from loading every OD pair's path."""
         T = self._aligned_trips(od)
-        for i, j in self._unreachable:
-            if T[i, j] > 0:
-                raise UnreachableODError(self.zone_ids[i], self.zone_ids[j], T[i, j])
+        stranded = np.argwhere(np.isinf(self._costs) & (T > 0))
+        if stranded.size:
+            i, j = stranded[0]
+            raise UnreachableODError(self.zone_ids[i], self.zone_ids[j], T[i, j])
         interzonal = np.array(T, dtype=float)
         np.fill_diagonal(interzonal, 0.0)
         return self._incidence @ interzonal.ravel()
@@ -116,8 +120,9 @@ class PathSet:
 def assign_all_or_nothing(network: Network, link_times: LinkTimes, od: ODMatrix) -> FlowMap:
     """Load each OD pair's trips entirely onto its single shortest path.
 
-    Intrazonal trips never touch the network. Ties between equal-cost paths
-    follow the deterministic rule in shortest_path_tree.
+    Intrazonal trips never touch the network. Among equal-cost paths, every
+    node is entered on its tight link with the smallest (node_id, link_id),
+    the tie pass of shortest_path_tree.
     """
     paths = PathSet(network, link_times)
     return paths.flow_map(paths.flow_vector(od))
@@ -140,7 +145,6 @@ def assign_iterative(
     n_outer: int = DEFAULT_N_OUTER,
     *,
     gap_tol: float = DEFAULT_GAP_TOL,
-    averaging: str = "msa",
     furness_tol: float = DEFAULT_FURNESS_TOL,
     furness_max_iter: int = DEFAULT_FURNESS_MAX_ITER,
 ) -> AssignmentResult:
@@ -154,11 +158,9 @@ def assign_iterative(
     """
     if n_outer < 1:
         raise ValueError("n_outer must be >= 1")
-    if averaging != "msa":
-        raise ValueError(f"unknown averaging scheme {averaging!r}")
 
     times = free_flow_times(network)
-    link_ids = tuple(sorted(network.links))
+    link_ids = network.link_ids
     links = [network.links[lid] for lid in link_ids]
     avg: dict[str, np.ndarray] = {}
     total = np.zeros(len(link_ids))
@@ -204,10 +206,18 @@ def assign_iterative(
     return AssignmentResult(flows, per_stratum, times, iterations, converged, gap)
 
 
-def total_link_flows(result: AssignmentResult) -> FlowMap:
-    """Elementwise sum of the per-stratum flow maps; equals result.flows."""
-    total: FlowMap = {lid: 0.0 for lid in result.flows}
-    for flows in result.per_stratum_flows.values():
-        for lid, q in flows.items():
-            total[lid] += q
-    return total
+def assign(
+    network: Network,
+    zones,
+    strata,
+    mode: str = "oneoff",
+    n_outer: int = DEFAULT_N_OUTER,
+    *,
+    gap_tol: float = DEFAULT_GAP_TOL,
+) -> AssignmentResult:
+    """Assignment in the named mode: "oneoff" is a single free-flow pass
+    (n_outer=1); "iterative" runs the MSA loop for up to n_outer iterations."""
+    if mode not in ASSIGNMENT_MODES:
+        raise ValueError(f"unknown assignment mode {mode!r}")
+    outer = 1 if mode == "oneoff" else n_outer
+    return assign_iterative(network, zones, strata, outer, gap_tol=gap_tol)

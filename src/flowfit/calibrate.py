@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import PathSet, assign_iterative
+from .assignment import ASSIGNMENT_MODES, PathSet, assign, assign_iterative
 from .demand import DemandStratum, distribute
 from .metrics import (
     SplitExperimentResult,
@@ -21,8 +21,6 @@ from .network import Network, free_flow_times
 # Brackets every plausible mobility / deterrence weight; calibration never
 # steps outside these unless the model config overrides them.
 DEFAULT_BOUNDS = {"mu": (0.0, 5.0), "beta": (0.0, 1.0)}
-
-ASSIGNMENT_MODES = ("oneoff", "iterative")
 
 
 class ObjectiveError(RuntimeError):
@@ -385,41 +383,6 @@ class ModelObjective:
         return evaluate(result.flows, self.counts).objective_j
 
 
-def objective_fn(
-    weights: WeightVector,
-    zones,
-    network: Network,
-    strata,
-    counts,
-    *,
-    assignment_mode: str = "oneoff",
-    n_outer: int = 5,
-    gap_tol: float = 1e-3,
-) -> float:
-    """One-shot objective evaluation at the given weights."""
-    objective = ModelObjective(
-        zones, network, strata, counts,
-        assignment_mode=assignment_mode, n_outer=n_outer, gap_tol=gap_tol,
-    )
-    return objective(weights.values())
-
-
-def predict_flows(
-    zones,
-    network: Network,
-    strata,
-    *,
-    assignment_mode: str = "oneoff",
-    n_outer: int = 5,
-    gap_tol: float = 1e-3,
-):
-    """Link flows for fixed strata under the chosen assignment mode."""
-    if assignment_mode not in ASSIGNMENT_MODES:
-        raise ValueError(f"unknown assignment mode {assignment_mode!r}")
-    outer = 1 if assignment_mode == "oneoff" else n_outer
-    return assign_iterative(network, zones, strata, outer, gap_tol=gap_tol).flows
-
-
 def calibrate(
     zones,
     network: Network,
@@ -505,10 +468,7 @@ def split_test(
                 n_outer=n_outer, paths=shared_paths, **calibrate_options,
             )
             best_strata = res.best_weights.apply(strata)
-            flows = predict_flows(
-                zones, network, best_strata,
-                assignment_mode=assignment_mode, n_outer=n_outer,
-            )
+            flows = assign(network, zones, best_strata, assignment_mode, n_outer).flows
             results.append(SplitExperimentResult(
                 split_fraction=fraction,
                 seed=seed,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import assign_iterative
+from .assignment import assign
 from .calibrate import calibrate, split_test
 from .metrics import evaluate, report_text
 from .model_io import (
@@ -40,12 +40,11 @@ def _outdir(args) -> Path:
     return out
 
 
-def _run_assignment(model: LoadedModel, strata=None):
+def _run_assignment(model: LoadedModel, strata=None, network=None):
     opts = model.assignment
-    n_outer = 1 if opts.mode == "oneoff" else opts.n_outer
-    return assign_iterative(
-        model.network, model.zones, strata or model.strata, n_outer,
-        gap_tol=opts.gap_tol,
+    return assign(
+        network or model.network, model.zones, strata or model.strata,
+        opts.mode, opts.n_outer, gap_tol=opts.gap_tol,
     )
 
 
@@ -169,11 +168,7 @@ def cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     edited = apply_scenario(model.network, scenario)
     base = _run_assignment(model)
-    opts = model.assignment
-    n_outer = 1 if opts.mode == "oneoff" else opts.n_outer
-    changed = assign_iterative(
-        edited, model.zones, model.strata, n_outer, gap_tol=opts.gap_tol
-    )
+    changed = _run_assignment(model, network=edited)
     out = _outdir(args)
     write_compare_csv(out / "compare.csv", base.flows, changed.flows)
     deltas = {

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import yaml
 
-from .assignment import AssignmentResult
+from .assignment import ASSIGNMENT_MODES, AssignmentResult
 from .calibrate import CalibrationResult
 from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
@@ -378,7 +378,7 @@ def _parse_spec(path: Path) -> ModelSpec:
     except TypeError as exc:
         diagnostics.append(f"{path}: assignment: {exc}")
         assignment = AssignmentOptions()
-    if assignment.mode not in ("oneoff", "iterative"):
+    if assignment.mode not in ASSIGNMENT_MODES:
         diagnostics.append(f"{path}: assignment.mode must be oneoff or iterative")
 
     cal_raw = dict(raw.get("calibration") or {})

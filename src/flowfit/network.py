@@ -1,4 +1,9 @@
-"""Directed road network: volume-delay link times, shortest paths, skim matrices."""
+"""Directed road network: volume-delay link times and shortest paths.
+
+shortest_path_tree is the package's one shortest-path engine: a distance-only
+Dijkstra over integer out-lists for all origins, followed by one exact array
+pass that applies the (node_id, link_id) tie rule.
+"""
 
 from __future__ import annotations
 
@@ -89,8 +94,29 @@ class Network:
         return cls(node_map, link_map, dict(zone_anchors))
 
     @cached_property
+    def node_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.nodes))
+
+    @cached_property
+    def link_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.links))
+
+    @cached_property
+    def node_index(self) -> dict[str, int]:
+        return {nid: k for k, nid in enumerate(self.node_ids)}
+
+    @cached_property
+    def link_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tail, head) positions in node_ids of every link, ordered by
+        link_ids; -1 where a link names an unknown node."""
+        links = [self.links[lid] for lid in self.link_ids]
+        tail = np.array([self.node_index.get(l.from_node, -1) for l in links], dtype=np.intp)
+        head = np.array([self.node_index.get(l.to_node, -1) for l in links], dtype=np.intp)
+        return tail, head
+
+    @cached_property
     def adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        """node -> sorted [(neighbor, link_id)]; sorting makes routing order-independent."""
+        """node -> sorted [(neighbor, link_id)], for validate's reachability checks."""
         adj: dict[str, list[tuple[str, str]]] = {nid: [] for nid in self.nodes}
         for link in self.links.values():
             if link.from_node in adj and link.to_node in self.nodes:
@@ -114,69 +140,69 @@ def free_flow_times(network: Network) -> LinkTimes:
     return {lid: link.t0 for lid, link in network.links.items()}
 
 
-def congested_times(network: Network, flows: FlowMap) -> LinkTimes:
-    return {
-        lid: volume_delay(link, flows.get(lid, 0.0))
-        for lid, link in network.links.items()
-    }
+def shortest_path_tree(
+    network: Network, link_times: LinkTimes, origins
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest paths from every origin node in one call.
 
+    Returns (dist, pred), both shaped (origins, nodes) with nodes ordered by
+    network.node_ids. dist is +inf on unreachable nodes. pred holds, per
+    node, the position in network.link_ids of the link on which the path
+    enters it, and -1 at the origin and at unreachable nodes.
 
-@dataclass
-class PathTree:
-    """Single-origin shortest paths; dist is +inf on unreachable nodes."""
-
-    origin: str
-    dist: dict[str, float]
-    pred: dict[str, tuple[str, str]]  # node -> (upstream node, link taken)
-
-    def path_links(self, node: str) -> list[str] | None:
-        """Link ids from the origin to node, or None if unreachable."""
-        if node == self.origin:
-            return []
-        if math.isinf(self.dist.get(node, math.inf)):
-            return None
-        out: list[str] = []
-        v = node
-        while v != self.origin:
-            u, lid = self.pred[v]
-            out.append(lid)
-            v = u
-        out.reverse()
-        return out
-
-
-def shortest_path_tree(network: Network, link_times: LinkTimes, origin: str) -> PathTree:
-    """Label-setting (Dijkstra) shortest paths from one origin node.
-
-    Equal-cost ties resolve to the predecessor with the smallest
-    (node_id, link_id) pair, so the tree depends only on the network
-    content, never on input ordering.
+    A label-setting (Dijkstra) loop computes distances only. One array
+    pass then picks predecessors: a link is tight when
+    dist[tail] + t == dist[head], and each node takes the tight link with
+    the smallest (node_id, link_id) pair, so the tree depends only on the
+    network content, never on input ordering. The pass is exact because
+    both steps form dist[tail] + t with the same double addition.
     """
-    if origin not in network.nodes:
-        raise ValueError(f"unknown origin node {origin!r}")
+    index = network.node_index
+    for origin in origins:
+        if origin not in index:
+            raise ValueError(f"unknown origin node {origin!r}")
     bad = [lid for lid, t in link_times.items() if not t > 0]
     if bad:
         raise ValueError(f"nonpositive travel time on link(s) {sorted(bad)[:5]}")
 
-    dist = {nid: math.inf for nid in network.nodes}
-    pred: dict[str, tuple[str, str]] = {}
-    dist[origin] = 0.0
-    settled: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, origin)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        for v, lid in network.adjacency[u]:
-            nd = d + link_times[lid]
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = (u, lid)
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and v not in settled and (u, lid) < pred.get(v, (u, lid)):
-                pred[v] = (u, lid)
-    return PathTree(origin, dist, pred)
+    tail, head = network.link_ends
+    times = np.array([link_times[lid] for lid in network.link_ids], dtype=float)
+    routable = np.flatnonzero((tail >= 0) & (head >= 0))
+    out: list[list[tuple[int, float]]] = [[] for _ in index]
+    for u, v, t in zip(tail[routable].tolist(), head[routable].tolist(),
+                       times[routable].tolist()):
+        out[u].append((v, t))
+
+    n = len(index)
+    dist = np.empty((len(origins), n))
+    for row, origin in enumerate(origins):
+        d = [math.inf] * n
+        s = index[origin]
+        d[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > d[u]:
+                continue
+            for v, t in out[u]:
+                nd = du + t
+                if nd < d[v]:
+                    d[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        dist[row] = d
+
+    # tie pass: with links sorted by (head, tail rank, link rank), the first
+    # tight link in each head's group has the smallest (node_id, link_id)
+    order = routable[np.lexsort((routable, tail[routable], head[routable]))]
+    heads, starts = np.unique(head[order], return_index=True)
+    d_head = dist[:, head[order]]
+    tight = (dist[:, tail[order]] + times[order] == d_head) & np.isfinite(d_head)
+    rank = np.where(tight, np.arange(order.size), order.size)
+    pred = np.full(dist.shape, -1, dtype=np.intp)
+    if order.size:
+        # rank order.size (no tight link) looks up the trailing -1
+        pred[:, heads] = np.append(order, -1)[np.minimum.reduceat(rank, starts, axis=1)]
+    return dist, pred
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,26 +229,6 @@ def fill_intrazonal(values: np.ndarray) -> None:
     for i in range(n):
         off = np.delete(values[i], i)
         values[i, i] = 0.5 * off.min() if off.size else 0.0
-
-
-def skim_matrix(network: Network, link_times: LinkTimes) -> CostMatrix:
-    """All-pairs interzonal shortest-path times between zone anchor nodes."""
-    zone_ids = tuple(sorted(network.zone_anchors))
-    anchors = [network.zone_anchors[z] for z in zone_ids]
-    n = len(zone_ids)
-    values = np.zeros((n, n))
-    for i, zi in enumerate(zone_ids):
-        tree = shortest_path_tree(network, link_times, anchors[i])
-        for j, zj in enumerate(zone_ids):
-            if i == j:
-                continue
-            d = tree.dist[anchors[j]]
-            if math.isinf(d):
-                raise DisconnectedZonesError(zi, zj)
-            values[i, j] = d
-    fill_intrazonal(values)
-    values.setflags(write=False)
-    return CostMatrix(zone_ids, values)
 
 
 def _reachable(adjacency: dict[str, list[tuple[str, str]]], start: str) -> set[str]:

@@ -40,6 +40,30 @@ def random_strongly_connected(rng, max_nodes=8, extra_edge_prob=0.45):
     return make_network(node_ids, rows, anchors)
 
 
+def random_tied_network(rng, max_nodes=6, extra_edge_prob=0.4, parallel_prob=0.3):
+    """Random strongly connected digraph with integer times 1-3 and parallel links.
+
+    Integer times make equal-cost paths common and their sums exact, so the
+    tie rule decides which path carries the flow.
+    """
+    n = int(rng.integers(2, max_nodes + 1))
+    node_ids = [f"n{i}" for i in range(n)]
+    order = rng.permutation(n)
+    pairs = [(node_ids[order[i]], node_ids[order[(i + 1) % n]]) for i in range(n)]
+    pairs += [(u, v) for u in node_ids for v in node_ids
+              if u != v and rng.random() < extra_edge_prob]
+    rows = []
+    for u, v in pairs:
+        while True:
+            rows.append((f"e{len(rows)}", u, v, float(rng.integers(1, 4))))
+            if rng.random() >= parallel_prob:
+                break
+    n_zones = int(rng.integers(2, n + 1))
+    anchor_nodes = rng.choice(n, size=n_zones, replace=False)
+    anchors = {f"z{i}": node_ids[anchor_nodes[i]] for i in range(n_zones)}
+    return make_network(node_ids, rows, anchors)
+
+
 def all_simple_link_paths(network, src, dst):
     """Every simple directed path src -> dst as (total_time, [link_ids])."""
     out = []

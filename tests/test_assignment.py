@@ -6,13 +6,18 @@ from flowfit.assignment import (
     UnreachableODError,
     assign_all_or_nothing,
     assign_iterative,
-    total_link_flows,
 )
 from flowfit.demand import DemandStratum, ODMatrix, Zone
 from flowfit.network import Link, Network, Node, free_flow_times, volume_delay
 from flowfit.sample_models import eight_zone_star, toy_strata
 
-from conftest import brute_force_shortest, make_network, random_strongly_connected
+from conftest import (
+    all_simple_link_paths,
+    brute_force_shortest,
+    make_network,
+    random_strongly_connected,
+    random_tied_network,
+)
 
 
 def od_of(zone_ids, trips):
@@ -30,6 +35,31 @@ def brute_force_flows(network, od):
             best = brute_force_shortest(network, anchors[zi], anchors[zj])
             assert best is not None
             for lid in best[1]:
+                flows[lid] += od.trips[i, j]
+    return flows
+
+
+def tie_rule_flows(network, od):
+    """Oracle for the tie rule: enumerated distances (exact for integer times),
+    then every node is entered on its tight link with the smallest
+    (node_id, link_id)."""
+    flows = {lid: 0.0 for lid in network.links}
+    anchors = network.zone_anchors
+    for i, zi in enumerate(od.zone_ids):
+        src = anchors[zi]
+        dist = {src: 0.0}
+        for v in network.nodes:
+            if v != src:
+                dist[v] = min(t for t, _ in all_simple_link_paths(network, src, v))
+        for j, zj in enumerate(od.zone_ids):
+            if i == j or od.trips[i, j] == 0.0:
+                continue
+            node = anchors[zj]
+            while node != src:
+                node, lid = min(
+                    (l.from_node, l.link_id) for l in network.links.values()
+                    if l.to_node == node and dist[l.from_node] + l.t0 == dist[node]
+                )
                 flows[lid] += od.trips[i, j]
     return flows
 
@@ -130,6 +160,28 @@ class TestAllOrNothing:
         second = assign_all_or_nothing(net, free_flow_times(net), od)
         assert first == second
 
+    def test_equal_cost_ties_follow_the_smallest_node_and_link_id(self, rng):
+        for _ in range(60):
+            net = random_tied_network(rng)
+            zone_ids = sorted(net.zone_anchors)
+            n = len(zone_ids)
+            od = od_of(zone_ids, rng.integers(0, 50, size=(n, n)).astype(float))
+            flows = assign_all_or_nothing(net, free_flow_times(net), od)
+            assert flows == tie_rule_flows(net, od)
+
+    def test_star_with_equal_link_times_follows_the_tie_rule(self, rng):
+        zones, star = eight_zone_star()
+        net = Network.from_parts(
+            star.nodes.values(),
+            [Link(l.link_id, l.from_node, l.to_node, 10.0, l.q_max)
+             for l in star.links.values()],
+            star.zone_anchors,
+        )
+        zone_ids = sorted(net.zone_anchors)
+        od = od_of(zone_ids, rng.integers(1, 50, size=(8, 8)).astype(float))
+        flows = assign_all_or_nothing(net, free_flow_times(net), od)
+        assert flows == tie_rule_flows(net, od)
+
     def test_flow_equals_trips_times_path_length(self):
         rows = [("ab", "a", "b", 5.0), ("ba", "b", "a", 5.0),
                 ("bc", "b", "c", 7.0), ("cb", "c", "b", 7.0)]
@@ -163,8 +215,7 @@ class TestIterativeAssignment:
         assert result.iterations == 1
         assert not result.converged
         from flowfit.demand import distribute
-        from flowfit.network import skim_matrix
-        costs = skim_matrix(net, free_flow_times(net))
+        costs = PathSet(net, free_flow_times(net)).cost_matrix()
         od = distribute(zones, strata[0], costs)
         expected = assign_all_or_nothing(net, free_flow_times(net), od)
         assert result.flows == pytest.approx(expected, rel=1e-12)
@@ -226,43 +277,19 @@ class TestIterativeAssignment:
             DemandStratum("work", "population", "jobs", 0.4, 0.11),
         ]
         result = assign_iterative(net, zones, strata, n_outer=3)
-        total = total_link_flows(result)
-        for lid, q in result.flows.items():
-            assert q == pytest.approx(total[lid], rel=1e-9)
         by_hand = {
             lid: sum(result.per_stratum_flows[s.name][lid] for s in strata)
             for lid in result.flows
         }
-        assert total == pytest.approx(by_hand, rel=1e-12)
+        assert result.flows == pytest.approx(by_hand, rel=1e-12)
+
+    def test_single_stratum_total_is_that_stratum(self):
+        zones, net = eight_zone_star()
+        result = assign_iterative(net, zones, toy_strata(0.7, 0.074), n_outer=1)
+        assert result.flows == result.per_stratum_flows["everyone"]
 
     def test_n_outer_must_be_positive(self):
         zones, net = eight_zone_star()
         with pytest.raises(ValueError, match="n_outer"):
             assign_iterative(net, zones, toy_strata(), n_outer=0)
 
-
-class TestTotalLinkFlows:
-    def test_single_stratum_identity(self):
-        zones, net = eight_zone_star()
-        result = assign_iterative(net, zones, toy_strata(0.7, 0.074), n_outer=1)
-        assert total_link_flows(result) == result.flows
-
-    def test_two_strata_additivity(self):
-        from flowfit.assignment import AssignmentResult
-        result = AssignmentResult(
-            flows={"l1": 100.0},
-            per_stratum_flows={"a": {"l1": 30.0}, "b": {"l1": 70.0}},
-            link_times={"l1": 1.0}, iterations=1, converged=False,
-            relative_gap=float("inf"),
-        )
-        assert total_link_flows(result) == {"l1": 100.0}
-
-    def test_three_strata_random_resummation(self, rng):
-        from flowfit.assignment import AssignmentResult
-        links = [f"l{i}" for i in range(12)]
-        per = {s: {lid: float(rng.uniform(0, 500)) for lid in links}
-               for s in ("a", "b", "c")}
-        totals = {lid: per["a"][lid] + per["b"][lid] + per["c"][lid] for lid in links}
-        result = AssignmentResult(totals, per, {}, 1, False, float("inf"))
-        recomputed = total_link_flows(result)
-        assert recomputed == pytest.approx(totals, rel=1e-12)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from flowfit.assignment import assign
 from flowfit.calibrate import (
     ModelObjective,
     ObjectiveError,
     WeightVector,
     calibrate,
     nelder_mead,
-    objective_fn,
-    predict_flows,
     simulated_annealing,
     split_test,
 )
@@ -163,13 +162,13 @@ class TestObjective:
         zones, net, counts = toy_setup
         truth = toy_strata(TOY_TRUE_MU, TOY_TRUE_BETA)
         wv = WeightVector.from_strata(truth)
-        assert objective_fn(wv, zones, net, truth, counts) < 1e-6
+        assert ModelObjective(zones, net, truth, counts)(wv.values()) < 1e-6
 
     def test_trial_weights_score_poorly(self, toy_setup):
         zones, net, counts = toy_setup
         strata = toy_strata()  # (1.5, 0.1)
         wv = WeightVector.from_strata(strata)
-        assert objective_fn(wv, zones, net, strata, counts) > 10.0
+        assert ModelObjective(zones, net, strata, counts)(wv.values()) > 10.0
 
     def test_all_mu_zero_closed_form(self, toy_setup):
         zones, net, counts = toy_setup
@@ -189,7 +188,7 @@ class TestObjective:
         strata = toy_strata(0.8, 0.09)
         obj = ModelObjective(zones, net, strata, counts)
         j_fast = obj(WeightVector.from_strata(strata).values())
-        flows = predict_flows(zones, net, strata, assignment_mode="oneoff")
+        flows = assign(net, zones, strata, "oneoff").flows
         j_full = evaluate(flows, counts).objective_j
         assert j_fast == pytest.approx(j_full, rel=1e-12)
 

@@ -1,9 +1,12 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import flowfit
 from flowfit.cli import main
 from flowfit.model_io import AssignmentOptions, CalibrationOptions, write_model
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
@@ -178,8 +181,12 @@ class TestSplitTestCommand:
 
 
 def test_console_script_lists_all_commands():
+    # the child process imports the same flowfit as this one, installed or not
+    src = str(Path(flowfit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "flowfit.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     for cmd in ("validate", "assign", "evaluate", "calibrate",
                 "split-test", "compare"):

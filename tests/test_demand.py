@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flowfit.assignment import PathSet
 from flowfit.demand import (
     DegenerateStratumError,
     DemandStratum,
@@ -20,7 +21,7 @@ from flowfit.demand import (
     generate_trip_ends,
     seed_matrix,
 )
-from flowfit.network import CostMatrix, free_flow_times, skim_matrix
+from flowfit.network import CostMatrix, free_flow_times
 from flowfit.sample_models import eight_zone_star, toy_strata
 
 
@@ -268,7 +269,7 @@ class TestDistribute:
 
     def test_toy_margins_match_targets(self):
         zones, net = eight_zone_star()
-        costs = skim_matrix(net, free_flow_times(net))
+        costs = PathSet(net, free_flow_times(net)).cost_matrix()
         stratum = toy_strata(1.5, 0.1)[0]
         out = distribute(zones, stratum, costs)
         pops = {z.zone_id: z.attributes["population"] for z in zones}

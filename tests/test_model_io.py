@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowfit.assignment import PathSet
 from flowfit.model_io import (
     AssignmentOptions,
     CalibrationOptions,
@@ -12,7 +13,7 @@ from flowfit.model_io import (
     load_scenario,
     write_model,
 )
-from flowfit.network import free_flow_times, skim_matrix, validate
+from flowfit.network import free_flow_times, validate
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
 
 
@@ -175,8 +176,8 @@ class TestScenario:
             }),
         ]
         edited = apply_scenario(model.network, Scenario("bypass", edits))
-        before = skim_matrix(model.network, free_flow_times(model.network))
-        after = skim_matrix(edited, free_flow_times(edited))
+        before = PathSet(model.network, free_flow_times(model.network)).cost_matrix()
+        after = PathSet(edited, free_flow_times(edited)).cost_matrix()
         off = ~np.eye(len(before.zone_ids), dtype=bool)
         assert (after.values[off] <= before.values[off] + 1e-12).all()
         assert after.cost("Z2", "Z5") == 3.0
