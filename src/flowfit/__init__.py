@@ -42,6 +42,7 @@ from .metrics import (
     evaluate,
     geh_from_daily,
     geh_hourly,
+    geh_objective,
     report_text,
     split_counts,
 )

@@ -8,12 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .demand import (
-    DEFAULT_FURNESS_MAX_ITER,
-    DEFAULT_FURNESS_TOL,
-    ODMatrix,
-    distribute,
-)
+from .demand import ODMatrix, distribute
 from .network import (
     CostMatrix,
     DisconnectedZonesError,
@@ -50,6 +45,10 @@ class PathSet:
     pair back from its destination along the predecessor links, all pairs
     in step, gives the link x OD-pair incidence, so repeated OD matrices
     (e.g. inside a calibration loop) load as a single matrix product.
+
+    load() is the one step from strata to link flows, over the skim the
+    path set computes once and holds. assign_iterative calls it once per MSA
+    iteration; ModelObjective's one-off mode, on one free-flow path set.
     """
 
     def __init__(self, network: Network, link_times: LinkTimes):
@@ -82,17 +81,21 @@ class PathSet:
             (np.ones(link_rows.size), (link_rows, pair_cols)),
             shape=(len(self.link_ids), n * n),
         )
+        self._skim: CostMatrix | None = None
 
     def cost_matrix(self) -> CostMatrix:
-        """Skim matrix over the same zones, intrazonal diagonal filled."""
-        unreachable = np.argwhere(np.isinf(self._costs))
-        if unreachable.size:
-            i, j = unreachable[0]
-            raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
-        values = self._costs.copy()
-        fill_intrazonal(values)
-        values.setflags(write=False)
-        return CostMatrix(self.zone_ids, values)
+        """Skim matrix over the same zones, intrazonal diagonal filled; built
+        on the first call, then held (its values are read-only)."""
+        if self._skim is None:
+            unreachable = np.argwhere(np.isinf(self._costs))
+            if unreachable.size:
+                i, j = unreachable[0]
+                raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
+            values = self._costs.copy()
+            fill_intrazonal(values)
+            values.setflags(write=False)
+            self._skim = CostMatrix(self.zone_ids, values)
+        return self._skim
 
     def _aligned_trips(self, od: ODMatrix) -> np.ndarray:
         if od.zone_ids == self.zone_ids:
@@ -112,6 +115,17 @@ class PathSet:
         interzonal = np.array(T, dtype=float)
         np.fill_diagonal(interzonal, 0.0)
         return self._incidence @ interzonal.ravel()
+
+    def load(self, zones, strata) -> list[np.ndarray]:
+        """Link flow vector of each stratum, in strata order: distribute over
+        the skim, then flow_vector. A stratum with mu == 0 makes no trips and
+        gets zeros without a distribution."""
+        costs = self.cost_matrix()
+        return [
+            np.zeros(len(self.link_ids)) if s.mu == 0.0
+            else self.flow_vector(distribute(zones, s, costs))
+            for s in strata
+        ]
 
     def flow_map(self, vec: np.ndarray) -> FlowMap:
         return {lid: float(vec[k]) for k, lid in enumerate(self.link_ids)}
@@ -145,8 +159,6 @@ def assign_iterative(
     n_outer: int = DEFAULT_N_OUTER,
     *,
     gap_tol: float = DEFAULT_GAP_TOL,
-    furness_tol: float = DEFAULT_FURNESS_TOL,
-    furness_max_iter: int = DEFAULT_FURNESS_MAX_ITER,
 ) -> AssignmentResult:
     """Cycle skim -> distribution -> all-or-nothing -> MSA flow averaging.
 
@@ -169,16 +181,7 @@ def assign_iterative(
     iterations = 0
     for k in range(1, n_outer + 1):
         paths = PathSet(network, times)
-        costs = paths.cost_matrix()
-        fresh = {
-            s.name: np.zeros(len(link_ids)) if s.mu == 0.0 else paths.flow_vector(
-                distribute(
-                    zones, s, costs,
-                    furness_tol=furness_tol, furness_max_iter=furness_max_iter,
-                )
-            )
-            for s in strata
-        }
+        fresh = {s.name: vec for s, vec in zip(strata, paths.load(zones, strata))}
         if k == 1:
             avg = fresh
         else:
@@ -198,12 +201,10 @@ def assign_iterative(
             converged = True
             break
 
-    flows = {lid: float(total[idx]) for idx, lid in enumerate(link_ids)}
-    per_stratum = {
-        name: {lid: float(vec[idx]) for idx, lid in enumerate(link_ids)}
-        for name, vec in avg.items()
-    }
-    return AssignmentResult(flows, per_stratum, times, iterations, converged, gap)
+    per_stratum = {name: paths.flow_map(vec) for name, vec in avg.items()}
+    return AssignmentResult(
+        paths.flow_map(total), per_stratum, times, iterations, converged, gap
+    )
 
 
 def assign(

@@ -8,19 +8,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import ASSIGNMENT_MODES, PathSet, assign, assign_iterative
-from .demand import DemandStratum, distribute
-from .metrics import (
-    SplitExperimentResult,
-    evaluate,
-    geh_from_daily,
-    split_counts,
+from .assignment import (
+    ASSIGNMENT_MODES,
+    DEFAULT_GAP_TOL,
+    DEFAULT_N_OUTER,
+    PathSet,
+    assign,
+    assign_iterative,
 )
+from .demand import DemandStratum
+from .metrics import SplitExperimentResult, evaluate, geh_objective, split_counts
 from .network import Network, free_flow_times
 
 # Brackets every plausible mobility / deterrence weight; calibration never
 # steps outside these unless the model config overrides them.
 DEFAULT_BOUNDS = {"mu": (0.0, 5.0), "beta": (0.0, 1.0)}
+
+# Nelder-Mead stopping rule: simplex spread, objective spread, budget.
+DEFAULT_XATOL = 1e-6
+DEFAULT_FATOL = 1e-8
+DEFAULT_MAX_EVALS = 2000
 
 
 class ObjectiveError(RuntimeError):
@@ -211,9 +218,9 @@ def nelder_mead(
     x0,
     bounds=None,
     *,
-    xatol: float = 1e-6,
-    fatol: float = 1e-8,
-    max_evals: int = 2000,
+    xatol: float = DEFAULT_XATOL,
+    fatol: float = DEFAULT_FATOL,
+    max_evals: int = DEFAULT_MAX_EVALS,
 ) -> OptimizeResult:
     """Minimize f by the Nelder-Mead simplex method.
 
@@ -302,10 +309,12 @@ def simulated_annealing(
 class ModelObjective:
     """J(weights): mean GEH between assigned and observed daily flows.
 
-    In one-off mode the skim and path sets are frozen at free-flow times,
-    so each evaluation reduces to gravity distribution plus a matrix
-    product; iterative mode reruns the full MSA loop every evaluation.
-    A prebuilt free-flow PathSet may be shared via paths=.
+    In one-off mode the path set and its skim are frozen at free-flow
+    times, and each evaluation is one PathSet.load (gravity distribution
+    plus a matrix product per stratum); iterative mode reruns the full MSA
+    loop, which calls the same load once per iteration. Both modes score
+    the flows at the counted links with metrics.geh_objective, as evaluate
+    does. A prebuilt free-flow PathSet may be shared via paths=.
     """
 
     def __init__(
@@ -316,10 +325,8 @@ class ModelObjective:
         counts,
         *,
         assignment_mode: str = "oneoff",
-        n_outer: int = 5,
-        gap_tol: float = 1e-3,
-        furness_tol: float = 1e-8,
-        furness_max_iter: int = 1000,
+        n_outer: int = DEFAULT_N_OUTER,
+        gap_tol: float = DEFAULT_GAP_TOL,
         bounds=None,
         bound_overrides=None,
         paths: PathSet | None = None,
@@ -335,20 +342,18 @@ class ModelObjective:
         self.assignment_mode = assignment_mode
         self.n_outer = n_outer
         self.gap_tol = gap_tol
-        self.furness_tol = furness_tol
-        self.furness_max_iter = furness_max_iter
         self.template = WeightVector.from_strata(self.strata, bounds, bound_overrides)
         for c in self.counts:
             if c.link_id not in network.links:
                 raise ValueError(f"count references unknown link {c.link_id!r}")
+        self._observed = np.array([c.observed for c in self.counts])
         self._paths = None
         if assignment_mode == "oneoff":
             self._paths = paths or PathSet(network, free_flow_times(network))
-            self._costs = self._paths.cost_matrix()
+            self._paths.cost_matrix()  # disconnected zones fail here, not per call
             self._count_idx = np.array(
                 [self._paths.link_index[c.link_id] for c in self.counts]
             )
-            self._observed = np.array([c.observed for c in self.counts])
 
     def __call__(self, x) -> float:
         weights = self.template.with_values(x)
@@ -363,24 +368,14 @@ class ModelObjective:
     def evaluate_weights(self, weights: WeightVector) -> float:
         strata = weights.apply(self.strata)
         if self._paths is not None:
-            flows = np.zeros(len(self._paths.link_ids))
-            for s in strata:
-                if s.mu == 0.0:  # contributes no trips; skip the distribution
-                    continue
-                od = distribute(
-                    self.zones, s, self._costs,
-                    furness_tol=self.furness_tol,
-                    furness_max_iter=self.furness_max_iter,
-                )
-                flows += self._paths.flow_vector(od)
-            gehs = geh_from_daily(flows[self._count_idx], self._observed)
-            return float(np.mean(gehs))
-        result = assign_iterative(
-            self.network, self.zones, strata, self.n_outer,
-            gap_tol=self.gap_tol,
-            furness_tol=self.furness_tol, furness_max_iter=self.furness_max_iter,
-        )
-        return evaluate(result.flows, self.counts).objective_j
+            loaded = self._paths.load(self.zones, strata)
+            predicted = sum(loaded, np.zeros(len(self._paths.link_ids)))[self._count_idx]
+        else:
+            result = assign_iterative(
+                self.network, self.zones, strata, self.n_outer, gap_tol=self.gap_tol
+            )
+            predicted = np.array([result.flows[c.link_id] for c in self.counts])
+        return geh_objective(predicted, self._observed)[0]
 
 
 def calibrate(
@@ -394,11 +389,11 @@ def calibrate(
     bounds=None,
     bound_overrides=None,
     assignment_mode: str = "oneoff",
-    n_outer: int = 5,
-    gap_tol: float = 1e-3,
-    xatol: float = 1e-6,
-    fatol: float = 1e-8,
-    max_evals: int = 2000,
+    n_outer: int = DEFAULT_N_OUTER,
+    gap_tol: float = DEFAULT_GAP_TOL,
+    xatol: float = DEFAULT_XATOL,
+    fatol: float = DEFAULT_FATOL,
+    max_evals: int = DEFAULT_MAX_EVALS,
     sa_options: dict | None = None,
     paths: PathSet | None = None,
 ) -> CalibrationResult:
@@ -447,13 +442,16 @@ def split_test(
     seeds,
     method: str = "nelder_mead",
     assignment_mode: str = "oneoff",
-    n_outer: int = 5,
+    n_outer: int = DEFAULT_N_OUTER,
+    gap_tol: float = DEFAULT_GAP_TOL,
     **calibrate_options,
 ) -> list[SplitExperimentResult]:
     """Train/test robustness grid: calibrate on a count subset, score both sides.
 
-    Results are ordered by (fraction, seed). The free-flow path set is
-    shared across all cells when the inner assignment is one-off.
+    Results are ordered by (fraction, seed). Each cell is scored under the
+    same assignment (mode, n_outer, gap_tol) that calibrated it. The
+    free-flow path set is shared across all cells when that assignment is
+    one-off.
     """
     shared_paths = None
     if assignment_mode == "oneoff":
@@ -465,10 +463,13 @@ def split_test(
             res = calibrate(
                 zones, network, strata, train,
                 method=method, seed=seed, assignment_mode=assignment_mode,
-                n_outer=n_outer, paths=shared_paths, **calibrate_options,
+                n_outer=n_outer, gap_tol=gap_tol, paths=shared_paths,
+                **calibrate_options,
             )
             best_strata = res.best_weights.apply(strata)
-            flows = assign(network, zones, best_strata, assignment_mode, n_outer).flows
+            flows = assign(
+                network, zones, best_strata, assignment_mode, n_outer, gap_tol=gap_tol
+            ).flows
             results.append(SplitExperimentResult(
                 split_fraction=fraction,
                 seed=seed,

@@ -48,6 +48,18 @@ def _run_assignment(model: LoadedModel, strata=None, network=None):
     )
 
 
+def _calibration_options(model: LoadedModel) -> dict:
+    """calibrate() settings from the spec, shared by calibrate and split-test."""
+    opts = model.calibration
+    return dict(
+        bounds=opts.bounds or None, bound_overrides=opts.bound_overrides or None,
+        assignment_mode=opts.assignment_mode,
+        n_outer=model.assignment.n_outer, gap_tol=model.assignment.gap_tol,
+        xatol=opts.xatol, fatol=opts.fatol, max_evals=opts.max_evals,
+        sa_options=opts.sa or None,
+    )
+
+
 def cmd_validate(args) -> int:
     try:
         model = load_model(args.spec)
@@ -94,12 +106,7 @@ def cmd_calibrate(args) -> int:
     seed = opts.seed if args.seed is None else args.seed
     result = calibrate(
         model.zones, model.network, model.strata, model.counts,
-        method=method, seed=seed,
-        bounds=opts.bounds or None, bound_overrides=opts.bound_overrides or None,
-        assignment_mode=opts.assignment_mode,
-        n_outer=model.assignment.n_outer, gap_tol=model.assignment.gap_tol,
-        xatol=opts.xatol, fatol=opts.fatol, max_evals=opts.max_evals,
-        sa_options=opts.sa or None,
+        method=method, seed=seed, **_calibration_options(model),
     )
     best_strata = result.best_weights.apply(model.strata)
     out = _outdir(args)
@@ -138,17 +145,11 @@ def _parse_fractions(raw: str) -> list[float]:
 
 def cmd_split_test(args) -> int:
     model = load_model(args.spec)
-    opts = model.calibration
     fractions = _parse_fractions(args.fractions)
-    seeds = list(range(args.seeds))
     results = split_test(
         model.zones, model.network, model.strata, model.counts,
-        fractions=fractions, seeds=seeds,
-        method=args.method or opts.method,
-        assignment_mode=opts.assignment_mode,
-        n_outer=model.assignment.n_outer,
-        bounds=opts.bounds or None, bound_overrides=opts.bound_overrides or None,
-        xatol=opts.xatol, fatol=opts.fatol, max_evals=opts.max_evals,
+        fractions=fractions, seeds=list(range(args.seeds)),
+        method=args.method or model.calibration.method, **_calibration_options(model),
     )
     out = _outdir(args)
     write_split_csv(out / "split_test.csv", results)

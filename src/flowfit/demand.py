@@ -247,14 +247,7 @@ def furness_balance(
     raise FurnessConvergenceError(float(deviation), max_iter)
 
 
-def distribute(
-    zones,
-    stratum: DemandStratum,
-    costs: CostMatrix,
-    *,
-    furness_tol: float = DEFAULT_FURNESS_TOL,
-    furness_max_iter: int = DEFAULT_FURNESS_MAX_ITER,
-) -> ODMatrix:
+def distribute(zones, stratum: DemandStratum, costs: CostMatrix) -> ODMatrix:
     """Per-stratum OD matrix: trip ends -> gravity seed -> Furness balancing."""
     by_id = {z.zone_id: z for z in zones}
     if set(by_id) != set(costs.zone_ids):
@@ -265,4 +258,4 @@ def distribute(
         n = len(costs.zone_ids)
         return ODMatrix(costs.zone_ids, np.zeros((n, n)))
     seed = seed_matrix(ends, costs, stratum.beta, stratum.deterrence_kind)
-    return furness_balance(seed, ends, tol=furness_tol, max_iter=furness_max_iter)
+    return furness_balance(seed, ends)

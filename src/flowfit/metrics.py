@@ -68,27 +68,37 @@ def geh_from_daily(predicted_daily, measured_daily):
     return geh_hourly(p / DAILY_TO_HOURLY, m / DAILY_TO_HOURLY)
 
 
+def geh_objective(predicted_daily, observed_daily) -> tuple[float, np.ndarray]:
+    """The calibration objective J and the per-count GEH it averages.
+
+    J is the plain mean of hourly-equivalent GEH between two aligned
+    vectors: predicted daily flows at the counted links and the counts.
+    """
+    gehs = geh_from_daily(predicted_daily, observed_daily)
+    return float(np.mean(gehs)), gehs
+
+
 def evaluate(flows, counts, *, threshold: float = GEH_THRESHOLD) -> EvaluationReport:
     """Per-link GEH report against observed counts.
 
-    The objective J is the plain mean of hourly-equivalent GEH over counted
-    links; links without counts are ignored.
+    The per-link rows and J come from one geh_objective call, the same one
+    that scores each weight vector during calibration; links without counts
+    are ignored.
     """
     if not counts:
         raise ValueError("no traffic counts: objective undefined")
-    per_link = []
     for count in counts:
         if count.link_id not in flows:
             raise ValueError(f"count references unknown link {count.link_id!r}")
-        predicted = float(flows[count.link_id])
-        per_link.append(
-            LinkGeh(count.link_id, predicted, count.observed,
-                    geh_from_daily(predicted, count.observed))
-        )
-    gehs = np.array([e.geh for e in per_link])
+    predicted = np.array([float(flows[c.link_id]) for c in counts])
+    j, gehs = geh_objective(predicted, [c.observed for c in counts])
+    per_link = tuple(
+        LinkGeh(c.link_id, p, c.observed, g)
+        for c, p, g in zip(counts, predicted.tolist(), gehs.tolist())
+    )
     return EvaluationReport(
-        per_link=tuple(per_link),
-        objective_j=float(gehs.mean()),
+        per_link=per_link,
+        objective_j=j,
         share_geh_below_5=float((gehs < threshold).mean()),
         n_measurements=len(per_link),
     )

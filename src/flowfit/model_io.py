@@ -22,8 +22,8 @@ from pathlib import Path
 
 import yaml
 
-from .assignment import ASSIGNMENT_MODES, AssignmentResult
-from .calibrate import CalibrationResult
+from .assignment import ASSIGNMENT_MODES, DEFAULT_GAP_TOL, DEFAULT_N_OUTER, AssignmentResult
+from .calibrate import DEFAULT_FATOL, DEFAULT_MAX_EVALS, DEFAULT_XATOL, CalibrationResult
 from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
 from .network import DEFAULT_ALPHA1, DEFAULT_ALPHA2, Link, Network, Node, validate
@@ -46,17 +46,17 @@ class ModelLoadError(Exception):
 @dataclass
 class AssignmentOptions:
     mode: str = "iterative"  # "oneoff" | "iterative"
-    n_outer: int = 5
-    gap_tol: float = 1e-3
+    n_outer: int = DEFAULT_N_OUTER
+    gap_tol: float = DEFAULT_GAP_TOL
 
 
 @dataclass
 class CalibrationOptions:
     method: str = "nelder_mead"  # | "simulated_annealing"
     seed: int = 0
-    max_evals: int = 2000
-    xatol: float = 1e-6
-    fatol: float = 1e-8
+    max_evals: int = DEFAULT_MAX_EVALS
+    xatol: float = DEFAULT_XATOL
+    fatol: float = DEFAULT_FATOL
     # inner-loop assignment during optimization; the final report re-runs
     # the calibrated weights through the configured assignment mode
     assignment_mode: str = "oneoff"
@@ -320,8 +320,12 @@ def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]
 _DERIVATION_METHODS = {"jobs_from_population"}
 
 
-def _parse_spec(path: Path) -> ModelSpec:
-    diagnostics: list[str] = []
+def _read_yaml_mapping(path: Path) -> dict:
+    """A YAML file's top-level mapping (an empty file reads as {}).
+
+    A missing file, invalid YAML or any other top-level value raises
+    ModelLoadError(stage="parse").
+    """
     if not path.is_file():
         raise ModelLoadError("parse", [f"{path}: file not found"])
     try:
@@ -331,6 +335,12 @@ def _parse_spec(path: Path) -> ModelSpec:
         raise ModelLoadError("parse", [f"{path}: invalid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ModelLoadError("parse", [f"{path}: expected a mapping at top level"])
+    return raw
+
+
+def _parse_spec(path: Path) -> ModelSpec:
+    diagnostics: list[str] = []
+    raw = _read_yaml_mapping(path)
 
     base = path.parent
     files = raw.get("files") or {}
@@ -492,16 +502,13 @@ def load_model(path) -> LoadedModel:
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    if not path.is_file():
-        raise ModelLoadError("parse", [f"{path}: file not found"])
-    try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
-    except yaml.YAMLError as exc:
-        raise ModelLoadError("parse", [f"{path}: invalid YAML: {exc}"]) from exc
+    raw = _read_yaml_mapping(path)
     diagnostics: list[str] = []
     edits: list[LinkEdit] = []
     for i, e in enumerate(raw.get("edits") or []):
+        if not isinstance(e, dict):
+            diagnostics.append(f"{path}: edits[{i}]: expected a mapping, got {e!r}")
+            continue
         action = e.get("action")
         if action not in ("add_link", "remove_link", "modify_link"):
             diagnostics.append(f"{path}: edits[{i}]: unknown action {action!r}")
@@ -586,8 +593,27 @@ def apply_scenario(network: Network, scenario: Scenario) -> Network:
 # Writers. All CSVs use "\n" line endings and round-trip float formatting so
 # identical runs produce byte-identical outputs.
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _strata_yaml(strata) -> list[dict]:
+    """Strata as model.yaml `strata:` entries."""
+    return [
+        {
+            "name": s.name,
+            "production_attr": s.production_attr,
+            "attraction_attr": s.attraction_attr,
+            "mu": float(s.mu),
+            "beta": float(s.beta),
+            "deterrence": s.deterrence_kind,
+            "occupancy": float(s.occupancy),
+        }
+        for s in strata
+    ]
 
 
 def write_model(
@@ -604,38 +630,25 @@ def write_model(
     directory.mkdir(parents=True, exist_ok=True)
     attr_names = sorted({a for z in zones for a in z.attributes})
 
-    with open(directory / "zones.csv", "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["zone_id", "name", "x", "y", "anchor_node"]
-                   + [ATTR_PREFIX + a for a in attr_names])
-        for z in zones:
-            w.writerow([z.zone_id, z.name, _fmt(z.x), _fmt(z.y),
-                        network.zone_anchors[z.zone_id]]
-                       + [_fmt(z.attributes[a]) if a in z.attributes else ""
-                          for a in attr_names])
-
-    with open(directory / "nodes.csv", "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["node_id", "x", "y"])
-        for nid in sorted(network.nodes):
-            n = network.nodes[nid]
-            w.writerow([n.node_id, _fmt(n.x), _fmt(n.y)])
-
-    with open(directory / "links.csv", "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["link_id", "from_node", "to_node", "t0_min",
-                    "capacity_veh24h", "alpha1", "alpha2", "length_km"])
-        for lid in sorted(network.links):
-            l = network.links[lid]
-            w.writerow([l.link_id, l.from_node, l.to_node, _fmt(l.t0),
-                        _fmt(l.q_max), _fmt(l.alpha1), _fmt(l.alpha2),
-                        _fmt(l.length)])
-
-    with open(directory / "counts.csv", "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["link_id", "observed_veh24h"])
-        for c in counts:
-            w.writerow([c.link_id, _fmt(c.observed)])
+    _write_csv(
+        directory / "zones.csv",
+        ["zone_id", "name", "x", "y", "anchor_node"] + [ATTR_PREFIX + a for a in attr_names],
+        ([z.zone_id, z.name, _fmt(z.x), _fmt(z.y), network.zone_anchors[z.zone_id]]
+         + [_fmt(z.attributes[a]) if a in z.attributes else "" for a in attr_names]
+         for z in zones),
+    )
+    _write_csv(directory / "nodes.csv", ["node_id", "x", "y"],
+               ([n.node_id, _fmt(n.x), _fmt(n.y)] for _, n in sorted(network.nodes.items())))
+    _write_csv(
+        directory / "links.csv",
+        ["link_id", "from_node", "to_node", "t0_min", "capacity_veh24h",
+         "alpha1", "alpha2", "length_km"],
+        ([l.link_id, l.from_node, l.to_node, _fmt(l.t0), _fmt(l.q_max),
+          _fmt(l.alpha1), _fmt(l.alpha2), _fmt(l.length)]
+         for _, l in sorted(network.links.items())),
+    )
+    _write_csv(directory / "counts.csv", ["link_id", "observed_veh24h"],
+               ([c.link_id, _fmt(c.observed)] for c in counts))
 
     assignment = assignment or AssignmentOptions()
     calibration = calibration or CalibrationOptions()
@@ -646,18 +659,7 @@ def write_model(
             "links": "links.csv",
             "counts": "counts.csv",
         },
-        "strata": [
-            {
-                "name": s.name,
-                "production_attr": s.production_attr,
-                "attraction_attr": s.attraction_attr,
-                "mu": float(s.mu),
-                "beta": float(s.beta),
-                "deterrence": s.deterrence_kind,
-                "occupancy": float(s.occupancy),
-            }
-            for s in strata
-        ],
+        "strata": _strata_yaml(strata),
         "assignment": {
             "mode": assignment.mode,
             "n_outer": assignment.n_outer,
@@ -672,6 +674,10 @@ def write_model(
             "assignment_mode": calibration.assignment_mode,
         },
     }
+    for key in ("bounds", "bound_overrides", "sa"):
+        # written only when set, so a default spec carries no empty mappings
+        if getattr(calibration, key):
+            config["calibration"][key] = dict(getattr(calibration, key))
     spec_path = directory / "model.yaml"
     with open(spec_path, "w") as fh:
         yaml.safe_dump(config, fh, sort_keys=False)
@@ -679,67 +685,43 @@ def write_model(
 
 
 def write_flows_csv(path, result: AssignmentResult) -> None:
-    stratum_names = sorted(result.per_stratum_flows)
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["link_id", "flow_total"] + [f"flow:{s}" for s in stratum_names])
-        for lid in sorted(result.flows):
-            w.writerow([lid, _fmt(result.flows[lid])]
-                       + [_fmt(result.per_stratum_flows[s][lid]) for s in stratum_names])
+    names = sorted(result.per_stratum_flows)
+    _write_csv(path, ["link_id", "flow_total"] + [f"flow:{s}" for s in names],
+               ([lid, _fmt(result.flows[lid])]
+                + [_fmt(result.per_stratum_flows[s][lid]) for s in names]
+                for lid in sorted(result.flows)))
 
 
 def write_scatter_csv(path, report: EvaluationReport) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["link_id", "observed_veh24h", "predicted_veh24h", "geh_hourly"])
-        for e in report.per_link:
-            w.writerow([e.link_id, _fmt(e.observed), _fmt(e.predicted), _fmt(e.geh)])
+    _write_csv(path, ["link_id", "observed_veh24h", "predicted_veh24h", "geh_hourly"],
+               ([e.link_id, _fmt(e.observed), _fmt(e.predicted), _fmt(e.geh)]
+                for e in report.per_link))
 
 
 def write_history_csv(path, result: CalibrationResult) -> None:
     names = [f"{e.stratum}.{e.param}" for e in result.best_weights.entries]
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["evaluation", "objective"] + names)
-        for idx, objective, x in result.history:
-            w.writerow([idx, _fmt(objective)] + [_fmt(float(v)) for v in x])
+    _write_csv(path, ["evaluation", "objective"] + names,
+               ([idx, _fmt(objective)] + [_fmt(float(v)) for v in x]
+                for idx, objective, x in result.history))
 
 
 def write_split_csv(path, results: list[SplitExperimentResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["fraction", "seed", "train_geh", "test_geh"])
-        for r in results:
-            w.writerow([_fmt(r.split_fraction), r.seed,
-                        _fmt(r.train_geh), _fmt(r.test_geh)])
+    _write_csv(path, ["fraction", "seed", "train_geh", "test_geh"],
+               ([_fmt(r.split_fraction), r.seed, _fmt(r.train_geh), _fmt(r.test_geh)]
+                for r in results))
 
 
 def write_compare_csv(path, base_flows, scenario_flows) -> None:
     """Per-link flow deltas; links absent from one side count as zero flow."""
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["link_id", "flow_base", "flow_scenario", "delta"])
-        for lid in sorted(set(base_flows) | set(scenario_flows)):
-            qb = base_flows.get(lid, 0.0)
-            qs = scenario_flows.get(lid, 0.0)
-            w.writerow([lid, _fmt(qb), _fmt(qs), _fmt(qs - qb)])
+    rows = []
+    for lid in sorted(set(base_flows) | set(scenario_flows)):
+        qb = base_flows.get(lid, 0.0)
+        qs = scenario_flows.get(lid, 0.0)
+        rows.append([lid, _fmt(qb), _fmt(qs), _fmt(qs - qb)])
+    _write_csv(path, ["link_id", "flow_base", "flow_scenario", "delta"], rows)
 
 
 def write_weights_yaml(path, strata) -> None:
     """Calibrated strata in the model.yaml `strata:` format, ready to paste back."""
-    payload = {
-        "strata": [
-            {
-                "name": s.name,
-                "production_attr": s.production_attr,
-                "attraction_attr": s.attraction_attr,
-                "mu": float(s.mu),
-                "beta": float(s.beta),
-                "deterrence": s.deterrence_kind,
-                "occupancy": float(s.occupancy),
-            }
-            for s in strata
-        ]
-    }
     with open(path, "w") as fh:
-        yaml.safe_dump(payload, fh, sort_keys=False)
+        yaml.safe_dump({"strata": _strata_yaml(strata)}, fh, sort_keys=False)

@@ -7,7 +7,7 @@ from flowfit.assignment import (
     assign_all_or_nothing,
     assign_iterative,
 )
-from flowfit.demand import DemandStratum, ODMatrix, Zone
+from flowfit.demand import DemandStratum, ODMatrix, Zone, distribute
 from flowfit.network import Link, Network, Node, free_flow_times, volume_delay
 from flowfit.sample_models import eight_zone_star, toy_strata
 
@@ -207,6 +207,38 @@ def parallel_route_network():
     return net, zones, strata
 
 
+class TestLoad:
+    def test_matches_distribute_then_flow_vector_per_stratum(self):
+        zones, net = eight_zone_star(jobs_cutoff=5000.0)
+        strata = [DemandStratum("home", "population", "population", 0.6, 0.06),
+                  DemandStratum("work", "population", "jobs", 0.4, 0.11)]
+        paths = PathSet(net, free_flow_times(net))
+        loaded = paths.load(zones, strata)
+        assert len(loaded) == 2
+        for s, vec in zip(strata, loaded):
+            od = distribute(zones, s, paths.cost_matrix())
+            assert np.array_equal(vec, paths.flow_vector(od))
+
+    def test_mu_zero_stratum_loads_zeros_without_distributing(self, monkeypatch):
+        import flowfit.assignment as assignment
+        zones, net = eight_zone_star()
+        strata = [DemandStratum("idle", "population", "population", 0.0, 0.1),
+                  DemandStratum("busy", "population", "population", 0.7, 0.07)]
+        calls = []
+        monkeypatch.setattr(assignment, "distribute",
+                            lambda z, s, c: calls.append(s.name) or distribute(z, s, c))
+        idle, busy = PathSet(net, free_flow_times(net)).load(zones, strata)
+        assert calls == ["busy"]
+        assert not idle.any() and busy.sum() > 0
+
+    def test_skim_is_computed_once_and_read_only(self):
+        zones, net = eight_zone_star()
+        paths = PathSet(net, free_flow_times(net))
+        skim = paths.cost_matrix()
+        assert paths.cost_matrix() is skim
+        assert not skim.values.flags.writeable
+
+
 class TestIterativeAssignment:
     def test_single_iteration_equals_free_flow_pipeline(self):
         zones, net = eight_zone_star()
@@ -214,7 +246,6 @@ class TestIterativeAssignment:
         result = assign_iterative(net, zones, strata, n_outer=1)
         assert result.iterations == 1
         assert not result.converged
-        from flowfit.demand import distribute
         costs = PathSet(net, free_flow_times(net)).cost_matrix()
         od = distribute(zones, strata[0], costs)
         expected = assign_all_or_nothing(net, free_flow_times(net), od)
@@ -250,7 +281,6 @@ class TestIterativeAssignment:
     def test_msa_flows_stay_inside_per_iteration_hull(self):
         net, zones, strata = parallel_route_network()
         # recompute the raw all-or-nothing flows of every iteration
-        from flowfit.demand import distribute
         times = free_flow_times(net)
         raw = []
         avg = None

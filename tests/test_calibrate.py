@@ -12,7 +12,7 @@ from flowfit.calibrate import (
     split_test,
 )
 from flowfit.demand import DemandStratum
-from flowfit.metrics import TrafficCount, evaluate, geh_from_daily
+from flowfit.metrics import TrafficCount, evaluate, geh_from_daily, split_counts
 from flowfit.sample_models import (
     TOY_TRUE_BETA,
     TOY_TRUE_MU,
@@ -192,6 +192,18 @@ class TestObjective:
         j_full = evaluate(flows, counts).objective_j
         assert j_fast == pytest.approx(j_full, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["oneoff", "iterative"])
+    def test_both_modes_score_exactly_as_evaluate(self, mode):
+        zones, net = eight_zone_star()
+        strata = [DemandStratum("home", "population", "population", 0.7, 0.07),
+                  DemandStratum("away", "population", "population", 0.3, 0.1)]
+        counts = synthetic_counts(zones, net, strata, noise=0.1, seed=2)
+        obj = ModelObjective(zones, net, strata, counts, assignment_mode=mode)
+        for x in ([0.7, 0.07, 0.3, 0.1], [1.5, 0.1, 0.0, 0.05], [0.2, 0.3, 2.0, 0.0]):
+            trial = obj.template.with_values(x).apply(strata)
+            flows = assign(net, zones, trial, mode).flows
+            assert obj(np.array(x)) == evaluate(flows, counts).objective_j
+
     def test_pipeline_errors_carry_the_weights(self, toy_setup):
         zones, net, counts = toy_setup
         strata = [DemandStratum("s", "population", "nonexistent", 1.0, 0.1)]
@@ -278,6 +290,19 @@ class TestSplitTest:
         ]
         for r in results:
             assert r.train_geh >= 0.0 and r.test_geh >= 0.0
+
+    def test_cells_scored_under_the_calibrating_assignment(self, toy_setup):
+        zones, net, counts = toy_setup
+        strata = toy_strata(2.0, 0.05)
+        options = dict(assignment_mode="iterative", n_outer=8, gap_tol=0.05)
+        (res,) = split_test(zones, net, strata, counts, fractions=[0.5], seeds=[0],
+                            max_evals=8, **options)
+        train, test = split_counts(counts, 0.5, 0)
+        cal = calibrate(zones, net, strata, train, seed=0, max_evals=8, **options)
+        flows = assign(net, zones, cal.best_weights.apply(strata), "iterative",
+                       8, gap_tol=0.05).flows
+        assert res.train_geh == evaluate(flows, train).objective_j
+        assert res.test_geh == evaluate(flows, test).objective_j
 
     def test_noise_free_counts_fit_both_sides(self, toy_setup):
         zones, net, counts = toy_setup

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import flowfit
+from flowfit.assignment import assign
+from flowfit.calibrate import calibrate, split_test
 from flowfit.cli import main
+from flowfit.metrics import evaluate, split_counts
 from flowfit.model_io import AssignmentOptions, CalibrationOptions, write_model
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
 
@@ -179,6 +182,42 @@ class TestSplitTestCommand:
         assert len(rows) == 70
         assert len({r["fraction"] for r in rows}) == 7
 
+    def test_forwards_simulated_annealing_options(self, tmp_path):
+        zones, net = eight_zone_star()
+        counts = synthetic_counts(zones, net, toy_strata(0.7, 0.074))
+        strata = toy_strata(1.5, 0.1)
+        sa = {"n_sweeps": 2, "steps_per_sweep": 3, "restarts": 0, "polish": False}
+        spec = write_model(tmp_path / "model", zones, net, counts, strata,
+                           AssignmentOptions(mode="oneoff"), CalibrationOptions(sa=sa))
+        out = tmp_path / "out"
+        assert main(["split-test", str(spec), "-o", str(out), "--fractions", "0.5",
+                     "--seeds", "2", "--method", "simulated_annealing"]) == 0
+        expected = split_test(zones, net, strata, counts, fractions=[0.5], seeds=[0, 1],
+                              method="simulated_annealing", sa_options=sa)
+        rows = read_csv(out / "split_test.csv")
+        assert [(float(r["train_geh"]), float(r["test_geh"])) for r in rows] == \
+            [(r.train_geh, r.test_geh) for r in expected]
+
+    def test_forwards_gap_tol_to_calibration_and_scoring(self, tmp_path):
+        zones, net = eight_zone_star()
+        counts = synthetic_counts(zones, net, toy_strata(2.0, 0.05))
+        strata = toy_strata(1.5, 0.1)
+        spec = write_model(tmp_path / "model", zones, net, counts, strata,
+                           AssignmentOptions(mode="iterative", n_outer=8, gap_tol=0.05),
+                           CalibrationOptions(max_evals=8, assignment_mode="iterative"))
+        out = tmp_path / "out"
+        assert main(["split-test", str(spec), "-o", str(out), "--fractions", "0.5",
+                     "--seeds", "1"]) == 0
+        # calibrated and scored by hand, both under gap_tol 0.05
+        train, test = split_counts(counts, 0.5, 0)
+        cal = calibrate(zones, net, strata, train, max_evals=8,
+                        assignment_mode="iterative", n_outer=8, gap_tol=0.05)
+        flows = assign(net, zones, cal.best_weights.apply(strata), "iterative", 8,
+                       gap_tol=0.05).flows
+        (row,) = read_csv(out / "split_test.csv")
+        assert float(row["train_geh"]) == evaluate(flows, train).objective_j
+        assert float(row["test_geh"]) == evaluate(flows, test).objective_j
+
 
 def test_console_script_lists_all_commands():
     # the child process imports the same flowfit as this one, installed or not
@@ -226,6 +265,17 @@ class TestCompareCommand:
         by_link = {r["link_id"]: r for r in read_csv(out / "compare.csv")}
         assert float(by_link["express"]["flow_base"]) == 0.0
         assert float(by_link["express"]["flow_scenario"]) > 0.0
+
+    @pytest.mark.parametrize("text", [
+        "- action: remove_link\n  link_id: n1_n2\n",  # a list, not a mapping
+        "name: x\nedits:\n- remove_link n1_n2\n",  # an edit that is a string
+    ])
+    def test_malformed_scenario_exits_two(self, toy_spec, tmp_path, capsys, text):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(text)
+        assert main(["compare", str(toy_spec), str(scenario),
+                     "-o", str(tmp_path / "o")]) == 2
+        assert "expected a mapping" in capsys.readouterr().err
 
     def test_broken_scenario_exits_three(self, toy_spec, tmp_path):
         scenario = tmp_path / "bad.yaml"

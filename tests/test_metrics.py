@@ -10,6 +10,7 @@ from flowfit.metrics import (
     evaluate,
     geh_from_daily,
     geh_hourly,
+    geh_objective,
     report_text,
     split_counts,
 )
@@ -125,6 +126,19 @@ class TestEvaluate:
         ]
         assert shares == sorted(shares, reverse=True)
         assert shares[0] == 1.0 and shares[-1] == 0.5
+
+    def test_vector_report_equals_the_per_count_loop(self, rng):
+        links = [f"l{i}" for i in range(40)]
+        flows = {lid: float(rng.uniform(100, 20000)) for lid in links}
+        counts = [TrafficCount(lid, float(rng.uniform(100, 20000))) for lid in links]
+        report = evaluate(flows, counts)
+        by_count = [geh_from_daily(flows[c.link_id], c.observed) for c in counts]
+        assert [e.geh for e in report.per_link] == by_count
+        assert report.objective_j == float(np.mean(by_count))
+        assert report.objective_j == geh_objective(
+            [flows[lid] for lid in links], [c.observed for c in counts])[0]
+        for e in report.per_link:
+            assert type(e.predicted) is float and type(e.geh) is float
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError, match="objective undefined"):

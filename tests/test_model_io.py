@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,14 +41,22 @@ class TestLoadModel:
 
     def test_roundtrip_is_identical(self, toy_dir):
         first = load_model(toy_dir / "model.yaml")
+        calibration = dataclasses.replace(
+            first.calibration,
+            bounds={"mu": (0.5, 3.0), "beta": (0.01, 0.5)},
+            bound_overrides={"everyone.beta": (0.02, 0.2)},
+            sa={"n_sweeps": 10, "cooling": 0.9, "polish": False},
+        )
         out = toy_dir / "copy"
         write_model(out, first.zones, first.network, first.counts, first.strata,
-                    first.assignment, first.calibration)
+                    first.assignment, calibration)
         second = load_model(out / "model.yaml")
         assert second.zones == first.zones
         assert second.network == first.network
         assert second.counts == first.counts
         assert second.strata == first.strata
+        assert second.assignment == first.assignment
+        assert second.calibration == calibration
         assert (out / "zones.csv").read_bytes() == (toy_dir / "zones.csv").read_bytes()
         assert (out / "links.csv").read_bytes() == (toy_dir / "links.csv").read_bytes()
 
@@ -216,3 +226,17 @@ class TestScenario:
         path.write_text("edits:\n- action: repaint_link\n  link_id: x\n")
         with pytest.raises(ModelLoadError, match="unknown action"):
             load_scenario(path)
+
+    def test_scenario_that_is_a_list_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("- action: remove_link\n  link_id: n1_n2\n")
+        with pytest.raises(ModelLoadError, match="mapping at top level") as err:
+            load_scenario(path)
+        assert err.value.stage == "parse"
+
+    def test_edit_that_is_a_string_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("name: x\nedits:\n- remove_link n1_n2\n")
+        with pytest.raises(ModelLoadError, match=r"edits\[0\]: expected a mapping") as err:
+            load_scenario(path)
+        assert err.value.stage == "parse"
