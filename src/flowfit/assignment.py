@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .demand import ODMatrix, distribute
+from .demand import ODMatrix, distribute, require_unique_names
 from .network import (
     CostMatrix,
     DisconnectedZonesError,
@@ -167,9 +167,11 @@ def assign_iterative(
     curves. Redistribution inside the loop lets demand react to congestion.
     Stops after n_outer iterations, or earlier once the relative L1 change
     of total link flows drops below gap_tol. n_outer=1 is the one-off mode.
+    Per-stratum flows are keyed by stratum name, so names must be distinct.
     """
     if n_outer < 1:
         raise ValueError("n_outer must be >= 1")
+    require_unique_names(strata)
 
     times = free_flow_times(network)
     link_ids = network.link_ids

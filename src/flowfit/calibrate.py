@@ -16,7 +16,7 @@ from .assignment import (
     assign,
     assign_iterative,
 )
-from .demand import DemandStratum
+from .demand import DemandStratum, require_unique_names
 from .metrics import SplitExperimentResult, evaluate, geh_objective, split_counts
 from .network import Network, free_flow_times
 
@@ -52,7 +52,8 @@ class WeightVector:
     @classmethod
     def from_strata(cls, strata, bounds=None, overrides=None) -> "WeightVector":
         """Pack stratum weights; bounds by parameter name, overridable per
-        "<stratum>.<param>" key."""
+        "<stratum>.<param>" key. Strata must have distinct names."""
+        require_unique_names(strata)
         bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
         overrides = overrides or {}
         entries = []

@@ -82,6 +82,15 @@ class DemandStratum:
             raise ValueError(f"stratum {self.name!r}: occupancy must be > 0")
 
 
+def require_unique_names(strata) -> None:
+    """Raise ValueError when two strata share a name, by which calibration
+    weights and per-stratum flows are keyed."""
+    names = [s.name for s in strata]
+    shared = sorted({n for n in names if names.count(n) > 1})
+    if shared:
+        raise ValueError(f"strata share a name: {shared}")
+
+
 @dataclass(frozen=True, eq=False)
 class TripEnds:
     """Origin and destination vectors (veh-trips/24h), one entry per zone."""

@@ -5,18 +5,19 @@ road appears as two rows):
 
     zones.csv:  zone_id,name,x,y,anchor_node,attr:<name>...
     nodes.csv:  node_id,x,y
-    links.csv:  link_id,from_node,to_node,t0_min,capacity_veh24h,alpha1,alpha2[,length_km]
+    links.csv:  link_id,from_node,to_node,t0_min,capacity_veh24h[,alpha1,alpha2,length_km]
     counts.csv: link_id,observed_veh24h[,bidirectional]
 
-A bidirectional count is split 50/50 onto the named link and its reverse.
-The model spec and scenarios are single YAML files; see data/toy/model.yaml.
+Ids are non-empty, and unique except in counts.csv. Blank optional cells
+take Link's defaults. A bidirectional count is split 50/50 onto the named
+link and its reverse. The model spec and scenarios are single YAML
+mappings; see data/toy/. Scenario edits name links.csv columns as fields.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,13 +25,33 @@ import yaml
 
 from .assignment import ASSIGNMENT_MODES, DEFAULT_GAP_TOL, DEFAULT_N_OUTER, AssignmentResult
 from .calibrate import DEFAULT_FATOL, DEFAULT_MAX_EVALS, DEFAULT_XATOL, CalibrationResult
-from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs
+from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs, require_unique_names
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
-from .network import DEFAULT_ALPHA1, DEFAULT_ALPHA2, Link, Network, Node, validate
-
-logger = logging.getLogger(__name__)
+from .network import Link, Network, Node, validate
 
 ATTR_PREFIX = "attr:"
+
+# Each table's columns: the reader requires them, the writer's header starts
+# with them, and the first holds the table's ids.
+_ZONE_COLUMNS = ("zone_id", "name", "x", "y", "anchor_node")
+_NODE_COLUMNS = ("node_id", "x", "y")
+_COUNT_COLUMNS = ("link_id", "observed_veh24h")
+# links.csv columns after link_id -> (Link field, conversion), in Link's field
+# order; one map for the reader, the scenario edits and the writer. A field
+# with a default in Link makes its column optional, and fills a blank cell.
+_LINK_FIELD_MAP = {
+    "from_node": ("from_node", str),
+    "to_node": ("to_node", str),
+    "t0_min": ("t0", float),
+    "capacity_veh24h": ("q_max", float),
+    "alpha1": ("alpha1", float),
+    "alpha2": ("alpha2", float),
+    "length_km": ("length", float),
+}
+_LINK_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Link)
+                  if f.default is not dataclasses.MISSING}
+_LINK_REQUIRED = ("link_id", *(c for c, (name, _) in _LINK_FIELD_MAP.items()
+                               if name not in _LINK_DEFAULTS))
 
 
 class ModelLoadError(Exception):
@@ -128,16 +149,23 @@ def _fmt(value) -> str:
 
 
 class _RowReader:
-    """CSV reader that records per-row diagnostics instead of raising."""
+    """CSV reader that records per-row diagnostics instead of raising.
 
-    def __init__(self, path: Path, required: list[str], diagnostics: list[str]):
+    Yields (lineno, id, row) for rows with the header's column count and a
+    non-empty id, the first required column; unique=True also skips repeated
+    ids. linenos maps each id to its first line.
+    """
+
+    def __init__(self, path: Path, required: tuple, diagnostics: list[str], unique: bool = True):
         self.path = path
-        self.required = required
+        self.id_column = required[0]
+        self.unique = unique
         self.diagnostics = diagnostics
-        self.ok = True
+        self.fieldnames: list[str] = []
+        self.rows: list[dict] = []
+        self.linenos: dict[str, int] = {}
         if not path.is_file():
             diagnostics.append(f"{path}: file not found")
-            self.ok = False
             return
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -145,18 +173,25 @@ class _RowReader:
             missing = [c for c in required if c not in self.fieldnames]
             if missing:
                 diagnostics.append(f"{path}: missing column(s) {missing}")
-                self.ok = False
-                self.rows = []
             else:
                 self.rows = list(reader)
 
     def __iter__(self):
         # header is line 1, first data row line 2
         for lineno, row in enumerate(self.rows, start=2):
-            if row.get(None) or any(v is None for v in row.values()):
+            if row.get(None) or None in row.values():
                 self.error(lineno, f"expected {len(self.fieldnames)} columns")
                 continue
-            yield lineno, row
+            rid = row[self.id_column].strip()
+            if not rid:
+                self.error(lineno, f"empty {self.id_column}")
+                continue
+            if rid not in self.linenos:
+                self.linenos[rid] = lineno
+            elif self.unique:
+                self.error(lineno, f"duplicate {self.id_column} {rid!r}")
+                continue
+            yield lineno, rid, row
 
     def error(self, lineno: int, message: str):
         self.diagnostics.append(f"{self.path}:{lineno}: {message}")
@@ -175,24 +210,37 @@ class _RowReader:
             return None
 
 
+def _link_fields(cells: dict, defaults: dict, problems: list[str]) -> list:
+    """Link field values after link_id, in field order, from a links.csv row
+    or a scenario edit's fields. A blank or absent cell takes its value from
+    defaults; one without a default, or one that does not convert, is
+    appended to problems with its column and value."""
+    values = []
+    add = values.append
+    for column, (name, convert) in _LINK_FIELD_MAP.items():
+        raw = cells.get(column, "")
+        if isinstance(raw, str):
+            raw = raw.strip()
+            if not raw:
+                if name in defaults:
+                    add(defaults[name])
+                else:
+                    problems.append(f"column {column!r} is empty")
+                continue
+        try:
+            add(convert(raw))
+        except (TypeError, ValueError):
+            problems.append(f"column {column!r}: not a number: {raw!r}")
+    return values
+
+
 def load_zone_rows(path: Path, diagnostics: list[str]):
     """Returns (zones, anchors, linenos) parsed from zones.csv."""
-    reader = _RowReader(path, ["zone_id", "name", "x", "y", "anchor_node"], diagnostics)
+    reader = _RowReader(path, _ZONE_COLUMNS, diagnostics)
     zones: list[Zone] = []
     anchors: dict[str, str] = {}
-    linenos: dict[str, int] = {}
-    if not reader.ok:
-        return zones, anchors, linenos
     attr_cols = [c for c in reader.fieldnames if c.startswith(ATTR_PREFIX)]
-    for lineno, row in reader:
-        zid = (row.get("zone_id") or "").strip()
-        if not zid:
-            reader.error(lineno, "empty zone_id")
-            continue
-        if zid in linenos:
-            reader.error(lineno, f"duplicate zone_id {zid!r}")
-            continue
-        linenos[zid] = lineno
+    for lineno, zid, row in reader:
         x = reader.number(lineno, row, "x", 0.0)
         y = reader.number(lineno, row, "y", 0.0)
         attrs = {}
@@ -207,24 +255,13 @@ def load_zone_rows(path: Path, diagnostics: list[str]):
             continue
         zones.append(Zone(zid, (row.get("name") or "").strip(), x, y, attrs))
         anchors[zid] = (row.get("anchor_node") or "").strip()
-    return zones, anchors, linenos
+    return zones, anchors, reader.linenos
 
 
 def load_node_rows(path: Path, diagnostics: list[str]) -> list[Node]:
-    reader = _RowReader(path, ["node_id", "x", "y"], diagnostics)
+    reader = _RowReader(path, _NODE_COLUMNS, diagnostics)
     nodes: list[Node] = []
-    if not reader.ok:
-        return nodes
-    seen = set()
-    for lineno, row in reader:
-        nid = (row.get("node_id") or "").strip()
-        if not nid:
-            reader.error(lineno, "empty node_id")
-            continue
-        if nid in seen:
-            reader.error(lineno, f"duplicate node_id {nid!r}")
-            continue
-        seen.add(nid)
+    for lineno, nid, row in reader:
         x = reader.number(lineno, row, "x", 0.0)
         y = reader.number(lineno, row, "y", 0.0)
         if x is None or y is None:
@@ -235,50 +272,24 @@ def load_node_rows(path: Path, diagnostics: list[str]) -> list[Node]:
 
 def load_link_rows(path: Path, diagnostics: list[str]):
     """Returns (links, linenos) parsed from links.csv."""
-    reader = _RowReader(
-        path,
-        ["link_id", "from_node", "to_node", "t0_min", "capacity_veh24h"],
-        diagnostics,
-    )
+    reader = _RowReader(path, _LINK_REQUIRED, diagnostics)
     links: list[Link] = []
-    linenos: dict[str, int] = {}
-    if not reader.ok:
-        return links, linenos
-    for lineno, row in reader:
-        lid = (row.get("link_id") or "").strip()
-        if not lid:
-            reader.error(lineno, "empty link_id")
-            continue
-        if lid in linenos:
-            reader.error(lineno, f"duplicate link_id {lid!r}")
-            continue
-        linenos[lid] = lineno
-        t0 = reader.number(lineno, row, "t0_min")
-        q_max = reader.number(lineno, row, "capacity_veh24h")
-        alpha1 = reader.number(lineno, row, "alpha1", DEFAULT_ALPHA1)
-        alpha2 = reader.number(lineno, row, "alpha2", DEFAULT_ALPHA2)
-        length_raw = (row.get("length_km") or "").strip()
-        length = reader.number(lineno, row, "length_km") if length_raw else None
-        if t0 is None or q_max is None or alpha1 is None or alpha2 is None:
-            continue
-        links.append(Link(
-            lid, (row.get("from_node") or "").strip(), (row.get("to_node") or "").strip(),
-            t0, q_max, alpha1, alpha2, length,
-        ))
-    return links, linenos
+    for lineno, lid, row in reader:
+        problems: list[str] = []
+        values = _link_fields(row, _LINK_DEFAULTS, problems)
+        for problem in problems:
+            reader.error(lineno, problem)
+        if not problems:
+            links.append(Link(lid, *values))
+    return links, reader.linenos
 
 
 def load_count_rows(path: Path, diagnostics: list[str]) -> list[dict]:
-    reader = _RowReader(path, ["link_id", "observed_veh24h"], diagnostics)
+    # one link may be counted on several rows
+    reader = _RowReader(path, _COUNT_COLUMNS, diagnostics, unique=False)
     rows: list[dict] = []
-    if not reader.ok:
-        return rows
-    for lineno, row in reader:
-        lid = (row.get("link_id") or "").strip()
+    for lineno, lid, row in reader:
         observed = reader.number(lineno, row, "observed_veh24h")
-        if not lid:
-            reader.error(lineno, "empty link_id")
-            continue
         if observed is None:
             continue
         if observed < 0:
@@ -292,9 +303,7 @@ def load_count_rows(path: Path, diagnostics: list[str]) -> list[dict]:
 
 def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]):
     """Directional counts; bidirectional rows split 50/50 with the reverse link."""
-    reverse_of: dict[tuple[str, str], str] = {}
-    for lid, link in network.links.items():
-        reverse_of[(link.from_node, link.to_node)] = lid
+    reverse_of = {(link.from_node, link.to_node): lid for lid, link in network.links.items()}
     counts: list[TrafficCount] = []
     for row in rows:
         lid = row["link_id"]
@@ -338,20 +347,38 @@ def _read_yaml_mapping(path: Path) -> dict:
     return raw
 
 
+def _entry(mapping: dict, key: str, kind: type, where: str, diagnostics: list[str]):
+    """mapping[key] when it is a `kind`; absent or null reads as an empty
+    one. Any other value is a diagnostic naming the key and reads as empty."""
+    value = mapping.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        expected = "mapping" if kind is dict else "list"
+        diagnostics.append(f"{where}{key}: expected a {expected}, got {value!r}")
+        return kind()
+    return value
+
+
 def _parse_spec(path: Path) -> ModelSpec:
     diagnostics: list[str] = []
     raw = _read_yaml_mapping(path)
+    where = f"{path}: "
 
     base = path.parent
-    files = raw.get("files") or {}
-    for key in ("zones", "nodes", "links"):
-        if key not in files:
+    files = _entry(raw, "files", dict, where, diagnostics)
+    for key in ("zones", "nodes", "links", "counts"):
+        name = files.get(key) or ""
+        if not isinstance(name, str):
+            diagnostics.append(f"{path}: files.{key}: expected a file name, got {name!r}")
+        elif not name and key != "counts":
             diagnostics.append(f"{path}: files.{key} is required")
 
     strata: list[DemandStratum] = []
-    if not raw.get("strata"):
+    raw_strata = _entry(raw, "strata", list, where, diagnostics)
+    if not raw_strata:
         diagnostics.append(f"{path}: at least one stratum is required")
-    for i, s in enumerate(raw.get("strata") or []):
+    for i, s in enumerate(raw_strata):
         try:
             strata.append(DemandStratum(
                 name=str(s["name"]),
@@ -364,9 +391,13 @@ def _parse_spec(path: Path) -> ModelSpec:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             diagnostics.append(f"{path}: strata[{i}]: {exc}")
+    try:
+        require_unique_names(strata)
+    except ValueError as exc:
+        diagnostics.append(f"{path}: {exc}")
 
     derivations: list[DerivationRule] = []
-    for i, d in enumerate(raw.get("derivations") or []):
+    for i, d in enumerate(_entry(raw, "derivations", list, where, diagnostics)):
         try:
             rule = DerivationRule(
                 attribute=str(d["attribute"]),
@@ -384,21 +415,27 @@ def _parse_spec(path: Path) -> ModelSpec:
             diagnostics.append(f"{path}: derivations[{i}]: {exc}")
 
     try:
-        assignment = AssignmentOptions(**(raw.get("assignment") or {}))
+        assignment = AssignmentOptions(**_entry(raw, "assignment", dict, where, diagnostics))
     except TypeError as exc:
         diagnostics.append(f"{path}: assignment: {exc}")
         assignment = AssignmentOptions()
     if assignment.mode not in ASSIGNMENT_MODES:
         diagnostics.append(f"{path}: assignment.mode must be oneoff or iterative")
 
-    cal_raw = dict(raw.get("calibration") or {})
-    bounds = {k: tuple(v) for k, v in (cal_raw.pop("bounds", None) or {}).items()}
-    overrides = {k: tuple(v) for k, v in (cal_raw.pop("bound_overrides", None) or {}).items()}
-    sa = dict(cal_raw.pop("sa", None) or {})
+    cal_raw = dict(_entry(raw, "calibration", dict, where, diagnostics))
+    cal_where = f"{path}: calibration."
+    for key in ("bounds", "bound_overrides"):
+        cal_raw[key] = pairs = dict(_entry(cal_raw, key, dict, cal_where, diagnostics))
+        for name, pair in pairs.items():
+            if isinstance(pair, list) and len(pair) == 2 and all(
+                    isinstance(v, (int, float)) for v in pair):
+                pairs[name] = tuple(pair)
+            else:
+                diagnostics.append(
+                    f"{cal_where}{key}.{name}: expected a list of two numbers, got {pair!r}")
+    cal_raw["sa"] = dict(_entry(cal_raw, "sa", dict, cal_where, diagnostics))
     try:
-        calibration = CalibrationOptions(
-            **cal_raw, bounds=bounds, bound_overrides=overrides, sa=sa
-        )
+        calibration = CalibrationOptions(**cal_raw)
     except TypeError as exc:
         diagnostics.append(f"{path}: calibration: {exc}")
         calibration = CalibrationOptions()
@@ -420,6 +457,8 @@ def _parse_spec(path: Path) -> ModelSpec:
 
 
 def _apply_derivations(zones: list[Zone], rules: list[DerivationRule]) -> list[Zone]:
+    if not rules:
+        return zones
     out = []
     for zone in zones:
         attrs = dict(zone.attributes)
@@ -443,9 +482,7 @@ def load_model(path) -> LoadedModel:
     zones, anchors, zone_lines = load_zone_rows(spec.zones_path, parse_diag)
     nodes = load_node_rows(spec.nodes_path, parse_diag)
     links, link_lines = load_link_rows(spec.links_path, parse_diag)
-    count_rows = []
-    if spec.counts_path is not None:
-        count_rows = load_count_rows(spec.counts_path, parse_diag)
+    count_rows = load_count_rows(spec.counts_path, parse_diag) if spec.counts_path else []
     if parse_diag:
         raise ModelLoadError("parse", parse_diag)
 
@@ -483,11 +520,8 @@ def load_model(path) -> LoadedModel:
                     f"stratum {s.name!r}: attribute {attr!r} is neither declared "
                     "on any zone nor derived"
                 )
-    try:
-        network = Network.from_parts(nodes, links, anchors)
-    except ValueError as exc:
-        diagnostics.append(str(exc))
-        raise ModelLoadError("validation", diagnostics) from exc
+    # the readers already dropped duplicate ids, so from_parts does not raise
+    network = Network.from_parts(nodes, links, anchors)
     counts = _resolve_counts(count_rows, network, spec.counts_path, diagnostics)
     # reference errors were already reported above with file:line attached;
     # validate() adds invariant and connectivity findings on top
@@ -523,63 +557,38 @@ def load_scenario(path) -> Scenario:
     return Scenario(name=str(raw.get("name", path.stem)), edits=edits)
 
 
-_LINK_FIELD_MAP = {
-    "from_node": "from_node",
-    "to_node": "to_node",
-    "t0_min": "t0",
-    "capacity_veh24h": "q_max",
-    "alpha1": "alpha1",
-    "alpha2": "alpha2",
-    "length_km": "length",
-}
-
-
 def apply_scenario(network: Network, scenario: Scenario) -> Network:
     """Edited copy of the network; the base network is never touched.
 
-    The edited network is revalidated; any violated invariant raises
-    ModelLoadError(stage="validation").
+    add_link and modify_link take links.csv columns as fields; any other
+    field is rejected. The edited network is revalidated; a bad edit or any
+    violated invariant raises ModelLoadError(stage="validation").
     """
     links = dict(network.links)
     diagnostics: list[str] = []
     for edit in scenario.edits:
+        if edit.action == "remove_link":
+            if edit.link_id not in links:
+                diagnostics.append(f"remove_link: unknown link {edit.link_id!r}")
+            else:
+                del links[edit.link_id]
+            continue
         if edit.action == "add_link":
             if edit.link_id in links:
                 diagnostics.append(f"add_link: link {edit.link_id!r} already exists")
                 continue
-            try:
-                links[edit.link_id] = Link(
-                    link_id=edit.link_id,
-                    from_node=str(edit.fields["from_node"]),
-                    to_node=str(edit.fields["to_node"]),
-                    t0=float(edit.fields["t0_min"]),
-                    q_max=float(edit.fields["capacity_veh24h"]),
-                    alpha1=float(edit.fields.get("alpha1", DEFAULT_ALPHA1)),
-                    alpha2=float(edit.fields.get("alpha2", DEFAULT_ALPHA2)),
-                    length=float(edit.fields["length_km"]) if "length_km" in edit.fields else None,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                diagnostics.append(f"add_link {edit.link_id!r}: {exc}")
-        elif edit.action == "remove_link":
-            if edit.link_id not in links:
-                diagnostics.append(f"remove_link: unknown link {edit.link_id!r}")
-                continue
-            del links[edit.link_id]
-        elif edit.action == "modify_link":
+            base = _LINK_DEFAULTS
+        else:  # modify_link: fields it does not name keep their values
             if edit.link_id not in links:
                 diagnostics.append(f"modify_link: unknown link {edit.link_id!r}")
                 continue
-            updates = {}
-            for key, value in edit.fields.items():
-                if key not in _LINK_FIELD_MAP:
-                    diagnostics.append(
-                        f"modify_link {edit.link_id!r}: unknown field {key!r}"
-                    )
-                    break
-                attr = _LINK_FIELD_MAP[key]
-                updates[attr] = str(value) if attr in ("from_node", "to_node") else float(value)
-            else:
-                links[edit.link_id] = dataclasses.replace(links[edit.link_id], **updates)
+            base = dataclasses.asdict(links[edit.link_id])
+        problems = [f"unknown field {key!r}" for key in edit.fields if key not in _LINK_FIELD_MAP]
+        values = _link_fields(edit.fields, base, problems)
+        if problems:
+            diagnostics.extend(f"{edit.action} {edit.link_id!r}: {p}" for p in problems)
+        else:
+            links[edit.link_id] = Link(edit.link_id, *values)
     if diagnostics:
         raise ModelLoadError("validation", diagnostics)
     edited = Network(dict(network.nodes), links, dict(network.zone_anchors))
@@ -632,52 +641,31 @@ def write_model(
 
     _write_csv(
         directory / "zones.csv",
-        ["zone_id", "name", "x", "y", "anchor_node"] + [ATTR_PREFIX + a for a in attr_names],
+        [*_ZONE_COLUMNS] + [ATTR_PREFIX + a for a in attr_names],
         ([z.zone_id, z.name, _fmt(z.x), _fmt(z.y), network.zone_anchors[z.zone_id]]
          + [_fmt(z.attributes[a]) if a in z.attributes else "" for a in attr_names]
          for z in zones),
     )
-    _write_csv(directory / "nodes.csv", ["node_id", "x", "y"],
+    _write_csv(directory / "nodes.csv", _NODE_COLUMNS,
                ([n.node_id, _fmt(n.x), _fmt(n.y)] for _, n in sorted(network.nodes.items())))
     _write_csv(
         directory / "links.csv",
-        ["link_id", "from_node", "to_node", "t0_min", "capacity_veh24h",
-         "alpha1", "alpha2", "length_km"],
-        ([l.link_id, l.from_node, l.to_node, _fmt(l.t0), _fmt(l.q_max),
-          _fmt(l.alpha1), _fmt(l.alpha2), _fmt(l.length)]
+        ["link_id", *_LINK_FIELD_MAP],
+        ([l.link_id] + [_fmt(getattr(l, name)) for name, _ in _LINK_FIELD_MAP.values()]
          for _, l in sorted(network.links.items())),
     )
-    _write_csv(directory / "counts.csv", ["link_id", "observed_veh24h"],
+    _write_csv(directory / "counts.csv", _COUNT_COLUMNS,
                ([c.link_id, _fmt(c.observed)] for c in counts))
 
     assignment = assignment or AssignmentOptions()
     calibration = calibration or CalibrationOptions()
     config = {
-        "files": {
-            "zones": "zones.csv",
-            "nodes": "nodes.csv",
-            "links": "links.csv",
-            "counts": "counts.csv",
-        },
+        "files": {table: f"{table}.csv" for table in ("zones", "nodes", "links", "counts")},
         "strata": _strata_yaml(strata),
-        "assignment": {
-            "mode": assignment.mode,
-            "n_outer": assignment.n_outer,
-            "gap_tol": assignment.gap_tol,
-        },
-        "calibration": {
-            "method": calibration.method,
-            "seed": calibration.seed,
-            "max_evals": calibration.max_evals,
-            "xatol": calibration.xatol,
-            "fatol": calibration.fatol,
-            "assignment_mode": calibration.assignment_mode,
-        },
+        "assignment": dataclasses.asdict(assignment),
+        # empty mappings are left out, so a default spec carries none
+        "calibration": {k: v for k, v in dataclasses.asdict(calibration).items() if v != {}},
     }
-    for key in ("bounds", "bound_overrides", "sa"):
-        # written only when set, so a default spec carries no empty mappings
-        if getattr(calibration, key):
-            config["calibration"][key] = dict(getattr(calibration, key))
     spec_path = directory / "model.yaml"
     with open(spec_path, "w") as fh:
         yaml.safe_dump(config, fh, sort_keys=False)

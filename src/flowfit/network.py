@@ -226,9 +226,8 @@ def fill_intrazonal(values: np.ndarray) -> None:
     A 1x1 matrix has no off-diagonal information; its intrazonal cost is 0.
     """
     n = values.shape[0]
-    for i in range(n):
-        off = np.delete(values[i], i)
-        values[i, i] = 0.5 * off.min() if off.size else 0.0
+    off = np.where(np.eye(n, dtype=bool), np.inf, values)
+    np.fill_diagonal(values, 0.5 * off.min(axis=1) if n > 1 else 0.0)
 
 
 def _reachable(adjacency: dict[str, list[tuple[str, str]]], start: str) -> set[str]:

@@ -240,6 +240,12 @@ class TestLoad:
 
 
 class TestIterativeAssignment:
+    def test_strata_sharing_a_name_rejected(self):
+        zones, net = eight_zone_star()
+        (s,) = toy_strata(0.7, 0.074)
+        with pytest.raises(ValueError, match="strata share a name"):
+            assign_iterative(net, zones, [s, s], n_outer=1)
+
     def test_single_iteration_equals_free_flow_pipeline(self):
         zones, net = eight_zone_star()
         strata = toy_strata(0.7, 0.074)

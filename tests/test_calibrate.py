@@ -44,6 +44,12 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="outside bounds"):
             WeightVector.from_strata(strata)
 
+    def test_strata_sharing_a_name_rejected(self):
+        strata = [DemandStratum("a", "population", "population", 0.7, 0.1),
+                  DemandStratum("a", "population", "population", 0.3, 0.1)]
+        with pytest.raises(ValueError, match=r"strata share a name: \['a'\]"):
+            WeightVector.from_strata(strata)
+
     def test_apply_roundtrip(self):
         strata = [DemandStratum("a", "population", "population", 1.0, 0.1)]
         wv = WeightVector.from_strata(strata).with_values([0.7, 0.074])

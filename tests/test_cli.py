@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import flowfit
 from flowfit.assignment import assign
@@ -63,6 +64,24 @@ class TestValidateCommand:
 
     def test_missing_spec_exits_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "none.yaml")]) == 2
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("calibration", {"bounds": {"mu": 5}},
+         "calibration.bounds.mu: expected a list of two numbers, got 5"),
+        ("calibration", {"bound_overrides": {"everyone.beta": [0.1, "x"]}},
+         "calibration.bound_overrides.everyone.beta: expected a list of two numbers"),
+        ("calibration", {"sa": 5}, "calibration.sa: expected a mapping, got 5"),
+        ("calibration", 5, "calibration: expected a mapping, got 5"),
+        ("files", 5, "files: expected a mapping, got 5"),
+        ("files", {"zones": 5, "nodes": "nodes.csv", "links": "links.csv"},
+         "files.zones: expected a file name, got 5"),
+    ])
+    def test_malformed_spec_section_exits_two(self, toy_spec, capsys, key, value, message):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw[key] = value
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 2
+        assert message in capsys.readouterr().out
 
 
 class TestAssignCommand:
@@ -276,6 +295,17 @@ class TestCompareCommand:
         assert main(["compare", str(toy_spec), str(scenario),
                      "-o", str(tmp_path / "o")]) == 2
         assert "expected a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["fast", "null"])
+    def test_edit_value_that_is_not_a_number_exits_three(self, toy_spec, tmp_path, capsys,
+                                                          value):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(
+            f"name: x\nedits:\n- action: modify_link\n  link_id: n1_n2\n  t0_min: {value}\n"
+        )
+        assert main(["compare", str(toy_spec), str(scenario),
+                     "-o", str(tmp_path / "o")]) == 3
+        assert "column 't0_min': not a number" in capsys.readouterr().err
 
     def test_broken_scenario_exits_three(self, toy_spec, tmp_path):
         scenario = tmp_path / "bad.yaml"

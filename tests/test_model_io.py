@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
 
 from flowfit.assignment import PathSet
 from flowfit.model_io import (
@@ -15,7 +16,7 @@ from flowfit.model_io import (
     load_scenario,
     write_model,
 )
-from flowfit.network import free_flow_times, validate
+from flowfit.network import Link, free_flow_times, validate
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
 
 
@@ -57,8 +58,8 @@ class TestLoadModel:
         assert second.strata == first.strata
         assert second.assignment == first.assignment
         assert second.calibration == calibration
-        assert (out / "zones.csv").read_bytes() == (toy_dir / "zones.csv").read_bytes()
-        assert (out / "links.csv").read_bytes() == (toy_dir / "links.csv").read_bytes()
+        for name in ("zones.csv", "nodes.csv", "links.csv", "counts.csv"):
+            assert (out / name).read_bytes() == (toy_dir / name).read_bytes()
 
     def test_missing_node_reference_names_file_row_and_node(self, toy_dir):
         links = toy_dir / "links.csv"
@@ -95,6 +96,40 @@ class TestLoadModel:
         assert err.value.stage == "parse"
         assert any("nodes.csv:3" in d for d in err.value.diagnostics)
         assert any("nodes.csv:5" in d for d in err.value.diagnostics)
+
+    @pytest.mark.parametrize("table, column", [
+        ("zones.csv", "zone_id"), ("nodes.csv", "node_id"), ("links.csv", "link_id"),
+    ])
+    def test_empty_and_duplicate_ids_name_file_and_line(self, toy_dir, table, column):
+        path = toy_dir / table
+        rows = path.read_text().splitlines()
+        first_id = rows[1].split(",")[0]
+        rows[2] = "," + rows[2].split(",", 1)[1]  # line 3: empty id
+        rows[4] = first_id + "," + rows[4].split(",", 1)[1]  # line 5: repeats line 2
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ModelLoadError) as err:
+            load_model(toy_dir / "model.yaml")
+        assert err.value.stage == "parse"
+        assert err.value.diagnostics == [
+            f"{path}:3: empty {column}",
+            f"{path}:5: duplicate {column} {first_id!r}",
+        ]
+
+    def test_a_link_may_be_counted_on_several_rows(self, toy_dir):
+        counts = toy_dir / "counts.csv"
+        counts.write_text(counts.read_text() + "n1_n2,123.0\n")
+        model = load_model(toy_dir / "model.yaml")
+        assert len(model.counts) == 29
+        assert [c.observed for c in model.counts if c.link_id == "n1_n2"][1] == 123.0
+
+    def test_strata_sharing_a_name_is_a_parse_error(self, toy_dir):
+        spec = toy_dir / "model.yaml"
+        raw = yaml.safe_load(spec.read_text())
+        raw["strata"].append(dict(raw["strata"][0], mu=0.3))
+        spec.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ModelLoadError, match="strata share a name: \\['everyone'\\]") as err:
+            load_model(spec)
+        assert err.value.stage == "parse"
 
     def test_jobs_derivation_applied_at_load(self, toy_dir):
         spec = toy_dir / "model.yaml"
@@ -207,6 +242,36 @@ class TestScenario:
         with pytest.raises(ModelLoadError, match="unknown link"):
             apply_scenario(model.network,
                            Scenario("bad", [LinkEdit("remove_link", "ghost", {})]))
+
+    @pytest.mark.parametrize("value", ["fast", None])
+    def test_modify_with_a_value_that_is_not_a_number(self, toy_dir, value):
+        model = load_model(toy_dir / "model.yaml")
+        with pytest.raises(ModelLoadError) as err:
+            apply_scenario(model.network, Scenario("bad", [
+                LinkEdit("modify_link", "n1_n2", {"t0_min": value}),
+            ]))
+        assert err.value.stage == "validation"
+        assert err.value.diagnostics == [
+            f"modify_link 'n1_n2': column 't0_min': not a number: {value!r}"
+        ]
+
+    @pytest.mark.parametrize("action", ["add_link", "modify_link"])
+    def test_unknown_edit_field_rejected(self, toy_dir, action):
+        model = load_model(toy_dir / "model.yaml")
+        fields = {"from_node": "n2", "to_node": "n5", "t0_min": 3.0,
+                  "capacity_veh24h": 30000.0, "alpha_1": 0.9}
+        link_id = "bypass" if action == "add_link" else "n1_n2"
+        with pytest.raises(ModelLoadError) as err:
+            apply_scenario(model.network, Scenario("typo", [LinkEdit(action, link_id, fields)]))
+        assert err.value.diagnostics == [f"{action} {link_id!r}: unknown field 'alpha_1'"]
+
+    def test_add_link_takes_link_defaults(self, toy_dir):
+        model = load_model(toy_dir / "model.yaml")
+        edited = apply_scenario(model.network, Scenario("bypass", [
+            LinkEdit("add_link", "bypass", {"from_node": "n2", "to_node": "n5",
+                                            "t0_min": 3, "capacity_veh24h": 30000}),
+        ]))
+        assert edited.links["bypass"] == Link("bypass", "n2", "n5", 3.0, 30000.0)
 
     def test_scenario_yaml_loading(self, tmp_path):
         path = tmp_path / "scenario.yaml"

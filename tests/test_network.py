@@ -11,6 +11,7 @@ from flowfit.network import (
     Link,
     Network,
     Node,
+    fill_intrazonal,
     free_flow_times,
     shortest_path_tree,
     validate,
@@ -199,6 +200,17 @@ class TestSkimMatrix:
                         net, net.zone_anchors[zi], net.zone_anchors[zj]
                     )
                     assert costs.values[i, j] == pytest.approx(expected[0], rel=1e-12)
+
+
+    def test_fill_intrazonal_matches_the_row_loop(self, rng):
+        for n in (1, 2, 3, 17):
+            values = rng.uniform(1.0, 50.0, size=(n, n))
+            expected = values.copy()
+            for i in range(n):
+                off = np.delete(expected[i], i)
+                expected[i, i] = 0.5 * off.min() if off.size else 0.0
+            fill_intrazonal(values)
+            assert values.tobytes() == expected.tobytes()
 
 
 class TestValidate:
