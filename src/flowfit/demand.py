@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -211,15 +212,18 @@ def furness_balance(
     """Alternate row/column scaling until both margins match the trip ends.
 
     The result has the form diag(a) @ seed @ diag(b), i.e. the seed's
-    cross-ratio structure is preserved. tol bounds the maximum relative
-    deviation of row sums from origins and column sums from destinations.
+    cross-ratio structure is preserved. Only the scale vectors change
+    during the sweeps: each costs two matrix-vector products with the
+    seed, row = seed @ b and col = a @ seed, and the product is formed
+    once, on convergence. tol bounds the maximum relative deviation of
+    row sums from origins and column sums from destinations.
     """
-    T = np.array(seed.trips, dtype=float)
-    if (T < 0).any():
+    K = np.asarray(seed.trips, dtype=float)
+    if (K < 0).any():
         raise ValueError("seed matrix must be nonnegative")
     O = np.asarray(ends.origins, dtype=float)
     D = np.asarray(ends.destinations, dtype=float)
-    if T.shape != (O.size, D.size):
+    if K.shape != (O.size, D.size):
         raise ValueError("seed shape does not match trip ends")
     tot_o, tot_d = O.sum(), D.sum()
     if abs(tot_o - tot_d) > 1e-9 * max(tot_o, tot_d, 1.0):
@@ -227,33 +231,48 @@ def furness_balance(
             f"origin total {tot_o!r} and destination total {tot_d!r} must agree"
         )
     if tot_o == 0.0:
-        return ODMatrix(seed.zone_ids, np.zeros_like(T))
+        return ODMatrix(seed.zone_ids, np.zeros_like(K))
 
-    o_div = np.where(O > 0, O, 1.0)
-    d_div = np.where(D > 0, D, 1.0)
+    o_div, d_div = np.where(O > 0, O, 1.0), np.where(D > 0, D, 1.0)
+    # a row (column) without a positive target scales by 0 / (sum + 1) = 0,
+    # so the divisor is never 0 there, even where the seed's sum is
+    o_num, d_num = np.where(O > 0, O, 0.0), np.where(D > 0, D, 0.0)
+    o_off, d_off = 1.0 * (O <= 0), 1.0 * (D <= 0)
+    b = np.ones(D.size)
+    row = K @ b  # row sums of diag(a) @ K @ diag(b) are a * row
     deviation = np.inf
-    for _ in range(max_iter):
-        row = T.sum(axis=1)
-        if ((O > 0) & (row <= 0)).any():
-            zid = seed.zone_ids[int(np.argmax((O > 0) & (row <= 0)))]
-            raise FurnessInfeasibleError(
-                f"zero seed row for zone {zid!r} with positive origin target"
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(max_iter):
+            a = _scale(o_num, row, o_off, seed.zone_ids, "row", "origin")
+            col = a @ K
+            b = _scale(d_num, col, d_off, seed.zone_ids, "column", "destination")
+            row = K @ b
+            deviation = max(
+                (np.abs(a * row - O) / o_div).max(),
+                (np.abs(b * col - D) / d_div).max(),
             )
-        T *= np.where(O > 0, O / np.where(row > 0, row, 1.0), 0.0)[:, None]
-        col = T.sum(axis=0)
-        if ((D > 0) & (col <= 0)).any():
-            zid = seed.zone_ids[int(np.argmax((D > 0) & (col <= 0)))]
-            raise FurnessInfeasibleError(
-                f"zero seed column for zone {zid!r} with positive destination target"
-            )
-        T *= np.where(D > 0, D / np.where(col > 0, col, 1.0), 0.0)[None, :]
-        deviation = max(
-            (np.abs(T.sum(axis=1) - O) / o_div).max(),
-            (np.abs(T.sum(axis=0) - D) / d_div).max(),
-        )
-        if deviation <= tol:
-            return ODMatrix(seed.zone_ids, T)
+            if deviation <= tol:
+                return ODMatrix(seed.zone_ids, a[:, None] * K * b)
     raise FurnessConvergenceError(float(deviation), max_iter)
+
+
+def _scale(target, sums, off, zone_ids, axis: str, margin: str) -> np.ndarray:
+    """Scale factors target / (sums + off). Raises FurnessInfeasibleError
+    naming the first zone whose factor is undefined (zero sum, positive
+    target) or else not finite (a sum below about 1e-308 of its target)."""
+    scale = target / (sums + off)
+    if not math.isfinite(scale.max()):
+        zero = (off == 0) & (sums <= 0)
+        if zero.any():
+            raise FurnessInfeasibleError(
+                f"zero seed {axis} for zone {zone_ids[int(np.argmax(zero))]!r} "
+                f"with positive {margin} target"
+            )
+        raise FurnessInfeasibleError(
+            f"{axis} scale for zone {zone_ids[int(np.argmax(~np.isfinite(scale)))]!r} "
+            f"is not finite: the seed {axis} is too small for its {margin} target"
+        )
+    return scale
 
 
 def distribute(zones, stratum: DemandStratum, costs: CostMatrix) -> ODMatrix:

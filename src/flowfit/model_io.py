@@ -360,6 +360,27 @@ def _entry(mapping: dict, key: str, kind: type, where: str, diagnostics: list[st
     return value
 
 
+# scalar option type name -> the YAML value types it accepts
+_SCALAR_KINDS = {"str": (str,), "int": (int,), "float": (int, float)}
+
+
+def _options(cls, values: dict, where: str, diagnostics: list[str]):
+    """cls(**values), each scalar checked against its field's type: an int may
+    stand for a float, a bool for neither. A wrong type is a diagnostic
+    naming the key; an unknown key is a diagnostic and gives the defaults."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in values.items():
+        kinds = _SCALAR_KINDS.get(types.get(key))
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            diagnostics.append(
+                f"{where}.{key}: expected {types[key]}, got {value!r}")
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        diagnostics.append(f"{where}: {exc}")
+        return cls()
+
+
 def _parse_spec(path: Path) -> ModelSpec:
     diagnostics: list[str] = []
     raw = _read_yaml_mapping(path)
@@ -414,11 +435,8 @@ def _parse_spec(path: Path) -> ModelSpec:
         except (KeyError, TypeError, ValueError) as exc:
             diagnostics.append(f"{path}: derivations[{i}]: {exc}")
 
-    try:
-        assignment = AssignmentOptions(**_entry(raw, "assignment", dict, where, diagnostics))
-    except TypeError as exc:
-        diagnostics.append(f"{path}: assignment: {exc}")
-        assignment = AssignmentOptions()
+    assignment = _options(AssignmentOptions, _entry(raw, "assignment", dict, where, diagnostics),
+                          f"{where}assignment", diagnostics)
     if assignment.mode not in ASSIGNMENT_MODES:
         diagnostics.append(f"{path}: assignment.mode must be oneoff or iterative")
 
@@ -434,11 +452,7 @@ def _parse_spec(path: Path) -> ModelSpec:
                 diagnostics.append(
                     f"{cal_where}{key}.{name}: expected a list of two numbers, got {pair!r}")
     cal_raw["sa"] = dict(_entry(cal_raw, "sa", dict, cal_where, diagnostics))
-    try:
-        calibration = CalibrationOptions(**cal_raw)
-    except TypeError as exc:
-        diagnostics.append(f"{path}: calibration: {exc}")
-        calibration = CalibrationOptions()
+    calibration = _options(CalibrationOptions, cal_raw, f"{where}calibration", diagnostics)
 
     if diagnostics:
         raise ModelLoadError("parse", diagnostics)
@@ -561,8 +575,9 @@ def apply_scenario(network: Network, scenario: Scenario) -> Network:
     """Edited copy of the network; the base network is never touched.
 
     add_link and modify_link take links.csv columns as fields; any other
-    field is rejected. The edited network is revalidated; a bad edit or any
-    violated invariant raises ModelLoadError(stage="validation").
+    field, and any field on remove_link, is rejected. The edited network is
+    revalidated; a bad edit or any violated invariant raises
+    ModelLoadError(stage="validation").
     """
     links = dict(network.links)
     diagnostics: list[str] = []
@@ -570,6 +585,9 @@ def apply_scenario(network: Network, scenario: Scenario) -> Network:
         if edit.action == "remove_link":
             if edit.link_id not in links:
                 diagnostics.append(f"remove_link: unknown link {edit.link_id!r}")
+            elif edit.fields:
+                diagnostics.extend(f"remove_link {edit.link_id!r}: unknown field {key!r}"
+                                   for key in edit.fields)
             else:
                 del links[edit.link_id]
             continue

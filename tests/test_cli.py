@@ -83,6 +83,31 @@ class TestValidateCommand:
         assert main(["validate", str(toy_spec)]) == 2
         assert message in capsys.readouterr().out
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("assignment", "n_outer", "five", "assignment.n_outer: expected int, got 'five'"),
+        ("assignment", "n_outer", 2.5, "assignment.n_outer: expected int, got 2.5"),
+        ("assignment", "gap_tol", True, "assignment.gap_tol: expected float, got True"),
+        ("assignment", "mode", 1, "assignment.mode: expected str, got 1"),
+        ("calibration", "seed", True, "calibration.seed: expected int, got True"),
+        ("calibration", "xatol", "tiny", "calibration.xatol: expected float, got 'tiny'"),
+        ("calibration", "max_evals", None, "calibration.max_evals: expected int, got None"),
+    ])
+    def test_scalar_option_of_the_wrong_type_exits_two(self, toy_spec, capsys,
+                                                         section, key, value, message):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw[section][key] = value
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 2
+        assert message in capsys.readouterr().out
+
+    def test_integer_stands_for_a_float_option(self, toy_spec, capsys):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw["assignment"]["gap_tol"] = 0
+        raw["calibration"]["fatol"] = 1
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 0
+        assert "OK" in capsys.readouterr().out
+
 
 class TestAssignCommand:
     def test_writes_flow_csv_with_stratum_columns(self, toy_spec, tmp_path):
@@ -306,6 +331,15 @@ class TestCompareCommand:
         assert main(["compare", str(toy_spec), str(scenario),
                      "-o", str(tmp_path / "o")]) == 3
         assert "column 't0_min': not a number" in capsys.readouterr().err
+
+    def test_field_on_remove_link_exits_three(self, toy_spec, tmp_path, capsys):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(
+            "name: x\nedits:\n- action: remove_link\n  link_id: n1_n2\n  t0_min: 3\n"
+        )
+        assert main(["compare", str(toy_spec), str(scenario),
+                     "-o", str(tmp_path / "o")]) == 3
+        assert "remove_link 'n1_n2': unknown field 't0_min'" in capsys.readouterr().err
 
     def test_broken_scenario_exits_three(self, toy_spec, tmp_path):
         scenario = tmp_path / "bad.yaml"

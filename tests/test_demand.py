@@ -249,6 +249,125 @@ class TestFurnessBalance:
         assert err.value.iterations == 50
         assert err.value.deviation > 0.0
 
+    @staticmethod
+    def tiny_scale_case(rng, rows=(), cols=(), scale=1e-315):
+        """40 zones, seed entries 1e-3..1e-2, the given rows and columns
+        scaled down so far that their balancing factor overflows whatever
+        the draws: a scaled row sums to at most 4e-316 against an origin of
+        at least 1, and a scaled column to at most about 1e-312 against a
+        destination of at least 0.01."""
+        seed = rng.uniform(1e-3, 1e-2, (40, 40))
+        seed[list(rows)] *= scale
+        seed[:, list(cols)] *= scale
+        O = rng.uniform(1.0, 100.0, 40)
+        D = rng.uniform(1.0, 100.0, 40)
+        D *= O.sum() / D.sum()
+        return ODMatrix(tuple(str(i) for i in range(40)), seed), TripEnds(O, D)
+
+    def test_row_scale_that_overflows_names_its_zone(self, rng):
+        seed, ends = self.tiny_scale_case(rng, rows=[3])
+        with pytest.raises(FurnessInfeasibleError, match="row scale for zone '3'"):
+            furness_balance(seed, ends)
+
+    def test_row_scale_that_overflows_names_its_zone_beside_a_small_column(self, rng):
+        # the in-place loop ran all sweeps on NaN here and reported no zone
+        seed, ends = self.tiny_scale_case(rng, rows=[3])
+        seed.trips[:, 7] *= 1e-50
+        with pytest.raises(FurnessInfeasibleError, match="row scale for zone '3'"):
+            furness_balance(seed, ends)
+
+    def test_column_scale_that_overflows_names_its_zone(self, rng):
+        seed, ends = self.tiny_scale_case(rng, cols=[7])
+        with pytest.raises(FurnessInfeasibleError, match="column scale for zone '7'"):
+            furness_balance(seed, ends)
+
+
+def furness_in_place(seed, ends, tol=1e-8, max_iter=1000):
+    """Reference Furness loop: rescales the whole matrix in place, rows then
+    columns, and sums it four times per sweep. furness_balance computes the
+    same diag(a) @ seed @ diag(b) from the scale vectors alone."""
+    T = np.array(seed.trips, dtype=float)
+    O = np.asarray(ends.origins, dtype=float)
+    D = np.asarray(ends.destinations, dtype=float)
+    o_div = np.where(O > 0, O, 1.0)
+    d_div = np.where(D > 0, D, 1.0)
+    deviation = np.inf
+    for _ in range(max_iter):
+        row = T.sum(axis=1)
+        if ((O > 0) & (row <= 0)).any():
+            raise FurnessInfeasibleError("zero seed row")
+        T *= np.where(O > 0, O / np.where(row > 0, row, 1.0), 0.0)[:, None]
+        col = T.sum(axis=0)
+        if ((D > 0) & (col <= 0)).any():
+            raise FurnessInfeasibleError("zero seed column")
+        T *= np.where(D > 0, D / np.where(col > 0, col, 1.0), 0.0)[None, :]
+        deviation = max(
+            (np.abs(T.sum(axis=1) - O) / o_div).max(),
+            (np.abs(T.sum(axis=0) - D) / d_div).max(),
+        )
+        if deviation <= tol:
+            return ODMatrix(seed.zone_ids, T)
+    raise FurnessConvergenceError(float(deviation), max_iter)
+
+
+class TestFurnessParity:
+    """furness_balance against the in-place reference loop: the same outcome,
+    and matrices equal to within rounding."""
+
+    @staticmethod
+    def outcome(balance, seed, ends, **kw):
+        try:
+            return "balanced", balance(seed, ends, **kw).trips
+        except FurnessConvergenceError as exc:
+            return f"not converged after {exc.iterations}", None
+        except FurnessInfeasibleError:
+            return "infeasible", None
+
+    def compare(self, seed_vals, rng):
+        n = seed_vals.shape[0]
+        O = rng.uniform(1.0, 200.0, n)
+        D = rng.uniform(1.0, 200.0, n)
+        D *= O.sum() / D.sum()
+        seed, ends = ODMatrix(tuple(f"z{i}" for i in range(n)), seed_vals), TripEnds(O, D)
+        ref, ref_trips = self.outcome(furness_in_place, seed, ends)
+        got, trips = self.outcome(furness_balance, seed, ends)
+        assert got == ref
+        if trips is not None:
+            assert np.abs(trips - ref_trips).max() <= 1e-12 * ref_trips.max()
+            # independent margin check, as in test_random_margins_hit_tolerance
+            assert np.abs(trips.sum(axis=1) - O).max() <= 1e-8 * O.max()
+            assert np.abs(trips.sum(axis=0) / D - 1.0).max() <= 1e-8
+        return got
+
+    def test_uniform_seeds(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            assert self.compare(rng.uniform(0.05, 10.0, (50, 50)), rng) == "balanced"
+
+    def test_log_uniform_seeds(self):
+        # entries 1e-250..1: some of these systems balance within 1000 sweeps,
+        # the others must fail the same way in both loops
+        rng = np.random.default_rng(3)
+        outcomes = [self.compare(10.0 ** rng.uniform(-250.0, 0.0, (6, 6)), rng)
+                    for _ in range(30)]
+        assert "balanced" in outcomes
+        assert "not converged after 1000" in outcomes
+
+    def test_one_tiny_row_and_one_small_column(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            seed_vals = rng.uniform(0.05, 10.0, (50, 50))
+            seed_vals[rng.integers(50)] *= 1e-300
+            seed_vals[:, rng.integers(50)] *= 1e-50
+            assert self.compare(seed_vals, rng) == "balanced"
+
+    def test_block_diagonal_reports_the_same_iterations(self):
+        seed = ODMatrix(("a", "b"), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        ends = TripEnds(np.array([3.0, 1.0]), np.array([1.0, 3.0]))
+        ref = self.outcome(furness_in_place, seed, ends, tol=1e-12, max_iter=50)
+        assert self.outcome(furness_balance, seed, ends, tol=1e-12, max_iter=50) == ref
+        assert ref == ("not converged after 50", None)
+
 
 class TestDistribute:
     def test_beta_zero_closed_form(self, rng):

@@ -1,5 +1,6 @@
 """Smoke tests for the experiment scripts in scripts/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -37,3 +38,15 @@ def test_toy_instance_regenerates_byte_identical(tmp_path):
         sorted(p.name for p in toy.iterdir())
     for p in toy.iterdir():
         assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+def test_time_layers_reports_every_row():
+    out = run_script(ROOT / "scripts" / "time_layers.py", "--grid", "4x3", "--repeats", "2")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["zones"] == 12
+    assert [(r["layer"], r["beta"]) for r in report["rows"]] == [
+        ("furness_balance", 0.08), ("furness_balance", 0.3), ("one J eval (one-off)", 0.08)]
+    for row in report["rows"]:
+        assert row["outcome"] == "ok"
+        assert len(row["runs_s"]) == 2 and row["median_s"] > 0.0
