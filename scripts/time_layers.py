@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Time Furness balancing and one objective evaluation on a grid instance.
+"""Time path building, Furness balancing, one objective evaluation and MSA-5
+assignment on a grid instance.
 
-Builds grid_region(NX, NY, seed=0) and its free-flow skim, then times with
-time.perf_counter, each repeated and reported as the median:
+Builds grid_region(NX, NY, seed=0), then times with time.perf_counter, each
+repeated and reported as the median:
 
+  * the PathSet build at free-flow times (shortest-path trees and their
+    loading order);
   * furness_balance of the population -> population gravity seed at
     mu = 0.8 and beta 0.08 and 0.3 (exponential deterrence), with its outcome;
   * one one-off ModelObjective evaluation at (mu, beta) = (0.8, 0.08)
     against 250 counts generated there with GEH noise 1 (every
-    positive-flow link, if the grid has fewer).
+    positive-flow link, if the grid has fewer);
+  * assign_iterative of that one stratum with n_outer = 5 and gap_tol = 0,
+    so all five MSA iterations run.
 
 Prints one JSON object. Wall times depend on the machine; compare two
 versions of flowfit by running this script against each, alternately.
@@ -59,12 +64,15 @@ def main() -> None:
     nx, ny = (int(v) for v in args.grid.lower().split("x"))
 
     zones, net = grid_region(nx, ny, seed=GRID_SEED)
+    median, runs, outcome = timed(lambda: PathSet(net, free_flow_times(net)), args.repeats)
+    rows = [{"layer": "PathSet build (free flow)", "mu": None, "beta": None,
+             "median_s": median, "runs_s": runs, "outcome": outcome}]
+
     costs = PathSet(net, free_flow_times(net)).cost_matrix()
     by_id = {z.zone_id: z for z in zones}
     stratum = DemandStratum("all", "population", "population", MU, J_BETA)
     ends = generate_trip_ends([by_id[z] for z in costs.zone_ids], stratum)
 
-    rows = []
     for beta in FURNESS_BETAS:
         seed = seed_matrix(ends, costs, beta, "exponential")
         median, runs, outcome = timed(lambda: furness_balance(seed, ends), args.repeats)
@@ -82,6 +90,11 @@ def main() -> None:
     rows.append({"layer": "one J eval (one-off)", "mu": MU, "beta": J_BETA,
                  "median_s": median, "runs_s": runs, "outcome": outcome,
                  "j": float(objective(weights))})
+
+    median, runs, outcome = timed(
+        lambda: assign_iterative(net, zones, [stratum], 5, gap_tol=0.0), args.repeats)
+    rows.append({"layer": "MSA-5 assign_iterative", "mu": MU, "beta": J_BETA,
+                 "median_s": median, "runs_s": runs, "outcome": outcome})
 
     print(json.dumps({
         "instance": f"grid_region({nx}, {ny}, seed={GRID_SEED})",

@@ -6,14 +6,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .demand import ODMatrix, distribute, require_unique_names
 from .network import (
     CostMatrix,
     DisconnectedZonesError,
     FlowMap,
-    LinkTimes,
     Network,
     fill_intrazonal,
     free_flow_times,
@@ -41,57 +39,54 @@ class UnreachableODError(RuntimeError):
 class PathSet:
     """Anchor-to-anchor shortest paths under one fixed set of link times.
 
-    One shortest_path_tree call covers all zone anchors. Walking every OD
-    pair back from its destination along the predecessor links, all pairs
-    in step, gives the link x OD-pair incidence, so repeated OD matrices
-    (e.g. inside a calibration loop) load as a single matrix product.
+    One shortest_path_tree call covers all zone anchors; the path set keeps
+    its (dist, pred) and every tree edge (node, parent, entering link),
+    grouped by hop depth. flow_vector adds trips at their destination nodes,
+    pushes them up the trees a depth level at a time, deepest first and all
+    origins in step, and sums each link's flow over the nodes it enters.
 
     load() is the one step from strata to link flows, over the skim the
     path set computes once and holds. assign_iterative calls it once per MSA
     iteration; ModelObjective's one-off mode, on one free-flow path set.
     """
 
-    def __init__(self, network: Network, link_times: LinkTimes):
-        self.network = network
+    def __init__(self, network: Network, link_times: np.ndarray):
         self.zone_ids = tuple(sorted(network.zone_anchors))
         self.link_ids = network.link_ids
         self.link_index = {lid: k for k, lid in enumerate(self.link_ids)}
-        n = len(self.zone_ids)
         anchors = [network.zone_anchors[z] for z in self.zone_ids]
-        dist, pred = shortest_path_tree(network, link_times, anchors)
-        anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
-        self._costs = dist[:, anchor_pos]
+        self.dist, self.pred = shortest_path_tree(network, link_times, anchors)
+        self._anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
+        self._unreachable = np.flatnonzero(np.isinf(self.dist[:, self._anchor_pos]))
 
+        # flat over (origin, node): OD pairs' destinations, and tree edges
+        n_nodes = self.pred.shape[1]
+        self._od_cell = (np.arange(len(anchors))[:, None] * n_nodes + self._anchor_pos).ravel()
         tail, _ = network.link_ends
-        rows, cols = np.nonzero(np.isfinite(self._costs))
-        pair, node = rows * n + cols, anchor_pos[cols]
-        link_rows = [np.empty(0, dtype=np.intp)]
-        pair_cols = [np.empty(0, dtype=np.intp)]
-        walking = node != anchor_pos[rows]
-        while walking.any():
-            rows, pair, node = rows[walking], pair[walking], node[walking]
-            link = pred[rows, node]
-            link_rows.append(link)
-            pair_cols.append(pair)
-            node = tail[link]
-            walking = node != anchor_pos[rows]
-        link_rows, pair_cols = np.concatenate(link_rows), np.concatenate(pair_cols)
-        # links x OD-pairs incidence; loading an OD matrix is one matvec
-        self._incidence = sparse.csr_matrix(
-            (np.ones(link_rows.size), (link_rows, pair_cols)),
-            shape=(len(self.link_ids), n * n),
-        )
+        child = np.flatnonzero(self.pred >= 0)
+        link = self.pred.ravel()[child]
+        parent = child - child % n_nodes + tail[link]
+        # hop depth by pointer jumping: pass k reaches 2**k up; trees are < n_nodes deep
+        up, depth = np.arange(self.pred.size), np.zeros(self.pred.size, dtype=np.intp)
+        up[child], depth[child] = parent, 1
+        for _ in range(n_nodes.bit_length()):
+            depth, up = depth + depth[up], up[up]
+        if (self.pred.ravel()[up] >= 0).any():  # only a cycle stops short of a root
+            raise ArithmeticError("predecessor cycle: link times lost in rounding path lengths")
+        order = np.argsort(-depth[child], kind="stable")
+        self._child, self._link, parent = child[order], link[order], parent[order]
+        cuts = np.flatnonzero(np.diff(depth[self._child])) + 1
+        self._levels = list(zip(np.split(self._child, cuts), np.split(parent, cuts)))
         self._skim: CostMatrix | None = None
 
     def cost_matrix(self) -> CostMatrix:
         """Skim matrix over the same zones, intrazonal diagonal filled; built
         on the first call, then held (its values are read-only)."""
         if self._skim is None:
-            unreachable = np.argwhere(np.isinf(self._costs))
-            if unreachable.size:
-                i, j = unreachable[0]
+            if self._unreachable.size:
+                i, j = divmod(self._unreachable[0], len(self.zone_ids))
                 raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
-            values = self._costs.copy()
+            values = self.dist[:, self._anchor_pos]  # a copy
             fill_intrazonal(values)
             values.setflags(write=False)
             self._skim = CostMatrix(self.zone_ids, values)
@@ -108,13 +103,15 @@ class PathSet:
     def flow_vector(self, od: ODMatrix) -> np.ndarray:
         """Link flows (ordered by link_ids) from loading every OD pair's path."""
         T = self._aligned_trips(od)
-        stranded = np.argwhere(np.isinf(self._costs) & (T > 0))
+        stranded = self._unreachable[np.ravel(T)[self._unreachable] > 0]
         if stranded.size:
-            i, j = stranded[0]
+            i, j = divmod(stranded[0], len(self.zone_ids))
             raise UnreachableODError(self.zone_ids[i], self.zone_ids[j], T[i, j])
-        interzonal = np.array(T, dtype=float)
-        np.fill_diagonal(interzonal, 0.0)
-        return self._incidence @ interzonal.ravel()
+        # bincount sums zones that share an anchor; intrazonal trips stay at roots
+        acc = np.bincount(self._od_cell, np.ravel(T), self.pred.size)
+        for child, parent in self._levels:
+            np.add.at(acc, parent, acc[child])
+        return np.bincount(self._link, acc[self._child], len(self.link_ids))
 
     def load(self, zones, strata) -> list[np.ndarray]:
         """Link flow vector of each stratum, in strata order: distribute over
@@ -131,7 +128,7 @@ class PathSet:
         return {lid: float(vec[k]) for k, lid in enumerate(self.link_ids)}
 
 
-def assign_all_or_nothing(network: Network, link_times: LinkTimes, od: ODMatrix) -> FlowMap:
+def assign_all_or_nothing(network: Network, link_times: np.ndarray, od: ODMatrix) -> FlowMap:
     """Load each OD pair's trips entirely onto its single shortest path.
 
     Intrazonal trips never touch the network. Among equal-cost paths, every
@@ -146,7 +143,7 @@ def assign_all_or_nothing(network: Network, link_times: LinkTimes, od: ODMatrix)
 class AssignmentResult:
     flows: FlowMap
     per_stratum_flows: dict[str, FlowMap]
-    link_times: LinkTimes
+    link_times: dict[str, float]  # minutes
     iterations: int
     converged: bool
     relative_gap: float
@@ -174,10 +171,8 @@ def assign_iterative(
     require_unique_names(strata)
 
     times = free_flow_times(network)
-    link_ids = network.link_ids
-    links = [network.links[lid] for lid in link_ids]
     avg: dict[str, np.ndarray] = {}
-    total = np.zeros(len(link_ids))
+    total = np.zeros(len(network.link_ids))
     gap = math.inf
     converged = False
     iterations = 0
@@ -189,14 +184,11 @@ def assign_iterative(
         else:
             avg = {name: avg[name] + (fresh[name] - avg[name]) / k for name in avg}
         prev_total = total
-        total = sum(avg.values(), np.zeros(len(link_ids)))
+        total = sum(avg.values(), np.zeros(len(network.link_ids)))
         if k >= 2:
             gap = float(np.abs(total - prev_total).sum() / max(prev_total.sum(), 1e-12))
-        times = {
-            lid: volume_delay(link, float(total[idx]))
-            for idx, (lid, link) in enumerate(zip(link_ids, links))
-        }
-        if not all(math.isfinite(t) for t in times.values()):
+        times = volume_delay(network.bpr, total)
+        if not np.isfinite(times).all():
             raise ArithmeticError("volume-delay produced non-finite link times")
         iterations = k
         if k >= 2 and gap < gap_tol:
@@ -205,7 +197,7 @@ def assign_iterative(
 
     per_stratum = {name: paths.flow_map(vec) for name, vec in avg.items()}
     return AssignmentResult(
-        paths.flow_map(total), per_stratum, times, iterations, converged, gap
+        paths.flow_map(total), per_stratum, paths.flow_map(times), iterations, converged, gap
     )
 
 

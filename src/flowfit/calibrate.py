@@ -312,10 +312,11 @@ class ModelObjective:
 
     In one-off mode the path set and its skim are frozen at free-flow
     times, and each evaluation is one PathSet.load (gravity distribution
-    plus a matrix product per stratum); iterative mode reruns the full MSA
-    loop, which calls the same load once per iteration. Both modes score
-    the flows at the counted links with metrics.geh_objective, as evaluate
-    does. A prebuilt free-flow PathSet may be shared via paths=.
+    plus one push of the trips up the shortest-path trees per stratum);
+    iterative mode reruns the full MSA loop, which calls the same load once
+    per iteration. Both modes score the flows at the counted links with
+    metrics.geh_objective, as evaluate does. A prebuilt free-flow PathSet
+    may be shared via paths=.
     """
 
     def __init__(

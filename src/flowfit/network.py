@@ -1,5 +1,8 @@
 """Directed road network: volume-delay link times and shortest paths.
 
+Link times and flows are float arrays aligned to Network.link_ids, and
+volume_delay takes the per-link BPR arrays that Network.bpr caches.
+
 shortest_path_tree is the package's one shortest-path engine: a distance-only
 Dijkstra over integer out-lists for all origins, followed by one exact array
 pass that applies the (node_id, link_id) tie rule.
@@ -20,8 +23,6 @@ DEFAULT_ALPHA2 = 4.0
 
 #: link_id -> traffic flow (veh/24h)
 FlowMap = dict[str, float]
-#: link_id -> travel time (minutes)
-LinkTimes = dict[str, float]
 
 
 class DisconnectedZonesError(ValueError):
@@ -60,14 +61,29 @@ class Link:
     length: float | None = None
 
 
-def volume_delay(link: Link, flow: float) -> float:
-    """Travel time (minutes) on a link at the given daily flow.
+@dataclass(frozen=True, eq=False)
+class BPRParameters:
+    """Every link's volume-delay fields, read-only arrays aligned to link_id."""
+
+    link_id: tuple[str, ...]
+    t0: np.ndarray
+    q_max: np.ndarray
+    alpha1: np.ndarray
+    alpha2: np.ndarray
+
+
+def volume_delay(link: Link | BPRParameters, flow):
+    """Travel time (minutes) at the given daily flow, elementwise.
 
     t(Q) = t0 * (1 + alpha1 * (Q / q_max) ** alpha2); non-decreasing in Q
-    and equal to t0 at zero flow.
+    and equal to t0 at zero flow. Takes one Link and a scalar flow, or
+    Network.bpr and a flow array aligned to link_ids.
     """
-    if flow < 0:
-        raise ValueError(f"negative flow {flow!r} on link {link.link_id!r}")
+    negative = np.flatnonzero(np.asarray(flow) < 0)
+    if negative.size:
+        k = negative[0]
+        raise ValueError(f"negative flow {float(np.ravel(flow)[k])!r} "
+                         f"on link {str(np.ravel(link.link_id)[k])!r}")
     return link.t0 * (1.0 + link.alpha1 * (flow / link.q_max) ** link.alpha2)
 
 
@@ -115,36 +131,26 @@ class Network:
         return tail, head
 
     @cached_property
-    def adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        """node -> sorted [(neighbor, link_id)], for validate's reachability checks."""
-        adj: dict[str, list[tuple[str, str]]] = {nid: [] for nid in self.nodes}
-        for link in self.links.values():
-            if link.from_node in adj and link.to_node in self.nodes:
-                adj[link.from_node].append((link.to_node, link.link_id))
-        for out in adj.values():
-            out.sort()
-        return adj
-
-    @cached_property
-    def reverse_adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        adj: dict[str, list[tuple[str, str]]] = {nid: [] for nid in self.nodes}
-        for link in self.links.values():
-            if link.from_node in adj and link.to_node in self.nodes:
-                adj[link.to_node].append((link.from_node, link.link_id))
-        for out in adj.values():
-            out.sort()
-        return adj
+    def bpr(self) -> BPRParameters:
+        links = [self.links[lid] for lid in self.link_ids]
+        fields = [np.array([getattr(l, f) for l in links], dtype=float)
+                  for f in ("t0", "q_max", "alpha1", "alpha2")]
+        for values in fields:
+            values.setflags(write=False)
+        return BPRParameters(self.link_ids, *fields)
 
 
-def free_flow_times(network: Network) -> LinkTimes:
-    return {lid: link.t0 for lid, link in network.links.items()}
+def free_flow_times(network: Network) -> np.ndarray:
+    """Free-flow time t0 of every link (minutes), aligned to link_ids."""
+    return network.bpr.t0.copy()
 
 
 def shortest_path_tree(
-    network: Network, link_times: LinkTimes, origins
+    network: Network, link_times: np.ndarray, origins
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shortest paths from every origin node in one call.
 
+    link_times holds one positive time per link, aligned to link_ids.
     Returns (dist, pred), both shaped (origins, nodes) with nodes ordered by
     network.node_ids. dist is +inf on unreachable nodes. pred holds, per
     node, the position in network.link_ids of the link on which the path
@@ -161,12 +167,15 @@ def shortest_path_tree(
     for origin in origins:
         if origin not in index:
             raise ValueError(f"unknown origin node {origin!r}")
-    bad = [lid for lid, t in link_times.items() if not t > 0]
+    times = np.asarray(link_times, dtype=float)
+    if times.shape != (len(network.link_ids),):
+        raise ValueError(f"link times have shape {times.shape}, "
+                         f"expected ({len(network.link_ids)},)")
+    bad = [network.link_ids[k] for k in np.flatnonzero(~(times > 0))]
     if bad:
-        raise ValueError(f"nonpositive travel time on link(s) {sorted(bad)[:5]}")
+        raise ValueError(f"nonpositive travel time on link(s) {bad[:5]}")
 
     tail, head = network.link_ends
-    times = np.array([link_times[lid] for lid in network.link_ids], dtype=float)
     routable = np.flatnonzero((tail >= 0) & (head >= 0))
     out: list[list[tuple[int, float]]] = [[] for _ in index]
     for u, v, t in zip(tail[routable].tolist(), head[routable].tolist(),
@@ -230,15 +239,11 @@ def fill_intrazonal(values: np.ndarray) -> None:
     np.fill_diagonal(values, 0.5 * off.min(axis=1) if n > 1 else 0.0)
 
 
-def _reachable(adjacency: dict[str, list[tuple[str, str]]], start: str) -> set[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v, _ in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
+def _reached(start: np.ndarray, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The node mask start grown along tail -> head links until it is closed."""
+    seen = start.copy()
+    while (frontier := seen[tail] & ~seen[head]).any():
+        seen[head[frontier]] = True
     return seen
 
 
@@ -273,15 +278,16 @@ def validate(network: Network) -> list[str]:
         zone_ids = sorted(network.zone_anchors)
         root_zone = zone_ids[0]
         root = network.zone_anchors[root_zone]
-        forward = _reachable(network.adjacency, root)
-        backward = _reachable(network.reverse_adjacency, root)
+        tail, head = network.link_ends
+        start = np.arange(len(network.node_ids)) == network.node_index[root]
+        forward, backward = _reached(start, tail, head), _reached(start, head, tail)
         for zid in zone_ids:
             anchor = network.zone_anchors[zid]
-            if anchor not in forward:
+            if not forward[network.node_index[anchor]]:
                 issues.append(
                     f"zone {zid!r}: anchor {anchor!r} unreachable from zone {root_zone!r}"
                 )
-            if anchor not in backward:
+            if not backward[network.node_index[anchor]]:
                 issues.append(
                     f"zone {zid!r}: anchor {anchor!r} cannot reach zone {root_zone!r}"
                 )

@@ -64,16 +64,27 @@ def random_tied_network(rng, max_nodes=6, extra_edge_prob=0.4, parallel_prob=0.3
     return make_network(node_ids, rows, anchors)
 
 
+def adjacency(network):
+    """node -> [(neighbor, link_id)], sorted, from the network's links."""
+    adj = {nid: [] for nid in network.nodes}
+    for link in network.links.values():
+        adj[link.from_node].append((link.to_node, link.link_id))
+    for out in adj.values():
+        out.sort()
+    return adj
+
+
 def all_simple_link_paths(network, src, dst):
     """Every simple directed path src -> dst as (total_time, [link_ids])."""
     out = []
     times = {lid: link.t0 for lid, link in network.links.items()}
+    adj = adjacency(network)
 
     def walk(u, visited, path, total):
         if u == dst:
             out.append((total, list(path)))
             return
-        for v, lid in network.adjacency[u]:
+        for v, lid in adj[u]:
             if v in visited:
                 continue
             visited.add(v)

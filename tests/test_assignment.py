@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import flowfit
 
 from flowfit.assignment import (
     PathSet,
@@ -8,8 +15,15 @@ from flowfit.assignment import (
     assign_iterative,
 )
 from flowfit.demand import DemandStratum, ODMatrix, Zone, distribute
-from flowfit.network import Link, Network, Node, free_flow_times, volume_delay
-from flowfit.sample_models import eight_zone_star, toy_strata
+from flowfit.network import (
+    Link,
+    Network,
+    Node,
+    free_flow_times,
+    shortest_path_tree,
+    volume_delay,
+)
+from flowfit.sample_models import eight_zone_star, grid_region, toy_strata
 
 from conftest import (
     all_simple_link_paths,
@@ -207,6 +221,96 @@ def parallel_route_network():
     return net, zones, strata
 
 
+def incidence_flow_vector(network, od):
+    """Reference loader at free flow: walks every OD pair back from its
+    destination along the predecessor links, all pairs in step, into a
+    link x OD-pair incidence, and multiplies it by the trips (written here
+    as a bincount). PathSet.flow_vector pushes the trips up each origin's
+    tree instead. od must be ordered by sorted zone id."""
+    zone_ids = tuple(sorted(network.zone_anchors))
+    assert od.zone_ids == zone_ids
+    n = len(zone_ids)
+    anchors = [network.zone_anchors[z] for z in zone_ids]
+    dist, pred = shortest_path_tree(network, free_flow_times(network), anchors)
+    anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
+    tail, _ = network.link_ends
+    rows, cols = np.nonzero(np.isfinite(dist[:, anchor_pos]))
+    pair, node = rows * n + cols, anchor_pos[cols]
+    link_rows = [np.empty(0, dtype=np.intp)]
+    pair_cols = [np.empty(0, dtype=np.intp)]
+    walking = node != anchor_pos[rows]
+    while walking.any():
+        rows, pair, node = rows[walking], pair[walking], node[walking]
+        link = pred[rows, node]
+        link_rows.append(link)
+        pair_cols.append(pair)
+        node = tail[link]
+        walking = node != anchor_pos[rows]
+    trips = np.array(od.trips, dtype=float)
+    np.fill_diagonal(trips, 0.0)
+    return np.bincount(np.concatenate(link_rows),
+                       weights=trips.ravel()[np.concatenate(pair_cols)],
+                       minlength=len(network.link_ids))
+
+
+def with_shared_anchor(network):
+    """The same network plus zone 'zz', anchored where the first zone is."""
+    first = sorted(network.zone_anchors)[0]
+    return Network.from_parts(network.nodes.values(), network.links.values(),
+                              {**network.zone_anchors, "zz": network.zone_anchors[first]})
+
+
+class TestTreeLoader:
+    """PathSet.flow_vector against the walk-and-incidence reference. Every
+    network has two zones on one anchor, whose trips must add up."""
+
+    def test_matches_the_incidence_exactly_with_integer_trips(self, rng):
+        for _ in range(40):
+            net = with_shared_anchor(random_tied_network(rng))
+            zone_ids = sorted(net.zone_anchors)
+            n = len(zone_ids)
+            od = od_of(zone_ids, rng.integers(0, 50, size=(n, n)).astype(float))
+            got = PathSet(net, free_flow_times(net)).flow_vector(od)
+            assert np.array_equal(got, incidence_flow_vector(net, od))
+
+    def test_matches_the_incidence_on_a_grid_with_float_trips(self, rng):
+        _, net = grid_region(10, 8, 0)
+        net = with_shared_anchor(net)
+        zone_ids = sorted(net.zone_anchors)
+        n = len(zone_ids)
+        od = od_of(zone_ids, rng.uniform(0.0, 100.0, (n, n)))
+        got = PathSet(net, free_flow_times(net)).flow_vector(od)
+        ref = incidence_flow_vector(net, od)
+        assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+    def test_zones_sharing_an_anchor_add_their_trips(self):
+        net = make_network(["a", "b"], [("ab", "a", "b", 5.0), ("ba", "b", "a", 5.0)],
+                           {"z1": "a", "z2": "a", "z3": "b"})
+        flows = assign_all_or_nothing(
+            net, free_flow_times(net),
+            od_of(["z1", "z2", "z3"], [[0, 7, 1], [3, 0, 2], [4, 5, 0]]))
+        assert flows == {"ab": 3.0, "ba": 9.0}
+
+    def test_link_times_lost_in_rounding_raise_instead_of_looping(self):
+        # 1 + 1e-20 == 1, so the cycle links look tight both ways; with two
+        # and with three nodes on the cycle
+        for ring in (["a", "b"], ["a", "b", "c"]):
+            rows = [(f"z{u}", "z", u, 1.0) for u in ring]
+            rows += [(u + v, u, v, 1e-20) for u, v in zip(ring, ring[1:] + ring[:1])]
+            net = make_network(["z", *ring], rows, {"z1": "z", "z2": "a"})
+            with pytest.raises(ArithmeticError, match="predecessor cycle"):
+                PathSet(net, free_flow_times(net))
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(flowfit.__file__).resolve().parents[1])
+    code = "import sys, flowfit; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 class TestLoad:
     def test_matches_distribute_then_flow_vector_per_stratum(self):
         zones, net = eight_zone_star(jobs_cutoff=5000.0)
@@ -296,10 +400,7 @@ class TestIterativeAssignment:
             fresh = paths.flow_vector(od)
             raw.append(fresh)
             avg = fresh if avg is None else avg + (fresh - avg) / k
-            times = {
-                lid: volume_delay(net.links[lid], float(avg[i]))
-                for i, lid in enumerate(paths.link_ids)
-            }
+            times = volume_delay(net.bpr, avg)
         result = assign_iterative(net, zones, strata, n_outer=15, gap_tol=0.0)
         raw = np.array(raw)
         final = np.array([result.flows[lid] for lid in sorted(result.flows)])

@@ -18,7 +18,7 @@ from flowfit.network import (
     volume_delay,
 )
 
-from conftest import brute_force_shortest, make_network, random_strongly_connected
+from conftest import adjacency, brute_force_shortest, make_network, random_strongly_connected
 
 BPR = dict(t0=10.0, q_max=1000.0, alpha1=0.15, alpha2=4.0)
 
@@ -41,8 +41,20 @@ class TestVolumeDelay:
         assert volume_delay(bpr_link(), 2000.0) == pytest.approx(34.0, abs=1e-12)
 
     def test_negative_flow_rejected(self):
-        with pytest.raises(ValueError, match="negative flow"):
+        with pytest.raises(ValueError, match="negative flow -1.0 on link 'l'"):
             volume_delay(bpr_link(), -1.0)
+
+    def test_network_arrays_match_each_link(self, rng):
+        net = random_strongly_connected(rng)
+        flows = rng.uniform(0.0, 30000.0, len(net.link_ids))
+        times = volume_delay(net.bpr, flows)
+        assert times.tolist() == [volume_delay(net.links[lid], float(q))
+                                  for lid, q in zip(net.link_ids, flows)]
+
+    def test_negative_flow_in_an_array_names_its_link(self):
+        net = make_network(["a", "b"], [("ab", "a", "b", 1.0), ("ba", "b", "a", 1.0)], {})
+        with pytest.raises(ValueError, match="negative flow -2.0 on link 'ba'"):
+            volume_delay(net.bpr, np.array([0.0, -2.0]))
 
     @given(
         t0=st.floats(0.1, 100.0),
@@ -59,9 +71,9 @@ class TestVolumeDelay:
         assert volume_delay(link, 0.0) == t0
 
 
-def tree_from(net, origin, times=None):
+def tree_from(net, origin):
     """(dist, pred) from one origin as dicts: node -> time, node -> link_id."""
-    dist, pred = shortest_path_tree(net, times or free_flow_times(net), [origin])
+    dist, pred = shortest_path_tree(net, free_flow_times(net), [origin])
     return (
         dict(zip(net.node_ids, dist[0].tolist())),
         {nid: net.link_ids[k] for nid, k in zip(net.node_ids, pred[0]) if k >= 0},
@@ -115,8 +127,13 @@ class TestShortestPathTree:
 
     def test_nonpositive_time_rejected(self):
         net = make_network(["a", "b"], [("ab", "a", "b", 1.0)], {})
-        with pytest.raises(ValueError, match="nonpositive"):
-            shortest_path_tree(net, {"ab": 0.0}, ["a"])
+        with pytest.raises(ValueError, match=r"nonpositive travel time on link\(s\) \['ab'\]"):
+            shortest_path_tree(net, np.array([0.0]), ["a"])
+
+    def test_link_times_must_have_one_entry_per_link(self):
+        net = make_network(["a", "b"], [("ab", "a", "b", 1.0)], {})
+        with pytest.raises(ValueError, match=r"shape \(2,\), expected \(1,\)"):
+            shortest_path_tree(net, np.array([1.0, 1.0]), ["a"])
 
     def test_matches_brute_force_on_random_networks(self, rng):
         for _ in range(25):
@@ -255,6 +272,31 @@ class TestValidate:
         )
         issues = validate(net)
         assert any("cannot reach" in m and "'z2'" in m for m in issues)
+
+    def test_reachability_matches_a_depth_first_search(self, rng):
+        def reached(adj, start):
+            seen, stack = {start}, [start]
+            while stack:
+                for v, _ in adj[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            return seen
+
+        for _ in range(30):
+            node_ids = [f"n{i}" for i in range(6)]
+            rows = [(f"{u}{v}", u, v, 1.0) for u in node_ids for v in node_ids
+                    if u != v and rng.random() < 0.2]
+            net = make_network(node_ids, rows, {f"z{i}": n for i, n in enumerate(node_ids)})
+            reverse = make_network(node_ids, [(l, v, u, t) for l, u, v, t in rows], {})
+            forward, backward = reached(adjacency(net), "n0"), reached(adjacency(reverse), "n0")
+            expected = []
+            for i, nid in enumerate(node_ids):
+                if nid not in forward:
+                    expected.append(f"zone 'z{i}': anchor {nid!r} unreachable from zone 'z0'")
+                if nid not in backward:
+                    expected.append(f"zone 'z{i}': anchor {nid!r} cannot reach zone 'z0'")
+            assert validate(net) == expected
 
     def test_unknown_anchor_node(self):
         net = make_network(["a", "b"],
