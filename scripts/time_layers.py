@@ -8,7 +8,8 @@ repeated and reported as the median:
   * the PathSet build at free-flow times (shortest-path trees and their
     loading order);
   * furness_balance of the population -> population gravity seed at
-    mu = 0.8 and beta 0.08 and 0.3 (exponential deterrence), with its outcome;
+    mu = 0.8 and beta 0.08, 0.3 and 1.0 (exponential deterrence), with its
+    outcome;
   * one one-off ModelObjective evaluation at (mu, beta) = (0.8, 0.08)
     against 250 counts generated there with GEH noise 1 (every
     positive-flow link, if the grid has fewer);
@@ -36,7 +37,7 @@ from flowfit.network import free_flow_times
 from flowfit.sample_models import grid_region, synthetic_counts
 
 MU, J_BETA = 0.8, 0.08
-FURNESS_BETAS = (0.08, 0.3)
+FURNESS_BETAS = (0.08, 0.3, 1.0)
 GRID_SEED = 0
 N_COUNTS = 250
 

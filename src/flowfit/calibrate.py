@@ -16,7 +16,12 @@ from .assignment import (
     assign,
     assign_iterative,
 )
-from .demand import DemandStratum, require_unique_names
+from .demand import (
+    DemandStratum,
+    FurnessConvergenceError,
+    FurnessInfeasibleError,
+    require_unique_names,
+)
 from .metrics import SplitExperimentResult, evaluate, geh_objective, split_counts
 from .network import Network, free_flow_times
 
@@ -136,7 +141,7 @@ class _Recorder:
     def __call__(self, x: np.ndarray) -> float:
         value = float(self.f(x))
         self.history.append((self.n, value, np.array(x)))
-        if value < self.best:
+        if value < self.best or self.best_x is None:
             self.best = value
             self.best_x = np.array(x)
         return value
@@ -238,14 +243,17 @@ def nelder_mead(
 
 
 def _estimate_temperature(rec, x, fx, lo, hi, rng, n_probe=20, target_accept=0.8):
-    """Initial temperature such that ~80% of probe uphill moves are accepted."""
+    """Initial temperature such that ~80% of probe uphill moves are accepted.
+
+    Moves to or from a non-finite value are left out of the estimate.
+    """
     span = hi - lo
     uphill = []
     cur_x, cur_f = x, fx
     for _ in range(n_probe):
         cand = np.clip(cur_x + rng.uniform(-1.0, 1.0, size=x.size) * span * 0.5, lo, hi)
         f_c = rec(cand)
-        if f_c > cur_f:
+        if f_c > cur_f and math.isfinite(f_c - cur_f):
             uphill.append(f_c - cur_f)
         cur_x, cur_f = cand, f_c
     if not uphill:
@@ -317,6 +325,11 @@ class ModelObjective:
     per iteration. Both modes score the flows at the counted links with
     metrics.geh_objective, as evaluate does. A prebuilt free-flow PathSet
     may be shared via paths=.
+
+    A Furness balance that fails (FurnessConvergenceError or
+    FurnessInfeasibleError) scores J = +inf, which the optimizers rank
+    worst, and is counted in furness_failures; any other pipeline error
+    raises ObjectiveError with the weights attached.
     """
 
     def __init__(
@@ -349,6 +362,7 @@ class ModelObjective:
             if c.link_id not in network.links:
                 raise ValueError(f"count references unknown link {c.link_id!r}")
         self._observed = np.array([c.observed for c in self.counts])
+        self.furness_failures = 0
         self._paths = None
         if assignment_mode == "oneoff":
             self._paths = paths or PathSet(network, free_flow_times(network))
@@ -361,6 +375,9 @@ class ModelObjective:
         weights = self.template.with_values(x)
         try:
             return self.evaluate_weights(weights)
+        except (FurnessConvergenceError, FurnessInfeasibleError):
+            self.furness_failures += 1
+            return math.inf
         except Exception as exc:
             detail = ", ".join(
                 f"{e.stratum}.{e.param}={e.value:g}" for e in weights.entries

@@ -21,6 +21,17 @@ DETERRENCE_KINDS = ("exponential", "power")
 DEFAULT_FURNESS_TOL = 1e-8
 DEFAULT_FURNESS_MAX_ITER = 1000
 
+# Every FURNESS_RATE_WINDOW sweeps, furness_balance projects the sweeps still
+# needed from the deviation's contraction over the window. It hands the
+# balance to Newton's method once that projection exceeds the sweeps left,
+# or the cost of NEWTON_SWITCH_STEPS Newton steps counted in sweeps.
+FURNESS_RATE_WINDOW = 10
+NEWTON_SWITCH_STEPS = 10
+# Newton gives up (and the sweeps resume) after this many steps, or when
+# this many step halvings do not lower the margin deviation.
+NEWTON_MAX_STEPS = 30
+NEWTON_MAX_HALVINGS = 40
+
 DEFAULT_JOBS_CUTOFF = 5000.0
 
 
@@ -217,6 +228,19 @@ def furness_balance(
     seed, row = seed @ b and col = a @ seed, and the product is formed
     once, on convergence. tol bounds the maximum relative deviation of
     row sums from origins and column sums from destinations.
+
+    Every FURNESS_RATE_WINDOW sweeps the deviation's contraction rate rho
+    over the window projects the sweeps still needed, log(tol / dev) /
+    log(rho), or infinitely many when rho >= 1. Once that exceeds the
+    sweeps left, or the cost of NEWTON_SWITCH_STEPS Newton steps counted
+    in sweeps (which depends on the seed's shape alone), the balance
+    switches to Newton's method on the log scale vectors (Knight & Ruiz
+    2013), which stops at the same tol test. If Newton fails (an indefinite
+    Hessian, e.g. on block-diagonal support, a step that is not finite or
+    does not lower the deviation, or NEWTON_MAX_STEPS used up), the sweeps
+    resume from where they switched and Newton is not tried again, so a
+    system that does not balance raises FurnessConvergenceError after
+    max_iter sweeps as before.
     """
     K = np.asarray(seed.trips, dtype=float)
     if (K < 0).any():
@@ -240,9 +264,14 @@ def furness_balance(
     o_off, d_off = 1.0 * (O <= 0), 1.0 * (D <= 0)
     b = np.ones(D.size)
     row = K @ b  # row sums of diag(a) @ K @ diag(b) are a * row
-    deviation = np.inf
+    deviation = window_start = np.inf
+    # a Newton step costs about 2mn^2 + n^3/3 flops (forming the n x n Schur
+    # complement and its Cholesky factor), a sweep about 4mn
+    m, n = K.shape
+    newton_cost = NEWTON_SWITCH_STEPS * (2.0 * m * n * n + n**3 / 3.0) / (4.0 * m * n)
+    newton_tried = False
     with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(max_iter):
+        for k in range(1, max_iter + 1):
             a = _scale(o_num, row, o_off, seed.zone_ids, "row", "origin")
             col = a @ K
             b = _scale(d_num, col, d_off, seed.zone_ids, "column", "destination")
@@ -253,7 +282,104 @@ def furness_balance(
             )
             if deviation <= tol:
                 return ODMatrix(seed.zone_ids, a[:, None] * K * b)
+            if newton_tried or k % FURNESS_RATE_WINDOW:
+                continue
+            needed = _sweeps_needed(window_start, deviation, tol)
+            window_start = deviation
+            if needed > min(max_iter - k, newton_cost):
+                newton_tried = True
+                trips = _newton_balance(K, O, D, a, b, tol)
+                if trips is not None:
+                    return ODMatrix(seed.zone_ids, trips)
     raise FurnessConvergenceError(float(deviation), max_iter)
+
+
+def _sweeps_needed(previous: float, deviation: float, tol: float) -> float:
+    """Sweeps that take deviation below tol at the contraction rate seen over
+    the last window, which began at deviation previous."""
+    rate = (deviation / previous) ** (1.0 / FURNESS_RATE_WINDOW)
+    if rate >= 1.0:
+        return math.inf
+    if rate == 0.0:  # the first window, which began at an infinite deviation
+        return 0.0
+    return math.log(tol / deviation) / math.log(rate)
+
+
+def _newton_balance(K, O, D, a, b, tol):
+    """Balance diag(a) @ K @ diag(b) by Newton's method, or return None.
+
+    Works on the log scales u = log a, v = log b of the rows and columns
+    with positive targets (the others keep scale 0) and minimises
+    sum(K_ij e^(u_i + v_j)) - O.u - D.v with the last v held fixed. A step
+    is halved until it lowers the largest relative margin deviation; that
+    test, unlike the objective itself, is not lost in rounding near the
+    optimum. Returns the balanced matrix once that deviation is within tol,
+    None when a Cholesky factorisation fails, a step or the product is not
+    finite, or the halvings or NEWTON_MAX_STEPS run out.
+    """
+    rows, cols = O > 0, D > 0
+    o, d = O[rows], D[cols]
+    with np.errstate(divide="ignore"):
+        log_k = np.log(K[np.ix_(rows, cols)])
+    u, v = np.log(a[rows]), np.log(b[cols])
+
+    def margins(u, v):
+        P = np.exp(u[:, None] + log_k + v)
+        r, c = P.sum(axis=1), P.sum(axis=0)
+        return P, r, c, max((np.abs(r - o) / o).max(), (np.abs(c - d) / d).max())
+
+    P, r, c, deviation = margins(u, v)
+    for _ in range(NEWTON_MAX_STEPS):
+        if deviation <= tol:
+            scale_a, scale_b = np.zeros(O.size), np.zeros(D.size)
+            scale_a[rows], scale_b[cols] = np.exp(u), np.exp(v)
+            trips = scale_a[:, None] * K * scale_b
+            return trips if np.isfinite(trips).all() else None
+        try:
+            du, dv = _newton_step(P, r, c, o, d)
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.isfinite(du).all() and np.isfinite(dv).all()):
+            return None
+        step = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS):
+            trial = margins(u + step * du, v + step * dv)
+            if trial[3] < deviation:
+                break
+            step /= 2.0
+        else:
+            return None
+        u, v = u + step * du, v + step * dv
+        P, r, c, deviation = trial
+    return None
+
+
+def _newton_step(P, r, c, o, d):
+    """Newton direction (du, dv) at P = diag(e^u) K diag(e^v), dv[-1] = 0.
+
+    The Hessian is [[diag(r), P], [P^T, diag(c)]]. Eliminating du leaves
+    the Schur complement S = diag(c) - P^T diag(1/r) P in dv. Holding the
+    last v fixed leaves S minus its last row and column, positive definite
+    when the support of P is connected; numpy.linalg.cholesky raises
+    LinAlgError otherwise.
+    """
+    g_u, g_v = r - o, c - d
+    Q = P / np.sqrt(r)[:, None]
+    S = np.diag(c) - Q.T @ Q
+    L = np.linalg.cholesky(S[:-1, :-1])
+    rhs = (P.T @ (g_u / r) - g_v)[:-1]
+    y = _forward_substitution(L, rhs)
+    dv = np.append(_forward_substitution(L.T[::-1, ::-1], y[::-1])[::-1], 0.0)
+    return -(g_u + P @ dv) / r, dv
+
+
+def _forward_substitution(L, rhs, block: int = 64):
+    """Solve L x = rhs for lower-triangular L, one diagonal block at a time."""
+    x = np.empty_like(rhs)
+    for s in range(0, rhs.size, block):
+        e = s + block
+        x[s:e] = np.linalg.solve(L[s:e, s:e], rhs[s:e] - L[s:e, :s] @ x[:s])
+    return x
 
 
 def _scale(target, sums, off, zone_ids, axis: str, margin: str) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from flowfit.assignment import (
     assign_all_or_nothing,
     assign_iterative,
 )
-from flowfit.demand import DemandStratum, ODMatrix, Zone, distribute
+from flowfit.demand import DemandStratum, ODMatrix, Zone, derive_jobs, distribute
 from flowfit.network import (
     Link,
     Network,
@@ -424,6 +425,19 @@ class TestIterativeAssignment:
         zones, net = eight_zone_star()
         result = assign_iterative(net, zones, toy_strata(0.7, 0.074), n_outer=1)
         assert result.flows == result.per_stratum_flows["everyone"]
+
+    def test_msa5_on_grid20_at_weights_whose_sweeps_stall(self):
+        # at these weights the sweeps alone ended in FurnessConvergenceError
+        # (residual 5.6e-7 after 1000 sweeps); Newton finishes the balance
+        zones, net = grid_region(20, 20, seed=0)
+        zones = [dataclasses.replace(z, attributes={
+            **z.attributes, "jobs": derive_jobs(z.attributes["population"], 20000.0)})
+            for z in zones]
+        strata = [DemandStratum("home", "population", "population", 0.8, 0.08),
+                  DemandStratum("work", "population", "jobs", 0.4, 0.12)]
+        result = assign_iterative(net, zones, strata, n_outer=5, gap_tol=0.0)
+        assert result.iterations == 5
+        assert np.isfinite(list(result.flows.values())).all()
 
     def test_n_outer_must_be_positive(self):
         zones, net = eight_zone_star()

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from flowfit.assignment import assign
+from flowfit import demand
+from flowfit.assignment import PathSet, assign
 from flowfit.calibrate import (
     ModelObjective,
     ObjectiveError,
@@ -11,8 +14,15 @@ from flowfit.calibrate import (
     simulated_annealing,
     split_test,
 )
-from flowfit.demand import DemandStratum
+from flowfit.demand import (
+    DemandStratum,
+    FurnessConvergenceError,
+    FurnessInfeasibleError,
+    Zone,
+    distribute,
+)
 from flowfit.metrics import TrafficCount, evaluate, geh_from_daily, split_counts
+from flowfit.network import free_flow_times
 from flowfit.sample_models import (
     TOY_TRUE_BETA,
     TOY_TRUE_MU,
@@ -20,6 +30,8 @@ from flowfit.sample_models import (
     synthetic_counts,
     toy_strata,
 )
+
+from conftest import make_network
 
 
 class TestWeightVector:
@@ -155,6 +167,41 @@ class TestSimulatedAnnealing:
             simulated_annealing(double_well, ([-np.inf], [np.inf]), seed=0)
 
 
+def walled_bowl(x):
+    """+inf for x[0] > 0.5, where a failed Furness balance would be; the
+    finite part's minimum lies on that wall, at (0.5, 0)."""
+    return math.inf if x[0] > 0.5 else float((x[0] - 0.8) ** 2 + x[1] ** 2)
+
+
+class TestInfiniteObjective:
+    BOX = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+
+    def test_nelder_mead_settles_against_the_wall(self):
+        res = nelder_mead(walled_bowl, [0.0, 0.5], self.BOX)
+        assert any(math.isinf(f) for _, f, _ in res.history)
+        assert res.converged and math.isfinite(res.objective)
+        assert res.x == pytest.approx([0.5, 0.0], abs=1e-4)
+
+    def test_simulated_annealing_starting_beyond_the_wall(self):
+        # the start and some temperature probes score +inf; an infinite
+        # uphill difference must not set the temperature, or every
+        # proposal after it is NaN
+        res = simulated_annealing(walled_bowl, self.BOX, seed=0, x0=[0.9, 0.9],
+                                  n_sweeps=20, steps_per_sweep=10)
+        assert math.isinf(res.history[0][1])
+        assert all(np.isfinite(x).all() for _, _, x in res.history)
+        assert math.isfinite(res.objective)
+        assert res.x == pytest.approx([0.5, 0.0], abs=1e-3)
+
+    def test_infinite_everywhere_returns_the_start(self):
+        nm = nelder_mead(lambda x: math.inf, [0.2, 0.3], self.BOX, max_evals=20)
+        sa = simulated_annealing(lambda x: math.inf, self.BOX, seed=0, x0=[0.2, 0.3],
+                                 n_sweeps=2, steps_per_sweep=3)
+        for res in (nm, sa):
+            assert res.objective == math.inf
+            assert res.x.tolist() == [0.2, 0.3]
+
+
 @pytest.fixture(scope="module")
 def toy_setup():
     zones, net = eight_zone_star()
@@ -216,6 +263,39 @@ class TestObjective:
         obj = ModelObjective(zones, net, strata, counts)
         with pytest.raises(ObjectiveError, match=r"s\.mu=1"):
             obj(np.array([1.0, 0.1]))
+
+    @staticmethod
+    def far_apart_pair():
+        """Two zones 2000 min apart: at beta = 1, exp(beta * c) overflows for
+        every cost, the intrazonal 1000 min included, so the seed is empty."""
+        net = make_network(["a", "b"], [("ab", "a", "b", 2000.0), ("ba", "b", "a", 2000.0)],
+                           {"z1": "a", "z2": "b"})
+        zones = [Zone("z1", attributes={"population": 100.0, "jobs": 300.0}),
+                 Zone("z2", attributes={"population": 200.0, "jobs": 100.0})]
+        stratum = DemandStratum("s", "population", "jobs", 1.0, 1.0)
+        return zones, net, stratum
+
+    def test_infeasible_balance_scores_inf_and_is_counted(self):
+        zones, net, stratum = self.far_apart_pair()
+        obj = ModelObjective(zones, net, [stratum], [TrafficCount("ab", 50.0)])
+        with np.errstate(over="ignore"):
+            with pytest.raises(FurnessInfeasibleError):
+                distribute(zones, stratum, PathSet(net, free_flow_times(net)).cost_matrix())
+            assert obj(np.array([1.0, 1.0])) == math.inf
+            assert math.isfinite(obj(np.array([1.0, 0.0])))
+            assert obj(np.array([2.0, 1.0])) == math.inf
+        assert obj.furness_failures == 2
+
+    def test_unconverged_balance_scores_inf_and_is_counted(self, monkeypatch):
+        zones, net, stratum = self.far_apart_pair()
+        obj = ModelObjective(zones, net, [stratum], [TrafficCount("ab", 50.0)])
+
+        def stalls(seed, ends):
+            raise FurnessConvergenceError(1e-3, 1000)
+
+        monkeypatch.setattr(demand, "furness_balance", stalls)
+        assert obj(np.array([1.0, 0.0])) == math.inf
+        assert obj.furness_failures == 1
 
     def test_unknown_count_link_rejected_up_front(self, toy_setup):
         zones, net, _ = toy_setup

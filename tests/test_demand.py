@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flowfit import demand
 from flowfit.assignment import PathSet
+from flowfit.calibrate import DEFAULT_BOUNDS, ModelObjective
 from flowfit.demand import (
     DegenerateStratumError,
     DemandStratum,
@@ -22,7 +24,7 @@ from flowfit.demand import (
     seed_matrix,
 )
 from flowfit.network import CostMatrix, free_flow_times
-from flowfit.sample_models import eight_zone_star, toy_strata
+from flowfit.sample_models import eight_zone_star, grid_region, synthetic_counts, toy_strata
 
 
 def costs_of(values, zone_ids=None):
@@ -282,6 +284,13 @@ class TestFurnessBalance:
             furness_balance(seed, ends)
 
 
+def assert_margins(trips, ends, tol=1e-8):
+    """Independent margin check, not the balancing loop's own deviation."""
+    O, D = ends.origins, ends.destinations
+    assert np.abs(trips.sum(axis=1) - O).max() <= tol * O.max()
+    assert np.abs(trips.sum(axis=0) / D - 1.0).max() <= tol
+
+
 def furness_in_place(seed, ends, tol=1e-8, max_iter=1000):
     """Reference Furness loop: rescales the whole matrix in place, rows then
     columns, and sums it four times per sweep. furness_balance computes the
@@ -323,20 +332,22 @@ class TestFurnessParity:
         except FurnessInfeasibleError:
             return "infeasible", None
 
-    def compare(self, seed_vals, rng):
+    @staticmethod
+    def case(seed_vals, rng):
         n = seed_vals.shape[0]
         O = rng.uniform(1.0, 200.0, n)
         D = rng.uniform(1.0, 200.0, n)
         D *= O.sum() / D.sum()
-        seed, ends = ODMatrix(tuple(f"z{i}" for i in range(n)), seed_vals), TripEnds(O, D)
+        return ODMatrix(tuple(f"z{i}" for i in range(n)), seed_vals), TripEnds(O, D)
+
+    def compare(self, seed_vals, rng):
+        seed, ends = self.case(seed_vals, rng)
         ref, ref_trips = self.outcome(furness_in_place, seed, ends)
         got, trips = self.outcome(furness_balance, seed, ends)
         assert got == ref
         if trips is not None:
             assert np.abs(trips - ref_trips).max() <= 1e-12 * ref_trips.max()
-            # independent margin check, as in test_random_margins_hit_tolerance
-            assert np.abs(trips.sum(axis=1) - O).max() <= 1e-8 * O.max()
-            assert np.abs(trips.sum(axis=0) / D - 1.0).max() <= 1e-8
+            assert_margins(trips, ends)
         return got
 
     def test_uniform_seeds(self):
@@ -345,13 +356,25 @@ class TestFurnessParity:
             assert self.compare(rng.uniform(0.05, 10.0, (50, 50)), rng) == "balanced"
 
     def test_log_uniform_seeds(self):
-        # entries 1e-250..1: some of these systems balance within 1000 sweeps,
-        # the others must fail the same way in both loops
+        # entries 1e-250..1: some of these systems balance within 1000 sweeps.
+        # Newton may take any of them over from the sweeps, so a balanced
+        # result is held to a long in-place run rather than to the 1000-sweep
+        # one; a system the reference leaves unconverged may now balance, or
+        # fail as the reference does.
         rng = np.random.default_rng(3)
-        outcomes = [self.compare(10.0 ** rng.uniform(-250.0, 0.0, (6, 6)), rng)
-                    for _ in range(30)]
-        assert "balanced" in outcomes
-        assert "not converged after 1000" in outcomes
+        ref_balanced = balanced = 0
+        for _ in range(30):
+            seed, ends = self.case(10.0 ** rng.uniform(-250.0, 0.0, (6, 6)), rng)
+            ref, _ = self.outcome(furness_in_place, seed, ends)
+            got, trips = self.outcome(furness_balance, seed, ends)
+            assert got == "balanced" or got == ref == "not converged after 1000"
+            if trips is not None:
+                _, long_run = self.outcome(furness_in_place, seed, ends, max_iter=100_000)
+                assert np.abs(trips - long_run).max() <= 1e-6 * long_run.max()
+                assert_margins(trips, ends)
+            ref_balanced += ref == "balanced"
+            balanced += got == "balanced"
+        assert 0 < ref_balanced < balanced
 
     def test_one_tiny_row_and_one_small_column(self):
         rng = np.random.default_rng(11)
@@ -367,6 +390,98 @@ class TestFurnessParity:
         ref = self.outcome(furness_in_place, seed, ends, tol=1e-12, max_iter=50)
         assert self.outcome(furness_balance, seed, ends, tol=1e-12, max_iter=50) == ref
         assert ref == ("not converged after 50", None)
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """grid_region(nx, ny, seed=0) with its free-flow path set, built once."""
+    built = {}
+
+    def get(nx, ny):
+        if (nx, ny) not in built:
+            zones, net = grid_region(nx, ny, seed=0)
+            built[nx, ny] = zones, net, PathSet(net, free_flow_times(net))
+        return built[nx, ny]
+
+    return get
+
+
+@pytest.fixture
+def newton_results(monkeypatch):
+    """What every _newton_balance call returns, in order."""
+    results = []
+    newton = demand._newton_balance
+
+    def spy(*args):
+        results.append(newton(*args))
+        return results[-1]
+
+    monkeypatch.setattr(demand, "_newton_balance", spy)
+    return results
+
+
+class TestNewton:
+    """Balances whose sweeps stall move to Newton's method on the log scales."""
+
+    @staticmethod
+    def grid_case(grid, beta):
+        zones, _, paths = grid
+        costs = paths.cost_matrix()
+        by_id = {z.zone_id: z for z in zones}
+        stratum = DemandStratum("all", "population", "population", 0.8, beta)
+        ends = generate_trip_ends([by_id[z] for z in costs.zone_ids], stratum)
+        return seed_matrix(ends, costs, beta, "exponential"), ends
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("size", [(10, 8), (30, 30)], ids=["10x8", "30x30"])
+    def test_high_beta_grids_balance(self, grid, size, beta):
+        seed, ends = self.grid_case(grid(*size), beta)
+        trips = furness_balance(seed, ends).trips
+        assert_margins(trips, ends)
+        # criterion 2's structure check: the result is diag(a) @ seed @ diag(b)
+        ratio = trips / seed.trips
+        a, b = ratio[:, 0], ratio[0, :] / ratio[0, 0]
+        assert np.abs(np.outer(a, b) / ratio - 1.0).max() <= 1e-6
+
+    def test_agrees_with_a_long_sweep_run(self, grid, newton_results):
+        seed, ends = self.grid_case(grid(10, 8), 1.0)
+        with pytest.raises(FurnessConvergenceError):
+            furness_in_place(seed, ends)
+        reference = furness_in_place(seed, ends, max_iter=20_000).trips
+        trips = furness_balance(seed, ends).trips
+        assert len(newton_results) == 1 and newton_results[0] is trips
+        assert np.abs(trips - reference).max() <= 1e-6 * reference.max()
+
+    def test_sweeps_that_converge_fast_never_switch(self, rng, newton_results):
+        seed, ends = TestFurnessParity.case(rng.uniform(0.05, 10.0, (50, 50)), rng)
+        furness_balance(seed, ends)
+        assert newton_results == []
+
+    def test_failed_newton_resumes_the_sweeps(self, newton_results):
+        # block-diagonal support with cross-block margins: the Schur
+        # complement is singular, so Cholesky fails, and the sweeps run out
+        # exactly as the in-place loop does
+        seed = ODMatrix(("a", "b"), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        ends = TripEnds(np.array([3.0, 1.0]), np.array([1.0, 3.0]))
+        with pytest.raises(FurnessConvergenceError) as ref:
+            furness_in_place(seed, ends, tol=1e-12, max_iter=50)
+        with pytest.raises(FurnessConvergenceError) as got:
+            furness_balance(seed, ends, tol=1e-12, max_iter=50)
+        assert newton_results == [None]
+        assert (got.value.iterations, got.value.deviation) == (50, ref.value.deviation)
+
+    @pytest.mark.parametrize("size", [(10, 8), (30, 30)], ids=["10x8", "30x30"])
+    def test_objective_is_finite_on_the_default_box(self, grid, size):
+        zones, net, paths = grid(*size)
+        truth = [DemandStratum("all", "population", "population", 0.8, 0.08)]
+        counts = synthetic_counts(zones, net, truth, n_counts=250, noise=0.1, seed=1)
+        objective = ModelObjective(zones, net, truth, counts, paths=paths)
+        (mu_lo, mu_hi), (beta_lo, beta_hi) = DEFAULT_BOUNDS["mu"], DEFAULT_BOUNDS["beta"]
+        points = [(mu, beta) for mu in (mu_lo, mu_hi) for beta in (beta_lo, beta_hi)]
+        points.append(((mu_lo + mu_hi) / 2, (beta_lo + beta_hi) / 2))
+        for x in points:
+            assert math.isfinite(objective(np.array(x))), x
+        assert objective.furness_failures == 0
 
 
 class TestDistribute:
