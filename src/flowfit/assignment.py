@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,8 @@ class PathSet:
 
     load() is the one step from strata to link flows, over the skim the
     path set computes once and holds. assign_iterative calls it once per MSA
-    iteration; ModelObjective's one-off mode, on one free-flow path set.
+    iteration; the first iteration's free-flow path set may be built once
+    and shared across calls, as ModelObjective and split_test do.
     """
 
     def __init__(self, network: Network, link_times: np.ndarray):
@@ -124,9 +126,6 @@ class PathSet:
             for s in strata
         ]
 
-    def flow_map(self, vec: np.ndarray) -> FlowMap:
-        return {lid: float(vec[k]) for k, lid in enumerate(self.link_ids)}
-
 
 def assign_all_or_nothing(network: Network, link_times: np.ndarray, od: ODMatrix) -> FlowMap:
     """Load each OD pair's trips entirely onto its single shortest path.
@@ -136,17 +135,24 @@ def assign_all_or_nothing(network: Network, link_times: np.ndarray, od: ODMatrix
     the tie pass of shortest_path_tree.
     """
     paths = PathSet(network, link_times)
-    return paths.flow_map(paths.flow_vector(od))
+    return dict(zip(paths.link_ids, paths.flow_vector(od).tolist()))
 
 
 @dataclass
 class AssignmentResult:
-    flows: FlowMap
-    per_stratum_flows: dict[str, FlowMap]
-    link_times: dict[str, float]  # minutes
+    """Flow arrays aligned to link_ids: total, and per_stratum by stratum
+    name. flows, the total keyed by link id, is built on first read."""
+
+    link_ids: tuple[str, ...]
+    total: np.ndarray
+    per_stratum: dict[str, np.ndarray]
     iterations: int
     converged: bool
     relative_gap: float
+
+    @cached_property
+    def flows(self) -> FlowMap:
+        return dict(zip(self.link_ids, self.total.tolist()))
 
 
 def assign_iterative(
@@ -156,49 +162,39 @@ def assign_iterative(
     n_outer: int = DEFAULT_N_OUTER,
     *,
     gap_tol: float = DEFAULT_GAP_TOL,
+    paths: PathSet | None = None,
 ) -> AssignmentResult:
     """Cycle skim -> distribution -> all-or-nothing -> MSA flow averaging.
 
-    Iteration k averages the fresh all-or-nothing flows into the running
-    mean with weight 1/k, then refreshes link times through the volume-delay
-    curves. Redistribution inside the loop lets demand react to congestion.
-    Stops after n_outer iterations, or earlier once the relative L1 change
-    of total link flows drops below gap_tol. n_outer=1 is the one-off mode.
-    Per-stratum flows are keyed by stratum name, so names must be distinct.
+    Iteration 1 loads on the free-flow path set: paths when given (it must
+    be PathSet(network, free_flow_times(network))), else one built here.
+    Iteration k >= 2 takes link times from the volume-delay curves at the
+    running mean and averages its fresh all-or-nothing flows into that mean
+    with weight 1/k; redistribution lets demand react to congestion. Stops
+    after n_outer iterations (n_outer=1 is the one-off mode), or earlier,
+    converged, once the relative L1 change of total link flows drops below
+    gap_tol. Per-stratum flows are keyed by stratum name, so names must be
+    distinct.
     """
     if n_outer < 1:
         raise ValueError("n_outer must be >= 1")
     require_unique_names(strata)
 
-    times = free_flow_times(network)
-    avg: dict[str, np.ndarray] = {}
-    total = np.zeros(len(network.link_ids))
+    paths = paths or PathSet(network, free_flow_times(network))
+    avg = {s.name: vec for s, vec in zip(strata, paths.load(zones, strata))}
+    total = sum(avg.values(), np.zeros(len(network.link_ids)))
     gap = math.inf
-    converged = False
-    iterations = 0
-    for k in range(1, n_outer + 1):
-        paths = PathSet(network, times)
-        fresh = {s.name: vec for s, vec in zip(strata, paths.load(zones, strata))}
-        if k == 1:
-            avg = fresh
-        else:
-            avg = {name: avg[name] + (fresh[name] - avg[name]) / k for name in avg}
-        prev_total = total
-        total = sum(avg.values(), np.zeros(len(network.link_ids)))
-        if k >= 2:
-            gap = float(np.abs(total - prev_total).sum() / max(prev_total.sum(), 1e-12))
+    iterations = 1
+    while iterations < n_outer and not gap < gap_tol:
+        iterations += 1
         times = volume_delay(network.bpr, total)
         if not np.isfinite(times).all():
             raise ArithmeticError("volume-delay produced non-finite link times")
-        iterations = k
-        if k >= 2 and gap < gap_tol:
-            converged = True
-            break
-
-    per_stratum = {name: paths.flow_map(vec) for name, vec in avg.items()}
-    return AssignmentResult(
-        paths.flow_map(total), per_stratum, paths.flow_map(times), iterations, converged, gap
-    )
+        fresh = PathSet(network, times).load(zones, strata)
+        avg = {name: q + (f - q) / iterations for (name, q), f in zip(avg.items(), fresh)}
+        prev_total, total = total, sum(avg.values(), np.zeros(len(network.link_ids)))
+        gap = float(np.abs(total - prev_total).sum() / max(prev_total.sum(), 1e-12))
+    return AssignmentResult(network.link_ids, total, avg, iterations, gap < gap_tol, gap)
 
 
 def assign(
@@ -209,10 +205,12 @@ def assign(
     n_outer: int = DEFAULT_N_OUTER,
     *,
     gap_tol: float = DEFAULT_GAP_TOL,
+    paths: PathSet | None = None,
 ) -> AssignmentResult:
     """Assignment in the named mode: "oneoff" is a single free-flow pass
-    (n_outer=1); "iterative" runs the MSA loop for up to n_outer iterations."""
+    (n_outer=1); "iterative" runs the MSA loop for up to n_outer iterations.
+    paths, when given, is the free-flow path set both modes start from."""
     if mode not in ASSIGNMENT_MODES:
         raise ValueError(f"unknown assignment mode {mode!r}")
     outer = 1 if mode == "oneoff" else n_outer
-    return assign_iterative(network, zones, strata, outer, gap_tol=gap_tol)
+    return assign_iterative(network, zones, strata, outer, gap_tol=gap_tol, paths=paths)

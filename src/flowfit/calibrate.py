@@ -8,14 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import (
-    ASSIGNMENT_MODES,
-    DEFAULT_GAP_TOL,
-    DEFAULT_N_OUTER,
-    PathSet,
-    assign,
-    assign_iterative,
-)
+from .assignment import ASSIGNMENT_MODES, DEFAULT_GAP_TOL, DEFAULT_N_OUTER, PathSet, assign
 from .demand import (
     DemandStratum,
     FurnessConvergenceError,
@@ -33,6 +26,8 @@ DEFAULT_BOUNDS = {"mu": (0.0, 5.0), "beta": (0.0, 1.0)}
 DEFAULT_XATOL = 1e-6
 DEFAULT_FATOL = 1e-8
 DEFAULT_MAX_EVALS = 2000
+
+CALIBRATION_METHODS = ("nelder_mead", "simulated_annealing")
 
 
 class ObjectiveError(RuntimeError):
@@ -318,13 +313,14 @@ def simulated_annealing(
 class ModelObjective:
     """J(weights): mean GEH between assigned and observed daily flows.
 
-    In one-off mode the path set and its skim are frozen at free-flow
-    times, and each evaluation is one PathSet.load (gravity distribution
-    plus one push of the trips up the shortest-path trees per stratum);
-    iterative mode reruns the full MSA loop, which calls the same load once
-    per iteration. Both modes score the flows at the counted links with
-    metrics.geh_objective, as evaluate does. A prebuilt free-flow PathSet
-    may be shared via paths=.
+    Each evaluation is one assignment.assign in the objective's mode, started
+    from the free-flow PathSet the objective holds: one-off mode is then one
+    PathSet.load (gravity distribution plus one push of the trips up the
+    shortest-path trees per stratum), and iterative mode builds a path set
+    only for iterations 2 and on. The total flows at the counted links are
+    scored with metrics.geh_objective, as evaluate does. The free-flow
+    PathSet is built, and its skim checked for disconnected zones, at
+    construction, unless a prebuilt one is shared via paths=.
 
     A Furness balance that fails (FurnessConvergenceError or
     FurnessInfeasibleError) scores J = +inf, which the optimizers rank
@@ -363,18 +359,18 @@ class ModelObjective:
                 raise ValueError(f"count references unknown link {c.link_id!r}")
         self._observed = np.array([c.observed for c in self.counts])
         self.furness_failures = 0
-        self._paths = None
-        if assignment_mode == "oneoff":
-            self._paths = paths or PathSet(network, free_flow_times(network))
-            self._paths.cost_matrix()  # disconnected zones fail here, not per call
-            self._count_idx = np.array(
-                [self._paths.link_index[c.link_id] for c in self.counts]
-            )
+        self._paths = paths or PathSet(network, free_flow_times(network))
+        self._paths.cost_matrix()  # disconnected zones fail here, not per call
+        self._count_idx = np.array([self._paths.link_index[c.link_id] for c in self.counts])
 
     def __call__(self, x) -> float:
         weights = self.template.with_values(x)
         try:
-            return self.evaluate_weights(weights)
+            result = assign(
+                self.network, self.zones, weights.apply(self.strata), self.assignment_mode,
+                self.n_outer, gap_tol=self.gap_tol, paths=self._paths,
+            )
+            return geh_objective(result.total[self._count_idx], self._observed)[0]
         except (FurnessConvergenceError, FurnessInfeasibleError):
             self.furness_failures += 1
             return math.inf
@@ -383,18 +379,6 @@ class ModelObjective:
                 f"{e.stratum}.{e.param}={e.value:g}" for e in weights.entries
             )
             raise ObjectiveError(f"objective failed at {detail}: {exc}") from exc
-
-    def evaluate_weights(self, weights: WeightVector) -> float:
-        strata = weights.apply(self.strata)
-        if self._paths is not None:
-            loaded = self._paths.load(self.zones, strata)
-            predicted = sum(loaded, np.zeros(len(self._paths.link_ids)))[self._count_idx]
-        else:
-            result = assign_iterative(
-                self.network, self.zones, strata, self.n_outer, gap_tol=self.gap_tol
-            )
-            predicted = np.array([result.flows[c.link_id] for c in self.counts])
-        return geh_objective(predicted, self._observed)[0]
 
 
 def calibrate(
@@ -423,6 +407,8 @@ def calibrate(
     """
     if not strata:
         raise ValueError("at least one stratum is required")
+    if method not in CALIBRATION_METHODS:
+        raise ValueError(f"unknown calibration method {method!r}")
     objective = ModelObjective(
         zones, network, strata, counts,
         assignment_mode=assignment_mode, n_outer=n_outer, gap_tol=gap_tol,
@@ -435,12 +421,10 @@ def calibrate(
             objective, template.values(), box,
             xatol=xatol, fatol=fatol, max_evals=max_evals,
         )
-    elif method == "simulated_annealing":
+    else:
         res = simulated_annealing(
             objective, box, seed, x0=template.values(), **(sa_options or {})
         )
-    else:
-        raise ValueError(f"unknown calibration method {method!r}")
     return CalibrationResult(
         best_weights=template.with_values(res.x),
         best_objective=res.objective,
@@ -468,13 +452,11 @@ def split_test(
     """Train/test robustness grid: calibrate on a count subset, score both sides.
 
     Results are ordered by (fraction, seed). Each cell is scored under the
-    same assignment (mode, n_outer, gap_tol) that calibrated it. The
-    free-flow path set is shared across all cells when that assignment is
-    one-off.
+    same assignment (mode, n_outer, gap_tol) that calibrated it. One
+    free-flow path set is built for the whole grid and shared by every
+    calibration and every scoring assignment, in either mode.
     """
-    shared_paths = None
-    if assignment_mode == "oneoff":
-        shared_paths = PathSet(network, free_flow_times(network))
+    paths = PathSet(network, free_flow_times(network))
     results = []
     for fraction in fractions:
         for seed in seeds:
@@ -482,12 +464,13 @@ def split_test(
             res = calibrate(
                 zones, network, strata, train,
                 method=method, seed=seed, assignment_mode=assignment_mode,
-                n_outer=n_outer, gap_tol=gap_tol, paths=shared_paths,
+                n_outer=n_outer, gap_tol=gap_tol, paths=paths,
                 **calibrate_options,
             )
             best_strata = res.best_weights.apply(strata)
             flows = assign(
-                network, zones, best_strata, assignment_mode, n_outer, gap_tol=gap_tol
+                network, zones, best_strata, assignment_mode, n_outer,
+                gap_tol=gap_tol, paths=paths,
             ).flows
             results.append(SplitExperimentResult(
                 split_fraction=fraction,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import assign
-from .calibrate import calibrate, split_test
+from .calibrate import CALIBRATION_METHODS, calibrate, split_test
 from .metrics import evaluate, report_text
 from .model_io import (
     LoadedModel,
@@ -131,21 +131,32 @@ def cmd_calibrate(args) -> int:
 
 
 def _parse_fractions(raw: str) -> list[float]:
-    """"0.3..0.9" expands in steps of 0.1; otherwise a comma list like "0.3,0.5"."""
+    """"0.3..0.9" expands in steps of 0.1; otherwise a comma list like "0.3,0.5".
+    Every fraction must lie strictly between 0 and 1."""
     raw = raw.strip()
     if ".." in raw:
         lo_s, hi_s = raw.split("..", 1)
         lo, hi = float(lo_s), float(hi_s)
-        if not 0.0 < lo <= hi < 1.0:
-            raise ValueError(f"bad fraction range {raw!r}")
-        steps = int(round((hi - lo) / 0.1))
-        return [round(lo + 0.1 * k, 10) for k in range(steps + 1)]
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+        steps = int(round((hi - lo) / 0.1)) if lo <= hi else -1
+        fractions = [round(lo + 0.1 * k, 10) for k in range(steps + 1)]
+    else:
+        fractions = [float(tok) for tok in raw.split(",") if tok.strip()]
+    if not fractions or not all(0.0 < f < 1.0 for f in fractions):
+        raise argparse.ArgumentTypeError(
+            f"bad fractions {raw!r}: need a range or list within (0, 1)")
+    return fractions
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
 
 
 def cmd_split_test(args) -> int:
     model = load_model(args.spec)
-    fractions = _parse_fractions(args.fractions)
+    fractions = args.fractions  # parsed and range-checked by _parse_fractions
     results = split_test(
         model.zones, model.network, model.strata, model.counts,
         fractions=fractions, seeds=list(range(args.seeds)),
@@ -212,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="learn stratum weights from counts")
     p.add_argument("spec")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--method", choices=["nelder_mead", "simulated_annealing"],
+    p.add_argument("--method", choices=CALIBRATION_METHODS,
                    help="override the configured optimizer")
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.set_defaults(func=cmd_calibrate)
@@ -221,11 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train/test robustness grid over count splits")
     p.add_argument("spec")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--fractions", default="0.3..0.9",
+    p.add_argument("--fractions", type=_parse_fractions, default="0.3..0.9",
                    help='range "0.3..0.9" (step 0.1) or comma list (default: %(default)s)')
-    p.add_argument("--seeds", type=int, default=10,
+    p.add_argument("--seeds", type=_positive_int, default=10,
                    help="number of random seeds 0..N-1 (default: %(default)s)")
-    p.add_argument("--method", choices=["nelder_mead", "simulated_annealing"])
+    p.add_argument("--method", choices=CALIBRATION_METHODS)
     p.set_defaults(func=cmd_split_test)
 
     p = sub.add_parser("compare",

@@ -126,10 +126,6 @@ class ODMatrix:
     def index(self) -> dict[str, int]:
         return {z: i for i, z in enumerate(self.zone_ids)}
 
-    @property
-    def total(self) -> float:
-        return float(self.trips.sum())
-
 
 def derive_jobs(population: float, cutoff: float = DEFAULT_JOBS_CUTOFF) -> float:
     """Job places implied by population.

@@ -24,7 +24,13 @@ from pathlib import Path
 import yaml
 
 from .assignment import ASSIGNMENT_MODES, DEFAULT_GAP_TOL, DEFAULT_N_OUTER, AssignmentResult
-from .calibrate import DEFAULT_FATOL, DEFAULT_MAX_EVALS, DEFAULT_XATOL, CalibrationResult
+from .calibrate import (
+    CALIBRATION_METHODS,
+    DEFAULT_FATOL,
+    DEFAULT_MAX_EVALS,
+    DEFAULT_XATOL,
+    CalibrationResult,
+)
 from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs, require_unique_names
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
 from .network import Link, Network, Node, validate
@@ -70,6 +76,12 @@ class AssignmentOptions:
     n_outer: int = DEFAULT_N_OUTER
     gap_tol: float = DEFAULT_GAP_TOL
 
+    def __post_init__(self):
+        if self.mode not in ASSIGNMENT_MODES:
+            raise ValueError(f"mode must be one of {ASSIGNMENT_MODES}, got {self.mode!r}")
+        if self.n_outer < 1:
+            raise ValueError(f"n_outer must be >= 1, got {self.n_outer!r}")
+
 
 @dataclass
 class CalibrationOptions:
@@ -85,6 +97,17 @@ class CalibrationOptions:
     bound_overrides: dict = field(default_factory=dict)  # "stratum.param" -> [lo, hi]
     sa: dict = field(default_factory=dict)  # simulated-annealing options
 
+    def __post_init__(self):
+        if self.method not in CALIBRATION_METHODS:
+            raise ValueError(
+                f"method must be one of {CALIBRATION_METHODS}, got {self.method!r}")
+        if self.assignment_mode not in ASSIGNMENT_MODES:
+            raise ValueError(f"assignment_mode must be one of {ASSIGNMENT_MODES}, "
+                             f"got {self.assignment_mode!r}")
+
+
+_DERIVATION_METHODS = ("jobs_from_population",)
+
 
 @dataclass
 class DerivationRule:
@@ -93,10 +116,17 @@ class DerivationRule:
     source: str
     cutoff: float = DEFAULT_JOBS_CUTOFF
 
+    def __post_init__(self):
+        if self.method not in _DERIVATION_METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+
+
+# model.yaml stratum keys that differ from their DemandStratum field
+_STRATUM_KEYS = {"deterrence": "deterrence_kind"}
+
 
 @dataclass
 class ModelSpec:
-    base_dir: Path
     zones_path: Path
     nodes_path: Path
     links_path: Path
@@ -326,9 +356,6 @@ def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]
     return counts
 
 
-_DERIVATION_METHODS = {"jobs_from_population"}
-
-
 def _read_yaml_mapping(path: Path) -> dict:
     """A YAML file's top-level mapping (an empty file reads as {}).
 
@@ -364,21 +391,31 @@ def _entry(mapping: dict, key: str, kind: type, where: str, diagnostics: list[st
 _SCALAR_KINDS = {"str": (str,), "int": (int,), "float": (int, float)}
 
 
-def _options(cls, values: dict, where: str, diagnostics: list[str]):
+def _options(cls, values, where: str, diagnostics: list[str]):
     """cls(**values), each scalar checked against its field's type: an int may
-    stand for a float, a bool for neither. A wrong type is a diagnostic
-    naming the key; an unknown key is a diagnostic and gives the defaults."""
+    stand for a float (and becomes one), a bool for neither. A wrong type is
+    a diagnostic naming the key; an unknown or missing key, or a value cls
+    rejects with ValueError, is one diagnostic. Any diagnostic gives None."""
+    if not isinstance(values, dict):
+        diagnostics.append(f"{where}: expected a mapping, got {values!r}")
+        return None
     types = {f.name: f.type for f in dataclasses.fields(cls)}
+    values = dict(values)
+    wrong = False
     for key, value in values.items():
         kinds = _SCALAR_KINDS.get(types.get(key))
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-            diagnostics.append(
-                f"{where}.{key}: expected {types[key]}, got {value!r}")
+            diagnostics.append(f"{where}.{key}: expected {types[key]}, got {value!r}")
+            wrong = True
+        elif types.get(key) == "float":
+            values[key] = float(value)
+    if wrong:
+        return None
     try:
         return cls(**values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         diagnostics.append(f"{where}: {exc}")
-        return cls()
+        return None
 
 
 def _parse_spec(path: Path) -> ModelSpec:
@@ -395,50 +432,26 @@ def _parse_spec(path: Path) -> ModelSpec:
         elif not name and key != "counts":
             diagnostics.append(f"{path}: files.{key} is required")
 
-    strata: list[DemandStratum] = []
     raw_strata = _entry(raw, "strata", list, where, diagnostics)
     if not raw_strata:
         diagnostics.append(f"{path}: at least one stratum is required")
+    strata: list[DemandStratum] = []
     for i, s in enumerate(raw_strata):
-        try:
-            strata.append(DemandStratum(
-                name=str(s["name"]),
-                production_attr=str(s["production_attr"]),
-                attraction_attr=str(s["attraction_attr"]),
-                mu=float(s["mu"]),
-                beta=float(s["beta"]),
-                deterrence_kind=str(s.get("deterrence", "exponential")),
-                occupancy=float(s.get("occupancy", 1.0)),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            diagnostics.append(f"{path}: strata[{i}]: {exc}")
+        if isinstance(s, dict):
+            s = {_STRATUM_KEYS.get(key, key): value for key, value in s.items()}
+        stratum = _options(DemandStratum, s, f"{where}strata[{i}]", diagnostics)
+        if stratum is not None:
+            strata.append(stratum)
     try:
         require_unique_names(strata)
     except ValueError as exc:
         diagnostics.append(f"{path}: {exc}")
 
-    derivations: list[DerivationRule] = []
-    for i, d in enumerate(_entry(raw, "derivations", list, where, diagnostics)):
-        try:
-            rule = DerivationRule(
-                attribute=str(d["attribute"]),
-                method=str(d["method"]),
-                source=str(d["source"]),
-                cutoff=float(d.get("cutoff", DEFAULT_JOBS_CUTOFF)),
-            )
-            if rule.method not in _DERIVATION_METHODS:
-                diagnostics.append(
-                    f"{path}: derivations[{i}]: unknown method {rule.method!r}"
-                )
-            else:
-                derivations.append(rule)
-        except (KeyError, TypeError, ValueError) as exc:
-            diagnostics.append(f"{path}: derivations[{i}]: {exc}")
+    derivations = [_options(DerivationRule, d, f"{where}derivations[{i}]", diagnostics)
+                   for i, d in enumerate(_entry(raw, "derivations", list, where, diagnostics))]
 
     assignment = _options(AssignmentOptions, _entry(raw, "assignment", dict, where, diagnostics),
                           f"{where}assignment", diagnostics)
-    if assignment.mode not in ASSIGNMENT_MODES:
-        diagnostics.append(f"{path}: assignment.mode must be oneoff or iterative")
 
     cal_raw = dict(_entry(raw, "calibration", dict, where, diagnostics))
     cal_where = f"{path}: calibration."
@@ -458,7 +471,6 @@ def _parse_spec(path: Path) -> ModelSpec:
         raise ModelLoadError("parse", diagnostics)
     counts_path = base / files["counts"] if files.get("counts") else None
     return ModelSpec(
-        base_dir=base,
         zones_path=base / files["zones"],
         nodes_path=base / files["nodes"],
         links_path=base / files["links"],
@@ -628,19 +640,10 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _strata_yaml(strata) -> list[dict]:
-    """Strata as model.yaml `strata:` entries."""
-    return [
-        {
-            "name": s.name,
-            "production_attr": s.production_attr,
-            "attraction_attr": s.attraction_attr,
-            "mu": float(s.mu),
-            "beta": float(s.beta),
-            "deterrence": s.deterrence_kind,
-            "occupancy": float(s.occupancy),
-        }
-        for s in strata
-    ]
+    """Strata as model.yaml `strata:` entries; numbers become plain floats."""
+    keys = {f: k for k, f in _STRATUM_KEYS.items()}
+    return [{keys.get(f, f): v if isinstance(v, str) else float(v)
+             for f, v in dataclasses.asdict(s).items()} for s in strata]
 
 
 def write_model(
@@ -691,11 +694,11 @@ def write_model(
 
 
 def write_flows_csv(path, result: AssignmentResult) -> None:
-    names = sorted(result.per_stratum_flows)
+    names = sorted(result.per_stratum)
+    columns = [result.total.tolist()] + [result.per_stratum[s].tolist() for s in names]
+    rows = dict(zip(result.link_ids, zip(*columns)))
     _write_csv(path, ["link_id", "flow_total"] + [f"flow:{s}" for s in names],
-               ([lid, _fmt(result.flows[lid])]
-                + [_fmt(result.per_stratum_flows[s][lid]) for s in names]
-                for lid in sorted(result.flows)))
+               ([lid] + [_fmt(q) for q in rows[lid]] for lid in sorted(rows)))
 
 
 def write_scatter_csv(path, report: EvaluationReport) -> None:

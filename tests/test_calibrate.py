@@ -1,9 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from flowfit import demand
+from flowfit import assignment, demand
 from flowfit.assignment import PathSet, assign
 from flowfit.calibrate import (
     ModelObjective,
@@ -22,7 +23,7 @@ from flowfit.demand import (
     distribute,
 )
 from flowfit.metrics import TrafficCount, evaluate, geh_from_daily, split_counts
-from flowfit.network import free_flow_times
+from flowfit.network import DisconnectedZonesError, free_flow_times
 from flowfit.sample_models import (
     TOY_TRUE_BETA,
     TOY_TRUE_MU,
@@ -32,6 +33,9 @@ from flowfit.sample_models import (
 )
 
 from conftest import make_network
+
+# the package's calibrate() function shadows the module of the same name
+calibrate_module = importlib.import_module("flowfit.calibrate")
 
 
 class TestWeightVector:
@@ -297,6 +301,27 @@ class TestObjective:
         assert obj(np.array([1.0, 0.0])) == math.inf
         assert obj.furness_failures == 1
 
+    def test_iterative_evaluation_builds_a_path_set_per_later_iteration(
+            self, toy_setup, monkeypatch):
+        zones, net, counts = toy_setup
+        obj = ModelObjective(zones, net, toy_strata(), counts,
+                             assignment_mode="iterative", n_outer=4, gap_tol=0.0)
+        built = count_path_sets(monkeypatch, assignment)
+        for x in ([0.9, 0.08], [0.7, 0.074]):
+            obj(np.array(x))
+        # iteration 1 runs on the objective's free-flow path set
+        assert len(built) == 2 * 3
+
+    @pytest.mark.parametrize("mode", ["oneoff", "iterative"])
+    def test_disconnected_zones_rejected_at_construction(self, mode):
+        net = make_network(["a", "b"], [("ab", "a", "b", 5.0)], {"z1": "a", "z2": "b"})
+        zones = [Zone("z1", attributes={"population": 100.0}),
+                 Zone("z2", attributes={"population": 200.0})]
+        stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
+        with pytest.raises(DisconnectedZonesError):
+            ModelObjective(zones, net, [stratum], [TrafficCount("ab", 50.0)],
+                           assignment_mode=mode)
+
     def test_unknown_count_link_rejected_up_front(self, toy_setup):
         zones, net, _ = toy_setup
         with pytest.raises(ValueError, match="unknown link"):
@@ -365,7 +390,29 @@ class TestCalibrate:
             calibrate(zones, net, toy_strata(), [])
 
 
+def count_path_sets(monkeypatch, *modules) -> list:
+    """Patch PathSet in each module with a subclass that logs every build."""
+    built = []
+
+    class Counting(PathSet):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, "PathSet", Counting)
+    return built
+
+
 class TestSplitTest:
+    def test_oneoff_grid_builds_one_path_set(self, toy_setup, monkeypatch):
+        zones, net, counts = toy_setup
+        built = count_path_sets(monkeypatch, assignment, calibrate_module)
+        results = split_test(zones, net, toy_strata(1.0, 0.09), counts,
+                             fractions=[0.5, 0.7], seeds=[0, 1, 2], max_evals=20)
+        assert len(results) == 6
+        assert len(built) == 1
+
     def test_grid_shape_and_ordering(self, toy_setup):
         zones, net, counts = toy_setup
         results = split_test(zones, net, toy_strata(1.0, 0.09), counts,

@@ -100,6 +100,41 @@ class TestValidateCommand:
         assert main(["validate", str(toy_spec)]) == 2
         assert message in capsys.readouterr().out
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("calibration", "method", "bogus", "method must be one of"),
+        ("calibration", "assignment_mode", "bogus", "assignment_mode must be one of"),
+        ("assignment", "n_outer", 0, "n_outer must be >= 1, got 0"),
+        ("strata", "mu", True, "strata[0].mu: expected float, got True"),
+        ("strata", "beta", "0.1", "strata[0].beta: expected float, got '0.1'"),
+        ("strata", "name", 7, "strata[0].name: expected str, got 7"),
+        ("strata", "deterrence", "bogus", "unknown deterrence kind 'bogus'"),
+        ("strata", "colour", "red", "unexpected keyword argument 'colour'"),
+    ])
+    def test_option_value_rejected_by_its_class_exits_two(self, toy_spec, capsys,
+                                                           section, key, value, message):
+        raw = yaml.safe_load(toy_spec.read_text())
+        entry = raw["strata"][0] if section == "strata" else raw[section]
+        entry[key] = value
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 2
+        out = capsys.readouterr().out
+        assert message in out
+        assert "1 issue(s)" in out  # a wrong type gives no second diagnostic
+
+    @pytest.mark.parametrize("derivation, message", [
+        ({"attribute": "jobs", "method": "bogus", "source": "population"},
+         "derivations[0]: unknown method 'bogus'"),
+        ({"attribute": "jobs", "method": "jobs_from_population", "source": "population",
+          "cutoff": "5000"}, "derivations[0].cutoff: expected float, got '5000'"),
+        ("jobs", "derivations[0]: expected a mapping, got 'jobs'"),
+    ])
+    def test_bad_derivation_exits_two(self, toy_spec, capsys, derivation, message):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw["derivations"] = [derivation]
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 2
+        assert message in capsys.readouterr().out
+
     def test_integer_stands_for_a_float_option(self, toy_spec, capsys):
         raw = yaml.safe_load(toy_spec.read_text())
         raw["assignment"]["gap_tol"] = 0
@@ -225,6 +260,22 @@ class TestSplitTestCommand:
         rows = read_csv(out / "split_test.csv")
         assert len(rows) == 70
         assert len({r["fraction"] for r in rows}) == 7
+
+    @pytest.mark.parametrize("args, message", [
+        (["--seeds", "0"], "expected a positive integer, got '0'"),
+        (["--seeds", "-2"], "expected a positive integer"),
+        (["--fractions", "1.5"], "bad fractions '1.5'"),
+        (["--fractions", "0.5,1.0"], "bad fractions"),
+        (["--fractions", "0.0..0.5"], "bad fractions"),
+        (["--fractions", "0.9..0.3"], "bad fractions"),
+        (["--fractions", ","], "bad fractions"),
+    ])
+    def test_bad_grid_arguments_exit_two(self, toy_spec, tmp_path, capsys, args, message):
+        with pytest.raises(SystemExit) as err:
+            main(["split-test", str(toy_spec), "-o", str(tmp_path / "out"), *args])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_forwards_simulated_annealing_options(self, tmp_path):
         zones, net = eight_zone_star()

@@ -30,6 +30,11 @@ def test_script_help_exits_zero(script):
     assert "usage:" in out.stdout
 
 
+@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
+def test_script_is_listed_in_readme(script):
+    assert f"`{script.name}`" in (ROOT / "README.md").read_text()
+
+
 def test_toy_instance_regenerates_byte_identical(tmp_path):
     out = run_script(ROOT / "scripts" / "make_toy_instance.py", tmp_path)
     assert out.returncode == 0, out.stderr
