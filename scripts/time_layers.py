@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time path building, Furness balancing, one objective evaluation and MSA-5
-assignment on a grid instance.
+"""Time path building, Furness balancing, one objective evaluation, MSA-5
+assignment and model loading on a grid instance.
 
 Builds grid_region(NX, NY, seed=0), then times with time.perf_counter, each
 repeated and reported as the median:
@@ -14,7 +14,9 @@ repeated and reported as the median:
     against 250 counts generated there with GEH noise 1 (every
     positive-flow link, if the grid has fewer);
   * assign_iterative of that one stratum with n_outer = 5 and gap_tol = 0,
-    so all five MSA iterations run.
+    so all five MSA iterations run;
+  * load_model of the instance, its counts and that stratum, written once
+    with write_model to a temporary directory.
 
 Prints one JSON object. Wall times depend on the machine; compare two
 versions of flowfit by running this script against each, alternately.
@@ -26,6 +28,7 @@ import argparse
 import json
 import platform
 import statistics
+import tempfile
 import time
 
 import numpy as np
@@ -33,6 +36,7 @@ import numpy as np
 from flowfit.assignment import PathSet, assign_iterative
 from flowfit.calibrate import ModelObjective
 from flowfit.demand import DemandStratum, furness_balance, generate_trip_ends, seed_matrix
+from flowfit.model_io import load_model, write_model
 from flowfit.network import free_flow_times
 from flowfit.sample_models import grid_region, synthetic_counts
 
@@ -95,6 +99,12 @@ def main() -> None:
     median, runs, outcome = timed(
         lambda: assign_iterative(net, zones, [stratum], 5, gap_tol=0.0), args.repeats)
     rows.append({"layer": "MSA-5 assign_iterative", "mu": MU, "beta": J_BETA,
+                 "median_s": median, "runs_s": runs, "outcome": outcome})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = write_model(tmp, zones, net, counts, [stratum])
+        median, runs, outcome = timed(lambda: load_model(spec), args.repeats)
+    rows.append({"layer": "load_model", "mu": None, "beta": None,
                  "median_s": median, "runs_s": runs, "outcome": outcome})
 
     print(json.dumps({

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -52,7 +53,8 @@ class WeightVector:
     @classmethod
     def from_strata(cls, strata, bounds=None, overrides=None) -> "WeightVector":
         """Pack stratum weights; bounds by parameter name, overridable per
-        "<stratum>.<param>" key. Strata must have distinct names."""
+        "<stratum>.<param>" key, which must name a stratum's parameter.
+        Strata must have distinct names."""
         require_unique_names(strata)
         bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
         overrides = overrides or {}
@@ -68,6 +70,10 @@ class WeightVector:
                         f"{s.name}.{param} = {value!r} outside bounds [{lo}, {hi}]"
                     )
                 entries.append(WeightEntry(s.name, param, value, lo, hi))
+        named = {f"{e.stratum}.{e.param}" for e in entries}
+        unknown = [key for key in overrides if key not in named]
+        if unknown:
+            raise ValueError(f"bound_overrides name no stratum parameter: {unknown}")
         return cls(tuple(entries))
 
     def values(self) -> np.ndarray:
@@ -308,6 +314,11 @@ def simulated_annealing(
         _nelder_mead_core(rec, rec.best_x, lo, hi, 1e-8, 1e-10,
                           rec.n + 200 * max(n, 2))
     return OptimizeResult(rec.best_x, rec.best, rec.history, rec.n, True)
+
+
+# simulated_annealing's tuning options, accepted as calibrate's sa_options
+SA_OPTIONS = tuple(name for name, p in inspect.signature(simulated_annealing).parameters.items()
+                   if p.kind is p.KEYWORD_ONLY and name != "x0")
 
 
 class ModelObjective:

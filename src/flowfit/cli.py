@@ -131,14 +131,19 @@ def cmd_calibrate(args) -> int:
 
 
 def _parse_fractions(raw: str) -> list[float]:
-    """"0.3..0.9" expands in steps of 0.1; otherwise a comma list like "0.3,0.5".
-    Every fraction must lie strictly between 0 and 1."""
+    """"0.3..0.9" expands in steps of 0.1 and must span a whole number of
+    them; otherwise a comma list like "0.3,0.5". Every fraction must lie
+    strictly between 0 and 1."""
     raw = raw.strip()
     if ".." in raw:
         lo_s, hi_s = raw.split("..", 1)
         lo, hi = float(lo_s), float(hi_s)
-        steps = int(round((hi - lo) / 0.1)) if lo <= hi else -1
-        fractions = [round(lo + 0.1 * k, 10) for k in range(steps + 1)]
+        # ends outside (0, 1) or reversed: no steps, so no fractions
+        steps = (hi - lo) / 0.1 if 0.0 < lo <= hi < 1.0 else -1.0
+        if abs(steps - round(steps)) > 1e-9:
+            raise argparse.ArgumentTypeError(
+                f"bad fractions {raw!r}: a range must span whole steps of 0.1")
+        fractions = [round(lo + 0.1 * k, 10) for k in range(round(steps) + 1)]
     else:
         fractions = [float(tok) for tok in raw.split(",") if tok.strip()]
     if not fractions or not all(0.0 < f < 1.0 for f in fractions):
@@ -233,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--fractions", type=_parse_fractions, default="0.3..0.9",
-                   help='range "0.3..0.9" (step 0.1) or comma list (default: %(default)s)')
+                   help='range "0.3..0.9" (whole steps of 0.1) or comma list '
+                        '(default: %(default)s)')
     p.add_argument("--seeds", type=_positive_int, default=10,
                    help="number of random seeds 0..N-1 (default: %(default)s)")
     p.add_argument("--method", choices=CALIBRATION_METHODS)

@@ -8,10 +8,13 @@ road appears as two rows):
     links.csv:  link_id,from_node,to_node,t0_min,capacity_veh24h[,alpha1,alpha2,length_km]
     counts.csv: link_id,observed_veh24h[,bidirectional]
 
-Ids are non-empty, and unique except in counts.csv. Blank optional cells
-take Link's defaults. A bidirectional count is split 50/50 onto the named
-link and its reverse. The model spec and scenarios are single YAML
-mappings; see data/toy/. Scenario edits name links.csv columns as fields.
+Ids are non-empty, and unique except in counts.csv. One converter reads
+every other cell and every scenario edit field: a blank optional cell takes
+its field's default, a blank attr: cell leaves that attribute off the zone.
+A bidirectional count is split 50/50 onto the named link and its reverse.
+The model spec and scenarios are single YAML mappings; see data/toy/.
+Scenario edits name links.csv columns as fields. load_model reports
+network.validate's findings with the file and line of each link or zone.
 """
 
 from __future__ import annotations
@@ -26,26 +29,44 @@ import yaml
 from .assignment import ASSIGNMENT_MODES, DEFAULT_GAP_TOL, DEFAULT_N_OUTER, AssignmentResult
 from .calibrate import (
     CALIBRATION_METHODS,
+    DEFAULT_BOUNDS,
     DEFAULT_FATOL,
     DEFAULT_MAX_EVALS,
     DEFAULT_XATOL,
+    SA_OPTIONS,
     CalibrationResult,
+    WeightVector,
 )
 from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs, require_unique_names
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
-from .network import Link, Network, Node, validate
+from .network import Link, Network, Node, findings, validate
 
 ATTR_PREFIX = "attr:"
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
 
 # Each table's columns: the reader requires them, the writer's header starts
 # with them, and the first holds the table's ids.
 _ZONE_COLUMNS = ("zone_id", "name", "x", "y", "anchor_node")
 _NODE_COLUMNS = ("node_id", "x", "y")
 _COUNT_COLUMNS = ("link_id", "observed_veh24h")
-# links.csv columns after link_id -> (Link field, conversion), in Link's field
-# order; one map for the reader, the scenario edits and the writer. A field
-# with a default in Link makes its column optional, and fills a blank cell.
-_LINK_FIELD_MAP = {
+# Each table's columns after its id -> (field, conversion), read by _convert
+# with the defaults beside them; a zone's attr: columns join at read time.
+_ZONE_FIELDS = {"name": ("name", str), "x": ("x", float), "y": ("y", float),
+                "anchor_node": ("anchor", str)}
+_ZONE_DEFAULTS = {**_defaults(Zone), "anchor": ""}  # validate reports a blank anchor
+_NODE_FIELDS = {"x": ("x", float), "y": ("y", float)}
+_NODE_DEFAULTS = _defaults(Node)
+_COUNT_FIELDS = {"observed_veh24h": ("observed", float),
+                 "bidirectional": ("bidirectional", lambda raw: raw in ("1", "true", "yes"))}
+_COUNT_DEFAULTS = {"bidirectional": False}
+# links.csv in Link's field order; one map for the reader, the scenario edits
+# and the writer. A field with a default in Link makes its column optional.
+_LINK_FIELDS = {
     "from_node": ("from_node", str),
     "to_node": ("to_node", str),
     "t0_min": ("t0", float),
@@ -54,9 +75,8 @@ _LINK_FIELD_MAP = {
     "alpha2": ("alpha2", float),
     "length_km": ("length", float),
 }
-_LINK_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Link)
-                  if f.default is not dataclasses.MISSING}
-_LINK_REQUIRED = ("link_id", *(c for c, (name, _) in _LINK_FIELD_MAP.items()
+_LINK_DEFAULTS = _defaults(Link)
+_LINK_REQUIRED = ("link_id", *(c for c, (name, _) in _LINK_FIELDS.items()
                                if name not in _LINK_DEFAULTS))
 
 
@@ -104,6 +124,11 @@ class CalibrationOptions:
         if self.assignment_mode not in ASSIGNMENT_MODES:
             raise ValueError(f"assignment_mode must be one of {ASSIGNMENT_MODES}, "
                              f"got {self.assignment_mode!r}")
+        for key, accepted in (("sa", SA_OPTIONS), ("bounds", tuple(DEFAULT_BOUNDS))):
+            unknown = [k for k in getattr(self, key) if k not in accepted]
+            if unknown:
+                raise ValueError(
+                    f"unknown {key} key(s) {unknown}; accepted: {', '.join(accepted)}")
 
 
 _DERIVATION_METHODS = ("jobs_from_population",)
@@ -139,19 +164,12 @@ class ModelSpec:
 
 @dataclass
 class LoadedModel:
-    spec: ModelSpec
     zones: list[Zone]
     network: Network
     counts: list[TrafficCount]
     strata: list[DemandStratum]
-
-    @property
-    def assignment(self) -> AssignmentOptions:
-        return self.spec.assignment
-
-    @property
-    def calibration(self) -> CalibrationOptions:
-        return self.spec.calibration
+    assignment: AssignmentOptions
+    calibration: CalibrationOptions
 
 
 @dataclass
@@ -181,9 +199,10 @@ def _fmt(value) -> str:
 class _RowReader:
     """CSV reader that records per-row diagnostics instead of raising.
 
-    Yields (lineno, id, row) for rows with the header's column count and a
-    non-empty id, the first required column; unique=True also skips repeated
-    ids. linenos maps each id to its first line.
+    records() yields (lineno, id, values) for rows with the header's column
+    count, a non-empty id (the first required column) and cells that all
+    convert; unique=True also skips repeated ids. linenos maps each id to
+    its first line.
     """
 
     def __init__(self, path: Path, required: tuple, diagnostics: list[str], unique: bool = True):
@@ -206,7 +225,9 @@ class _RowReader:
             else:
                 self.rows = list(reader)
 
-    def __iter__(self):
+    def records(self, columns: dict, defaults: dict):
+        """Each row's id and its cells converted by _convert; a row with any
+        problem is reported with its line and skipped."""
         # header is line 1, first data row line 2
         for lineno, row in enumerate(self.rows, start=2):
             if row.get(None) or None in row.values():
@@ -221,44 +242,35 @@ class _RowReader:
             elif self.unique:
                 self.error(lineno, f"duplicate {self.id_column} {rid!r}")
                 continue
-            yield lineno, rid, row
+            problems: list[str] = []
+            values = _convert(row, columns, defaults, problems)
+            for problem in problems:
+                self.error(lineno, problem)
+            if not problems:
+                yield lineno, rid, values
 
     def error(self, lineno: int, message: str):
         self.diagnostics.append(f"{self.path}:{lineno}: {message}")
 
-    def number(self, lineno: int, row: dict, column: str, default=None):
-        raw = (row.get(column) or "").strip()
-        if raw == "":
-            if default is not None:
-                return default
-            self.error(lineno, f"column {column!r} is empty")
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            self.error(lineno, f"column {column!r}: not a number: {raw!r}")
-            return None
 
-
-def _link_fields(cells: dict, defaults: dict, problems: list[str]) -> list:
-    """Link field values after link_id, in field order, from a links.csv row
-    or a scenario edit's fields. A blank or absent cell takes its value from
-    defaults; one without a default, or one that does not convert, is
-    appended to problems with its column and value."""
-    values = []
-    add = values.append
-    for column, (name, convert) in _LINK_FIELD_MAP.items():
+def _convert(cells: dict, columns: dict, defaults: dict, problems: list[str]) -> dict:
+    """Field values by name from a CSV row or a scenario edit's fields, for
+    each column -> (field, conversion) in columns. A blank or absent cell
+    takes its field's value from defaults; one without a default, or one that
+    does not convert, is appended to problems with its column and value."""
+    values = {}
+    for column, (name, convert) in columns.items():
         raw = cells.get(column, "")
         if isinstance(raw, str):
             raw = raw.strip()
             if not raw:
                 if name in defaults:
-                    add(defaults[name])
+                    values[name] = defaults[name]
                 else:
                     problems.append(f"column {column!r} is empty")
                 continue
         try:
-            add(convert(raw))
+            values[name] = convert(raw)
         except (TypeError, ValueError):
             problems.append(f"column {column!r}: not a number: {raw!r}")
     return values
@@ -269,48 +281,27 @@ def load_zone_rows(path: Path, diagnostics: list[str]):
     reader = _RowReader(path, _ZONE_COLUMNS, diagnostics)
     zones: list[Zone] = []
     anchors: dict[str, str] = {}
-    attr_cols = [c for c in reader.fieldnames if c.startswith(ATTR_PREFIX)]
-    for lineno, zid, row in reader:
-        x = reader.number(lineno, row, "x", 0.0)
-        y = reader.number(lineno, row, "y", 0.0)
-        attrs = {}
-        for col in attr_cols:
-            raw = (row.get(col) or "").strip()
-            if raw == "":
-                continue
-            value = reader.number(lineno, row, col)
-            if value is not None:
-                attrs[col[len(ATTR_PREFIX):]] = value
-        if x is None or y is None:
-            continue
-        zones.append(Zone(zid, (row.get("name") or "").strip(), x, y, attrs))
-        anchors[zid] = (row.get("anchor_node") or "").strip()
+    # an attr: column's field is the column itself, so it cannot clash with
+    # name, x or y; its None default marks a blank cell
+    attrs = [(c, c[len(ATTR_PREFIX):]) for c in reader.fieldnames if c.startswith(ATTR_PREFIX)]
+    columns = {**_ZONE_FIELDS, **{c: (c, float) for c, _ in attrs}}
+    defaults = {**_ZONE_DEFAULTS, **{c: None for c, _ in attrs}}
+    for _, zid, values in reader.records(columns, defaults):
+        anchors[zid] = values.pop("anchor")
+        attributes = {a: v for c, a in attrs if (v := values.pop(c)) is not None}
+        zones.append(Zone(zid, **values, attributes=attributes))
     return zones, anchors, reader.linenos
 
 
 def load_node_rows(path: Path, diagnostics: list[str]) -> list[Node]:
     reader = _RowReader(path, _NODE_COLUMNS, diagnostics)
-    nodes: list[Node] = []
-    for lineno, nid, row in reader:
-        x = reader.number(lineno, row, "x", 0.0)
-        y = reader.number(lineno, row, "y", 0.0)
-        if x is None or y is None:
-            continue
-        nodes.append(Node(nid, x, y))
-    return nodes
+    return [Node(nid, **values) for _, nid, values in reader.records(_NODE_FIELDS, _NODE_DEFAULTS)]
 
 
 def load_link_rows(path: Path, diagnostics: list[str]):
     """Returns (links, linenos) parsed from links.csv."""
     reader = _RowReader(path, _LINK_REQUIRED, diagnostics)
-    links: list[Link] = []
-    for lineno, lid, row in reader:
-        problems: list[str] = []
-        values = _link_fields(row, _LINK_DEFAULTS, problems)
-        for problem in problems:
-            reader.error(lineno, problem)
-        if not problems:
-            links.append(Link(lid, *values))
+    links = [Link(lid, **values) for _, lid, values in reader.records(_LINK_FIELDS, _LINK_DEFAULTS)]
     return links, reader.linenos
 
 
@@ -318,16 +309,11 @@ def load_count_rows(path: Path, diagnostics: list[str]) -> list[dict]:
     # one link may be counted on several rows
     reader = _RowReader(path, _COUNT_COLUMNS, diagnostics, unique=False)
     rows: list[dict] = []
-    for lineno, lid, row in reader:
-        observed = reader.number(lineno, row, "observed_veh24h")
-        if observed is None:
+    for lineno, lid, values in reader.records(_COUNT_FIELDS, _COUNT_DEFAULTS):
+        if values["observed"] < 0:
+            reader.error(lineno, f"negative observed flow {values['observed']!r}")
             continue
-        if observed < 0:
-            reader.error(lineno, f"negative observed flow {observed!r}")
-            continue
-        bidi = (row.get("bidirectional") or "").strip() in ("1", "true", "yes")
-        rows.append({"lineno": lineno, "link_id": lid, "observed": observed,
-                     "bidirectional": bidi})
+        rows.append({"lineno": lineno, "link_id": lid, **values})
     return rows
 
 
@@ -466,6 +452,12 @@ def _parse_spec(path: Path) -> ModelSpec:
                     f"{cal_where}{key}.{name}: expected a list of two numbers, got {pair!r}")
     cal_raw["sa"] = dict(_entry(cal_raw, "sa", dict, cal_where, diagnostics))
     calibration = _options(CalibrationOptions, cal_raw, f"{where}calibration", diagnostics)
+    if not diagnostics:
+        # the strata's weights in the calibration box, as calibrate checks them
+        try:
+            WeightVector.from_strata(strata, calibration.bounds, calibration.bound_overrides)
+        except ValueError as exc:
+            diagnostics.append(f"{where}calibration: {exc}")
 
     if diagnostics:
         raise ModelLoadError("parse", diagnostics)
@@ -480,6 +472,27 @@ def _parse_spec(path: Path) -> ModelSpec:
         assignment=assignment,
         calibration=calibration,
     )
+
+
+def _unknown_attributes(zones: list[Zone], rules: list[DerivationRule], strata) -> list[str]:
+    """One walk over the attributes in use: a derivation's source must be
+    declared on a zone or derived by an earlier rule, a stratum's attributes
+    declared or derived by any rule."""
+    known = {a for z in zones for a in z.attributes}
+    issues: list[str] = []
+
+    def require(owner: str, attr: str):
+        if attr not in known:
+            issues.append(
+                f"{owner}: attribute {attr!r} is neither declared on any zone nor derived")
+
+    for rule in rules:
+        require(f"derivation of {rule.attribute!r}", rule.source)
+        known.add(rule.attribute)
+    for s in strata:
+        require(f"stratum {s.name!r}", s.production_attr)
+        require(f"stratum {s.name!r}", s.attraction_attr)
+    return issues
 
 
 def _apply_derivations(zones: list[Zone], rules: list[DerivationRule]) -> list[Zone]:
@@ -498,8 +511,9 @@ def load_model(path) -> LoadedModel:
     """Parse, derive attributes, and validate a complete model instance.
 
     Parse problems raise ModelLoadError(stage="parse"); semantic problems
-    (dangling references, invariant violations) are aggregated and raised
-    as ModelLoadError(stage="validation").
+    (network.validate's findings, each with its links.csv or zones.csv line,
+    unknown or negative attributes, unresolved counts) are aggregated and
+    raised as ModelLoadError(stage="validation").
     """
     path = Path(path)
     spec = _parse_spec(path)
@@ -512,52 +526,26 @@ def load_model(path) -> LoadedModel:
     if parse_diag:
         raise ModelLoadError("parse", parse_diag)
 
-    zones = _apply_derivations(zones, spec.derivations)
-
-    # cross-reference checks first, with file and row attached
+    # the readers already dropped duplicate ids, so from_parts does not raise
+    network = Network.from_parts(nodes, links, anchors)
     diagnostics: list[str] = []
-    node_ids = {n.node_id for n in nodes}
-    for link in links:
-        for attr in ("from_node", "to_node"):
-            nid = getattr(link, attr)
-            if nid not in node_ids:
-                diagnostics.append(
-                    f"{spec.links_path}:{link_lines[link.link_id]}: "
-                    f"link {link.link_id!r}: unknown {attr} {nid!r}"
-                )
+    lines = {"links": (spec.links_path, link_lines), "zones": (spec.zones_path, zone_lines)}
+    for table, rid, message in findings(network):
+        source, linenos = lines[table]
+        diagnostics.append(f"{source}:{linenos[rid]}: {message}")
+    diagnostics.extend(_unknown_attributes(zones, spec.derivations, spec.strata))
+    zones = _apply_derivations(zones, spec.derivations)
     for zone in zones:
-        anchor = anchors.get(zone.zone_id, "")
-        if anchor not in node_ids:
-            diagnostics.append(
-                f"{spec.zones_path}:{zone_lines[zone.zone_id]}: "
-                f"zone {zone.zone_id!r}: unknown anchor node {anchor!r}"
-            )
         for attr, value in zone.attributes.items():
             if value < 0:
                 diagnostics.append(
                     f"{spec.zones_path}:{zone_lines[zone.zone_id]}: "
                     f"attribute {attr!r} is negative ({value!r})"
                 )
-    known_attrs = {a for z in zones for a in z.attributes}
-    for s in spec.strata:
-        for attr in (s.production_attr, s.attraction_attr):
-            if attr not in known_attrs:
-                diagnostics.append(
-                    f"stratum {s.name!r}: attribute {attr!r} is neither declared "
-                    "on any zone nor derived"
-                )
-    # the readers already dropped duplicate ids, so from_parts does not raise
-    network = Network.from_parts(nodes, links, anchors)
     counts = _resolve_counts(count_rows, network, spec.counts_path, diagnostics)
-    # reference errors were already reported above with file:line attached;
-    # validate() adds invariant and connectivity findings on top
-    diagnostics.extend(
-        d for d in validate(network)
-        if "is not a known node" not in d
-    )
     if diagnostics:
         raise ModelLoadError("validation", diagnostics)
-    return LoadedModel(spec, zones, network, counts, spec.strata)
+    return LoadedModel(zones, network, counts, spec.strata, spec.assignment, spec.calibration)
 
 
 def load_scenario(path) -> Scenario:
@@ -613,12 +601,12 @@ def apply_scenario(network: Network, scenario: Scenario) -> Network:
                 diagnostics.append(f"modify_link: unknown link {edit.link_id!r}")
                 continue
             base = dataclasses.asdict(links[edit.link_id])
-        problems = [f"unknown field {key!r}" for key in edit.fields if key not in _LINK_FIELD_MAP]
-        values = _link_fields(edit.fields, base, problems)
+        problems = [f"unknown field {key!r}" for key in edit.fields if key not in _LINK_FIELDS]
+        values = _convert(edit.fields, _LINK_FIELDS, base, problems)
         if problems:
             diagnostics.extend(f"{edit.action} {edit.link_id!r}: {p}" for p in problems)
         else:
-            links[edit.link_id] = Link(edit.link_id, *values)
+            links[edit.link_id] = Link(edit.link_id, **values)
     if diagnostics:
         raise ModelLoadError("validation", diagnostics)
     edited = Network(dict(network.nodes), links, dict(network.zone_anchors))
@@ -671,8 +659,8 @@ def write_model(
                ([n.node_id, _fmt(n.x), _fmt(n.y)] for _, n in sorted(network.nodes.items())))
     _write_csv(
         directory / "links.csv",
-        ["link_id", *_LINK_FIELD_MAP],
-        ([l.link_id] + [_fmt(getattr(l, name)) for name, _ in _LINK_FIELD_MAP.values()]
+        ["link_id", *_LINK_FIELDS],
+        ([l.link_id] + [_fmt(getattr(l, name)) for name, _ in _LINK_FIELDS.values()]
          for _, l in sorted(network.links.items())),
     )
     _write_csv(directory / "counts.csv", _COUNT_COLUMNS,

@@ -247,31 +247,31 @@ def _reached(start: np.ndarray, tail: np.ndarray, head: np.ndarray) -> np.ndarra
     return seen
 
 
-def validate(network: Network) -> list[str]:
-    """Diagnostics for every violated network invariant; empty when clean."""
-    issues: list[str] = []
+def findings(network: Network):
+    """Every violated network invariant as (table, id, message), where table
+    is "links" or "zones" and id the link or zone it concerns."""
     refs_ok = True
     for lid in sorted(network.links):
         link = network.links[lid]
         for attr in ("from_node", "to_node"):
             nid = getattr(link, attr)
             if nid not in network.nodes:
-                issues.append(f"link {lid!r}: {attr} {nid!r} is not a known node")
+                yield "links", lid, f"link {lid!r}: {attr} {nid!r} is not a known node"
                 refs_ok = False
         if link.from_node == link.to_node:
-            issues.append(f"link {lid!r}: from_node equals to_node ({link.from_node!r})")
+            yield "links", lid, f"link {lid!r}: from_node equals to_node ({link.from_node!r})"
         if not link.t0 > 0:
-            issues.append(f"link {lid!r}: t0 must be > 0, got {link.t0!r}")
+            yield "links", lid, f"link {lid!r}: t0 must be > 0, got {link.t0!r}"
         if not link.q_max > 0:
-            issues.append(f"link {lid!r}: q_max must be > 0, got {link.q_max!r}")
+            yield "links", lid, f"link {lid!r}: q_max must be > 0, got {link.q_max!r}"
         if link.alpha1 < 0:
-            issues.append(f"link {lid!r}: alpha1 must be >= 0, got {link.alpha1!r}")
+            yield "links", lid, f"link {lid!r}: alpha1 must be >= 0, got {link.alpha1!r}"
         if link.alpha2 < 1:
-            issues.append(f"link {lid!r}: alpha2 must be >= 1, got {link.alpha2!r}")
+            yield "links", lid, f"link {lid!r}: alpha2 must be >= 1, got {link.alpha2!r}"
     for zid in sorted(network.zone_anchors):
         anchor = network.zone_anchors[zid]
         if anchor not in network.nodes:
-            issues.append(f"zone {zid!r}: anchor node {anchor!r} is not a known node")
+            yield "zones", zid, f"zone {zid!r}: anchor node {anchor!r} is not a known node"
             refs_ok = False
 
     if refs_ok and network.zone_anchors:
@@ -284,11 +284,13 @@ def validate(network: Network) -> list[str]:
         for zid in zone_ids:
             anchor = network.zone_anchors[zid]
             if not forward[network.node_index[anchor]]:
-                issues.append(
-                    f"zone {zid!r}: anchor {anchor!r} unreachable from zone {root_zone!r}"
-                )
+                yield "zones", zid, (
+                    f"zone {zid!r}: anchor {anchor!r} unreachable from zone {root_zone!r}")
             if not backward[network.node_index[anchor]]:
-                issues.append(
-                    f"zone {zid!r}: anchor {anchor!r} cannot reach zone {root_zone!r}"
-                )
-    return issues
+                yield "zones", zid, (
+                    f"zone {zid!r}: anchor {anchor!r} cannot reach zone {root_zone!r}")
+
+
+def validate(network: Network) -> list[str]:
+    """Diagnostics for every violated network invariant; empty when clean."""
+    return [message for _, _, message in findings(network)]

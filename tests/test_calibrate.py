@@ -66,6 +66,12 @@ class TestWeightVector:
         with pytest.raises(ValueError, match=r"strata share a name: \['a'\]"):
             WeightVector.from_strata(strata)
 
+    def test_override_naming_no_stratum_parameter_rejected(self):
+        strata = [DemandStratum("a", "population", "population", 1.0, 0.1)]
+        for key in ("nobody.mu", "a.gamma", "a"):
+            with pytest.raises(ValueError, match=rf"name no stratum parameter: \['{key}'\]"):
+                WeightVector.from_strata(strata, overrides={key: (0.0, 1.0)})
+
     def test_apply_roundtrip(self):
         strata = [DemandStratum("a", "population", "population", 1.0, 0.1)]
         wv = WeightVector.from_strata(strata).with_values([0.7, 0.074])

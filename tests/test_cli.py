@@ -135,6 +135,52 @@ class TestValidateCommand:
         assert main(["validate", str(toy_spec)]) == 2
         assert message in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sa", {"n_sweep": 5}, "calibration: unknown sa key(s) ['n_sweep']; accepted: "
+         "initial_temp, cooling, n_sweeps, steps_per_sweep, restarts, polish"),
+        ("bounds", {"mu": [3, 0]}, "calibration: everyone.mu = 1.5 outside bounds [3, 0]"),
+        ("bounds", {"mu": [0, float("inf")]}, "calibration: everyone.mu: bounds must be finite"),
+        ("bounds", {"gamma": [0, 1]},
+         "calibration: unknown bounds key(s) ['gamma']; accepted: mu, beta"),
+        ("bound_overrides", {"nobody.mu": [0, 1]},
+         "calibration: bound_overrides name no stratum parameter: ['nobody.mu']"),
+    ])
+    def test_calibration_section_that_calibrate_rejects_exits_two(self, toy_spec, capsys,
+                                                                   key, value, message):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw["calibration"][key] = value
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 2
+        out = capsys.readouterr().out
+        assert message in out
+        assert "1 issue(s)" in out
+
+    def test_calibration_section_that_calibrate_accepts_exits_zero(self, toy_spec, capsys):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw["calibration"].update(
+            bounds={"mu": [1, 2]}, bound_overrides={"everyone.beta": [0.05, 0.2]},
+            sa={"n_sweeps": 1, "steps_per_sweep": 2, "restarts": 0, "polish": False})
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 0
+        assert main(["calibrate", str(toy_spec), "-o", str(toy_spec.parent / "out"),
+                     "--method", "simulated_annealing"]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sources, code", [
+        (["populaton"], 3), (["jobs", "population"], 3), (["population", "jobs"], 0),
+    ])
+    def test_derivation_source_must_be_declared_or_derived_earlier(self, toy_spec, capsys,
+                                                                     sources, code):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw["derivations"] = [
+            {"attribute": f"jobs{'2' * k}", "method": "jobs_from_population", "source": src}
+            for k, src in enumerate(sources)]
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == code
+        if code:
+            assert f"attribute {sources[0]!r} is neither declared on any zone nor derived" \
+                in capsys.readouterr().out
+
     def test_integer_stands_for_a_float_option(self, toy_spec, capsys):
         raw = yaml.safe_load(toy_spec.read_text())
         raw["assignment"]["gap_tol"] = 0
@@ -269,6 +315,10 @@ class TestSplitTestCommand:
         (["--fractions", "0.0..0.5"], "bad fractions"),
         (["--fractions", "0.9..0.3"], "bad fractions"),
         (["--fractions", ","], "bad fractions"),
+        (["--fractions", "0.3..0.85"],
+         "bad fractions '0.3..0.85': a range must span whole steps of 0.1"),
+        (["--fractions", "0.3..0.95"], "a range must span whole steps of 0.1"),
+        (["--fractions", "0.3..inf"], "bad fractions '0.3..inf'"),
     ])
     def test_bad_grid_arguments_exit_two(self, toy_spec, tmp_path, capsys, args, message):
         with pytest.raises(SystemExit) as err:

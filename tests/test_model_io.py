@@ -1,14 +1,19 @@
 import dataclasses
+import inspect
+import re
 
 import numpy as np
 import pytest
 import yaml
 
 from flowfit.assignment import PathSet
+from flowfit.calibrate import simulated_annealing
+from flowfit.demand import derive_jobs
 from flowfit.model_io import (
     AssignmentOptions,
     CalibrationOptions,
     LinkEdit,
+    LoadedModel,
     ModelLoadError,
     Scenario,
     apply_scenario,
@@ -16,7 +21,7 @@ from flowfit.model_io import (
     load_scenario,
     write_model,
 )
-from flowfit.network import Link, free_flow_times, validate
+from flowfit.network import Link, Network, Node, free_flow_times, validate
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
 
 
@@ -189,6 +194,162 @@ class TestLoadModel:
         model = load_model(toy_dir / "model.yaml")
         link = model.network.links[rows[1].split(",")[0]]
         assert link.alpha1 == 0.15 and link.alpha2 == 4.0
+
+
+class TestNetworkFindings:
+    """load_model reports network.validate's findings, each with the file and
+    line of the link or zone it concerns."""
+
+    def test_nonpositive_t0_names_file_and_line(self, toy_dir):
+        links = toy_dir / "links.csv"
+        rows = links.read_text().splitlines()
+        assert rows[2].startswith("n1_n3,")
+        cells = rows[2].split(",")
+        cells[3] = "-1.0"
+        rows[2] = ",".join(cells)
+        links.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ModelLoadError) as err:
+            load_model(toy_dir / "model.yaml")
+        assert err.value.stage == "validation"
+        assert err.value.diagnostics == [f"{links}:3: link 'n1_n3': t0 must be > 0, got -1.0"]
+
+    def test_isolated_anchor_names_its_zone_line_on_both_reachability_findings(self, toy_dir):
+        nodes = toy_dir / "nodes.csv"
+        nodes.write_text(nodes.read_text() + "iso,50.0,50.0\n")
+        zones = toy_dir / "zones.csv"
+        rows = zones.read_text().splitlines()
+        (lineno,) = [k + 1 for k, row in enumerate(rows) if row.startswith("Z3,")]
+        zones.write_text(zones.read_text().replace(",n3,", ",iso,"))
+        with pytest.raises(ModelLoadError) as err:
+            load_model(toy_dir / "model.yaml")
+        assert err.value.stage == "validation"
+        assert err.value.diagnostics == [
+            f"{zones}:{lineno}: zone 'Z3': anchor 'iso' unreachable from zone 'Z1'",
+            f"{zones}:{lineno}: zone 'Z3': anchor 'iso' cannot reach zone 'Z1'",
+        ]
+
+    def test_unknown_node_reference_takes_validates_wording(self, toy_dir):
+        links = toy_dir / "links.csv"
+        links.write_text(links.read_text().replace("n1_n3,n1,n3", "n1_n3,n1,n99"))
+        zones = toy_dir / "zones.csv"
+        zones.write_text(zones.read_text().replace(",n2,", ",ghost,"))
+        with pytest.raises(ModelLoadError) as err:
+            load_model(toy_dir / "model.yaml")
+        assert err.value.diagnostics == [
+            f"{links}:3: link 'n1_n3': to_node 'n99' is not a known node",
+            f"{zones}:3: zone 'Z2': anchor node 'ghost' is not a known node",
+        ]
+
+    @pytest.mark.parametrize("anchor", ["ghost", "iso"])
+    def test_diagnostics_are_validate_with_file_and_line(self, tmp_path, anchor):
+        zones, net = eight_zone_star()
+        strata = toy_strata(0.7, 0.074)
+        counts = synthetic_counts(zones, net, strata)
+        links = dict(net.links)
+        links["n1_n2"] = dataclasses.replace(links["n1_n2"], t0=-1.0, q_max=0.0)
+        links["n2_n3"] = dataclasses.replace(links["n2_n3"], alpha1=-0.5, alpha2=0.5)
+        links["n4_n5"] = dataclasses.replace(links["n4_n5"], t0=0.0)
+        links["n5_n5"] = Link("n5_n5", "n5", "n5", 1.0, 1000.0)
+        if anchor == "ghost":  # an unknown reference: reachability is not checked
+            links["n3_n4"] = dataclasses.replace(links["n3_n4"], to_node="n99")
+        nodes = {**net.nodes, "iso": Node("iso", 50.0, 50.0)}
+        broken = Network(nodes, links, {**net.zone_anchors, "Z4": anchor, "Z6": anchor})
+        issues = validate(broken)
+        assert len(issues) >= 7
+        write_model(tmp_path, zones, broken, counts, strata)
+        with pytest.raises(ModelLoadError) as err:
+            load_model(tmp_path / "model.yaml")
+        assert err.value.stage == "validation"
+        stripped = []
+        for d in err.value.diagnostics:
+            match = re.match(r"(.*/(links|zones)\.csv):(\d+): ((link|zone) '([^']*)'.*)", d)
+            assert match, d
+            path, table, lineno, message, _, rid = match.groups()
+            assert path == str(tmp_path / f"{table}.csv")
+            rows = (tmp_path / f"{table}.csv").read_text().splitlines()
+            assert rows[int(lineno) - 1].startswith(f"{rid},")
+            stripped.append(message)
+        assert stripped == issues
+
+
+class TestTableCells:
+    def test_blank_attribute_cell_leaves_the_attribute_off(self, toy_dir):
+        zones = toy_dir / "zones.csv"
+        rows = zones.read_text().splitlines()
+        rows[0] += ",attr:jobs"
+        rows[1] += ",5000"
+        rows[2:] = [row + "," for row in rows[2:]]
+        zones.write_text("\n".join(rows) + "\n")
+        model = load_model(toy_dir / "model.yaml")
+        by_id = {z.zone_id: z for z in model.zones}
+        assert by_id["Z1"].attributes == {"population": 100000.0, "jobs": 5000.0}
+        assert by_id["Z2"].attributes == {"population": 40000.0}
+
+    def test_every_bad_cell_of_a_row_is_reported(self, toy_dir):
+        zones = toy_dir / "zones.csv"
+        rows = zones.read_text().splitlines()
+        cells = rows[1].split(",")
+        cells[2], cells[5] = "east", "many"
+        rows[1] = ",".join(cells)
+        zones.write_text("\n".join(rows) + "\n")
+        counts = toy_dir / "counts.csv"
+        counts.write_text(counts.read_text() + "n1_n2,\n")
+        with pytest.raises(ModelLoadError) as err:
+            load_model(toy_dir / "model.yaml")
+        assert err.value.stage == "parse"
+        assert err.value.diagnostics == [
+            f"{zones}:2: column 'x': not a number: 'east'",
+            f"{zones}:2: column 'attr:population': not a number: 'many'",
+            f"{counts}:30: column 'observed_veh24h' is empty",
+        ]
+
+    def test_loaded_model_holds_what_it_serves(self, toy_dir):
+        assert [f.name for f in dataclasses.fields(LoadedModel)] == [
+            "zones", "network", "counts", "strata", "assignment", "calibration"]
+        model = load_model(toy_dir / "model.yaml")
+        assert model.calibration == CalibrationOptions(seed=3)
+        assert model.assignment == AssignmentOptions(mode="oneoff")
+
+
+class TestSpecChecks:
+    def test_sa_keys_are_simulated_annealings_tuning_options(self):
+        params = inspect.signature(simulated_annealing).parameters
+        tuning = [n for n, p in params.items() if p.kind is p.KEYWORD_ONLY and n != "x0"]
+        CalibrationOptions(sa=dict.fromkeys(tuning, 1))
+        for key in ("x0", "n_sweep", "seed"):
+            with pytest.raises(ValueError, match=rf"unknown sa key\(s\) \['{key}'\]"):
+                CalibrationOptions(sa={key: 1})
+
+    def test_bounds_keys_are_mu_and_beta(self):
+        CalibrationOptions(bounds={"mu": (0.0, 2.0), "beta": (0.0, 0.5)})
+        with pytest.raises(ValueError, match=r"unknown bounds key\(s\) \['gamma'\]"):
+            CalibrationOptions(bounds={"gamma": (0.0, 1.0)})
+
+    @pytest.mark.parametrize("rules, stage, message", [
+        ([("jobs", "populaton")], "validation",
+         "derivation of 'jobs': attribute 'populaton' is neither declared on any zone "
+         "nor derived"),
+        ([("jobs2", "jobs"), ("jobs", "population")], "validation",
+         "derivation of 'jobs2': attribute 'jobs' is neither declared on any zone "
+         "nor derived"),
+        ([("jobs", "population"), ("jobs2", "jobs")], None, None),
+    ])
+    def test_derivation_source_is_declared_or_derived_earlier(self, toy_dir, rules,
+                                                               stage, message):
+        spec = toy_dir / "model.yaml"
+        raw = yaml.safe_load(spec.read_text())
+        raw["derivations"] = [{"attribute": a, "method": "jobs_from_population", "source": src}
+                              for a, src in rules]
+        spec.write_text(yaml.safe_dump(raw))
+        if stage is None:
+            model = load_model(spec)
+            attrs = model.zones[0].attributes
+            assert attrs["jobs2"] == derive_jobs(attrs["jobs"])
+            return
+        with pytest.raises(ModelLoadError) as err:
+            load_model(spec)
+        assert err.value.stage == stage
+        assert err.value.diagnostics == [message]
 
 
 class TestScenario:

@@ -53,7 +53,8 @@ def test_time_layers_reports_every_row():
     assert [(r["layer"], r["beta"]) for r in report["rows"]] == [
         ("PathSet build (free flow)", None), ("furness_balance", 0.08),
         ("furness_balance", 0.3), ("furness_balance", 1.0),
-        ("one J eval (one-off)", 0.08), ("MSA-5 assign_iterative", 0.08)]
+        ("one J eval (one-off)", 0.08), ("MSA-5 assign_iterative", 0.08),
+        ("load_model", None)]
     for row in report["rows"]:
         assert row["outcome"] == "ok"
         assert len(row["runs_s"]) == 2 and row["median_s"] > 0.0
