@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time path building, Furness balancing, one objective evaluation, MSA-5
-assignment and model loading on a grid instance.
+assignment, model loading and the criterion-7 split grid.
 
 Builds grid_region(NX, NY, seed=0), then times with time.perf_counter, each
 repeated and reported as the median:
@@ -10,13 +10,21 @@ repeated and reported as the median:
   * furness_balance of the population -> population gravity seed at
     mu = 0.8 and beta 0.08, 0.3 and 1.0 (exponential deterrence), with its
     outcome;
+  * one Newton step (demand._newton_step on the beta 0.3 seed) against one
+    Furness sweep, with their cost ratio beside the flop model's, which
+    furness_balance prices a Newton step at;
+  * at beta 0.3 and 1.0, the hand-off to Newton that furness_balance makes:
+    the sweeps before it, its Newton steps, and demand._newton_balance
+    timed from the scales it was handed, also counted in sweeps;
   * one one-off ModelObjective evaluation at (mu, beta) = (0.8, 0.08)
     against 250 counts generated there with GEH noise 1 (every
     positive-flow link, if the grid has fewer);
   * assign_iterative of that one stratum with n_outer = 5 and gap_tol = 0,
     so all five MSA iterations run;
   * load_model of the instance, its counts and that stratum, written once
-    with write_model to a temporary directory.
+    with write_model to a temporary directory;
+  * split_test over the criterion-7 grid, 7 fractions x 10 seeds, on
+    grid_region(10, 8, seed=0) whatever NXxNY is.
 
 Prints one JSON object. Wall times depend on the machine; compare two
 versions of flowfit by running this script against each, alternately.
@@ -33,17 +41,33 @@ import time
 
 import numpy as np
 
+from flowfit import demand
 from flowfit.assignment import PathSet, assign_iterative
-from flowfit.calibrate import ModelObjective
-from flowfit.demand import DemandStratum, furness_balance, generate_trip_ends, seed_matrix
+from flowfit.calibrate import ModelObjective, split_test
+from flowfit.demand import (
+    FURNESS_RATE_WINDOW,
+    DemandStratum,
+    FurnessConvergenceError,
+    furness_balance,
+    generate_trip_ends,
+    seed_matrix,
+)
 from flowfit.model_io import load_model, write_model
 from flowfit.network import free_flow_times
 from flowfit.sample_models import grid_region, synthetic_counts
 
 MU, J_BETA = 0.8, 0.08
 FURNESS_BETAS = (0.08, 0.3, 1.0)
+HANDOFF_BETAS = (0.3, 1.0)
+SWEEP_CALLS = 10
 GRID_SEED = 0
 N_COUNTS = 250
+# the criterion-7 split grid: its instance, count noise, start and cells
+SPLIT_GRID = (10, 8)
+SPLIT_NOISE = 0.10
+SPLIT_START = (1.0, 0.1)
+SPLIT_FRACTIONS = tuple(round(0.3 + 0.1 * k, 1) for k in range(7))
+SPLIT_SEEDS = range(10)
 
 
 def timed(fn, repeats):
@@ -58,6 +82,46 @@ def timed(fn, repeats):
             outcome = type(exc).__name__
         runs.append(time.perf_counter() - t0)
     return statistics.median(runs), runs, outcome
+
+
+def sweeps(seed, ends):
+    """SWEEP_CALLS * FURNESS_RATE_WINDOW Furness sweeps: furness_balance
+    calls that tol = 0 does not stop early and that end before their first
+    projection could hand the balance to Newton. Each call's setup (a seed
+    check and one matrix-vector product) adds about a tenth to their time."""
+    for _ in range(SWEEP_CALLS):
+        try:
+            furness_balance(seed, ends, tol=0.0, max_iter=FURNESS_RATE_WINDOW)
+        except FurnessConvergenceError:
+            pass
+
+
+def handoff(seed, ends):
+    """(sweeps before it, its Newton steps, whether it balanced, its
+    arguments) for the hand-off to Newton that furness_balance makes at most
+    once, or None when it makes none. A sweep is two _scale calls."""
+    originals = {name: getattr(demand, name)
+                 for name in ("_scale", "_newton_step", "_newton_balance")}
+    calls, handed = dict.fromkeys(originals, 0), []
+
+    def spy(name):
+        def counted(*args):
+            calls[name] += 1
+            swept = calls["_scale"] // 2
+            out = originals[name](*args)
+            if name == "_newton_balance":
+                handed.append((swept, calls["_newton_step"], out is not None, args))
+            return out
+        return counted
+
+    for name in originals:
+        setattr(demand, name, spy(name))
+    try:
+        furness_balance(seed, ends)
+    finally:
+        for name, original in originals.items():
+            setattr(demand, name, original)
+    return handed[0] if handed else None
 
 
 def main() -> None:
@@ -84,6 +148,32 @@ def main() -> None:
         rows.append({"layer": "furness_balance", "mu": MU, "beta": beta,
                      "median_s": median, "runs_s": runs, "outcome": outcome})
 
+    seed = seed_matrix(ends, costs, FURNESS_BETAS[1], "exponential")
+    sweep_s = timed(lambda: sweeps(seed, ends), args.repeats)[0]
+    sweep_s /= SWEEP_CALLS * FURNESS_RATE_WINDOW
+    live_o, live_d = ends.origins > 0, ends.destinations > 0
+    P = seed.trips[np.ix_(live_o, live_d)]
+    o, d = ends.origins[live_o], ends.destinations[live_d]
+    median, runs, outcome = timed(
+        lambda: demand._newton_step(P, P.sum(axis=1), P.sum(axis=0), o, d), args.repeats)
+    flop_model = demand.newton_step_sweeps(*seed.trips.shape)
+    rows.append({"layer": "Newton step / sweep", "mu": MU, "beta": FURNESS_BETAS[1],
+                 "median_s": median, "runs_s": runs, "outcome": outcome,
+                 "sweep_s": sweep_s, "ratio": median / sweep_s, "flop_model": flop_model,
+                 "price_sweeps": demand.NEWTON_SWITCH_STEPS * flop_model})
+
+    for beta in HANDOFF_BETAS:
+        seed = seed_matrix(ends, costs, beta, "exponential")
+        row = {"layer": "Newton hand-off", "mu": MU, "beta": beta, "sweeps_before": None,
+               "newton_steps": 0, "median_s": None, "runs_s": [], "outcome": "no hand-off"}
+        handed = handoff(seed, ends)
+        if handed is not None:
+            swept, steps, balanced, newton_args = handed
+            median, runs, _ = timed(lambda: demand._newton_balance(*newton_args), args.repeats)
+            row.update(sweeps_before=swept, newton_steps=steps, median_s=median, runs_s=runs,
+                       outcome="ok" if balanced else "failed", cost_in_sweeps=median / sweep_s)
+        rows.append(row)
+
     flows = assign_iterative(net, zones, [stratum], 1).flows
     n_counts = min(N_COUNTS, sum(q > 0 for q in flows.values()))
     counts = synthetic_counts(zones, net, [stratum], n_counts=n_counts, noise=1.0,
@@ -106,6 +196,23 @@ def main() -> None:
         median, runs, outcome = timed(lambda: load_model(spec), args.repeats)
     rows.append({"layer": "load_model", "mu": None, "beta": None,
                  "median_s": median, "runs_s": runs, "outcome": outcome})
+
+    split_zones, split_net = grid_region(*SPLIT_GRID, seed=GRID_SEED)
+    split_truth = [DemandStratum("all", "population", "population", MU, J_BETA)]
+    split_counts = synthetic_counts(split_zones, split_net, split_truth, n_counts=N_COUNTS,
+                                    noise=SPLIT_NOISE, seed=GRID_SEED + 1)
+    split_start = [DemandStratum("all", "population", "population", *SPLIT_START)]
+    results = []
+    median, runs, outcome = timed(lambda: results.append(split_test(
+        split_zones, split_net, split_start, split_counts,
+        fractions=SPLIT_FRACTIONS, seeds=SPLIT_SEEDS)), args.repeats)
+    test_geh = {f: [r.test_geh for r in results[-1] if r.split_fraction == f]
+                for f in SPLIT_FRACTIONS} if results else {}
+    rows.append({"layer": "criterion-7 split grid", "mu": None, "beta": None,
+                 "median_s": median, "runs_s": runs, "outcome": outcome,
+                 "instance": f"grid_region({SPLIT_GRID[0]}, {SPLIT_GRID[1]}, seed={GRID_SEED})",
+                 "calibrations": len(results[-1]) if results else 0,
+                 "test_geh_std": {str(f): float(np.std(g)) for f, g in test_geh.items()}})
 
     print(json.dumps({
         "instance": f"grid_region({nx}, {ny}, seed={GRID_SEED})",

@@ -316,9 +316,11 @@ def simulated_annealing(
     return OptimizeResult(rec.best_x, rec.best, rec.history, rec.n, True)
 
 
-# simulated_annealing's tuning options, accepted as calibrate's sa_options
-SA_OPTIONS = tuple(name for name, p in inspect.signature(simulated_annealing).parameters.items()
-                   if p.kind is p.KEYWORD_ONLY and name != "x0")
+# simulated_annealing's tuning options, accepted as calibrate's sa_options:
+# name -> type name as annotated (e.g. 'int', 'float | None')
+SA_OPTIONS = {name: p.annotation
+              for name, p in inspect.signature(simulated_annealing).parameters.items()
+              if p.kind is p.KEYWORD_ONLY and name != "x0"}
 
 
 class ModelObjective:

@@ -24,9 +24,15 @@ DEFAULT_FURNESS_MAX_ITER = 1000
 # Every FURNESS_RATE_WINDOW sweeps, furness_balance projects the sweeps still
 # needed from the deviation's contraction over the window. It hands the
 # balance to Newton's method once that projection exceeds the sweeps left,
-# or the cost of NEWTON_SWITCH_STEPS Newton steps counted in sweeps.
+# or the price of NEWTON_SWITCH_STEPS Newton steps at (2mn^2 + n^3/3) / 4mn
+# sweeps each. The 2 is fitted to hand-offs timed by scripts/time_layers.py:
+# one hand-off (2-3 steps with their line searches) cost 37-51 sweeps at 80
+# zones, 141-252 at 400 and 214-344 at 900, about one priced step or less.
+# At 1 the price fell inside that range, and some 400-zone balances that the
+# sweeps were about to finish handed off and ran slower; at 2 it is about
+# twice a hand-off's cost at 80 and 400 zones.
 FURNESS_RATE_WINDOW = 10
-NEWTON_SWITCH_STEPS = 10
+NEWTON_SWITCH_STEPS = 2
 # Newton gives up (and the sweeps resume) after this many steps, or when
 # this many step halvings do not lower the margin deviation.
 NEWTON_MAX_STEPS = 30
@@ -228,15 +234,19 @@ def furness_balance(
     Every FURNESS_RATE_WINDOW sweeps the deviation's contraction rate rho
     over the window projects the sweeps still needed, log(tol / dev) /
     log(rho), or infinitely many when rho >= 1. Once that exceeds the
-    sweeps left, or the cost of NEWTON_SWITCH_STEPS Newton steps counted
-    in sweeps (which depends on the seed's shape alone), the balance
-    switches to Newton's method on the log scale vectors (Knight & Ruiz
-    2013), which stops at the same tol test. If Newton fails (an indefinite
-    Hessian, e.g. on block-diagonal support, a step that is not finite or
-    does not lower the deviation, or NEWTON_MAX_STEPS used up), the sweeps
-    resume from where they switched and Newton is not tried again, so a
-    system that does not balance raises FurnessConvergenceError after
-    max_iter sweeps as before.
+    sweeps left, or the price of NEWTON_SWITCH_STEPS = 2 Newton steps, the
+    balance switches to Newton's method on the log scale vectors (Knight &
+    Ruiz 2013), which stops at the same tol test. A step is priced by its
+    flops at (2mn^2 + n^3/3) / 4mn sweeps, from the seed's shape alone and
+    never by a clock, so the result does not depend on the machine's speed;
+    the two steps come to 93 sweeps at 80 zones and 467 at 400, about twice
+    the measured cost of a hand-off there (see NEWTON_SWITCH_STEPS).
+
+    If Newton fails (an indefinite Hessian, e.g. on block-diagonal support,
+    a step that is not finite or does not lower the deviation, or
+    NEWTON_MAX_STEPS used up), the sweeps resume from where they switched
+    and Newton is not tried again, so a system that does not balance raises
+    FurnessConvergenceError after max_iter sweeps as before.
     """
     K = np.asarray(seed.trips, dtype=float)
     if (K < 0).any():
@@ -261,10 +271,7 @@ def furness_balance(
     b = np.ones(D.size)
     row = K @ b  # row sums of diag(a) @ K @ diag(b) are a * row
     deviation = window_start = np.inf
-    # a Newton step costs about 2mn^2 + n^3/3 flops (forming the n x n Schur
-    # complement and its Cholesky factor), a sweep about 4mn
-    m, n = K.shape
-    newton_cost = NEWTON_SWITCH_STEPS * (2.0 * m * n * n + n**3 / 3.0) / (4.0 * m * n)
+    newton_cost = NEWTON_SWITCH_STEPS * newton_step_sweeps(*K.shape)
     newton_tried = False
     with np.errstate(divide="ignore", over="ignore"):
         for k in range(1, max_iter + 1):
@@ -288,6 +295,13 @@ def furness_balance(
                 if trips is not None:
                     return ODMatrix(seed.zone_ids, trips)
     raise FurnessConvergenceError(float(deviation), max_iter)
+
+
+def newton_step_sweeps(m: int, n: int) -> float:
+    """A Newton step's price in sweeps of an m x n seed, by flops: about
+    2mn^2 + n^3/3 (forming the n x n Schur complement and its Cholesky
+    factor) against about 4mn for a sweep."""
+    return (2.0 * m * n * n + n**3 / 3.0) / (4.0 * m * n)
 
 
 def _sweeps_needed(previous: float, deviation: float, tol: float) -> float:

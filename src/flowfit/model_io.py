@@ -308,13 +308,8 @@ def load_link_rows(path: Path, diagnostics: list[str]):
 def load_count_rows(path: Path, diagnostics: list[str]) -> list[dict]:
     # one link may be counted on several rows
     reader = _RowReader(path, _COUNT_COLUMNS, diagnostics, unique=False)
-    rows: list[dict] = []
-    for lineno, lid, values in reader.records(_COUNT_FIELDS, _COUNT_DEFAULTS):
-        if values["observed"] < 0:
-            reader.error(lineno, f"negative observed flow {values['observed']!r}")
-            continue
-        rows.append({"lineno": lineno, "link_id": lid, **values})
-    return rows
+    return [{"lineno": lineno, "link_id": lid, **values}
+            for lineno, lid, values in reader.records(_COUNT_FIELDS, _COUNT_DEFAULTS)]
 
 
 def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]):
@@ -326,6 +321,10 @@ def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]
         link = network.links.get(lid)
         if link is None:
             diagnostics.append(f"{source}:{row['lineno']}: unknown link {lid!r}")
+            continue
+        if not row["observed"] >= 0:
+            diagnostics.append(
+                f"{source}:{row['lineno']}: observed flow must be >= 0, got {row['observed']!r}")
             continue
         if not row["bidirectional"]:
             counts.append(TrafficCount(lid, row["observed"]))
@@ -374,28 +373,37 @@ def _entry(mapping: dict, key: str, kind: type, where: str, diagnostics: list[st
 
 
 # scalar option type name -> the YAML value types it accepts
-_SCALAR_KINDS = {"str": (str,), "int": (int,), "float": (int, float)}
+_SCALAR_KINDS = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
+                 "float | None": (int, float, type(None))}
+
+
+def _check_scalars(values: dict, types: dict, where: str, diagnostics: list[str]) -> bool:
+    """Check each value against its key's type name in types, in place: an
+    int may stand for a float (and becomes one), a bool for nothing but a
+    bool. A wrong type is a diagnostic naming the key. True when all fit."""
+    ok = True
+    for key, value in values.items():
+        kinds = _SCALAR_KINDS.get(types.get(key))
+        if not kinds:
+            continue
+        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+            diagnostics.append(f"{where}.{key}: expected {types[key]}, got {value!r}")
+            ok = False
+        elif float in kinds and value is not None:
+            values[key] = float(value)
+    return ok
 
 
 def _options(cls, values, where: str, diagnostics: list[str]):
-    """cls(**values), each scalar checked against its field's type: an int may
-    stand for a float (and becomes one), a bool for neither. A wrong type is
-    a diagnostic naming the key; an unknown or missing key, or a value cls
-    rejects with ValueError, is one diagnostic. Any diagnostic gives None."""
+    """cls(**values), each scalar checked against its field's type by
+    _check_scalars. An unknown or missing key, or a value cls rejects with
+    ValueError, is one diagnostic. Any diagnostic gives None."""
     if not isinstance(values, dict):
         diagnostics.append(f"{where}: expected a mapping, got {values!r}")
         return None
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
     values = dict(values)
-    wrong = False
-    for key, value in values.items():
-        kinds = _SCALAR_KINDS.get(types.get(key))
-        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-            diagnostics.append(f"{where}.{key}: expected {types[key]}, got {value!r}")
-            wrong = True
-        elif types.get(key) == "float":
-            values[key] = float(value)
-    if wrong:
+    if not _check_scalars(values, {f.name: f.type for f in dataclasses.fields(cls)},
+                          where, diagnostics):
         return None
     try:
         return cls(**values)
@@ -451,6 +459,7 @@ def _parse_spec(path: Path) -> ModelSpec:
                 diagnostics.append(
                     f"{cal_where}{key}.{name}: expected a list of two numbers, got {pair!r}")
     cal_raw["sa"] = dict(_entry(cal_raw, "sa", dict, cal_where, diagnostics))
+    _check_scalars(cal_raw["sa"], SA_OPTIONS, f"{cal_where}sa", diagnostics)
     calibration = _options(CalibrationOptions, cal_raw, f"{where}calibration", diagnostics)
     if not diagnostics:
         # the strata's weights in the calibration box, as calibrate checks them
@@ -537,10 +546,10 @@ def load_model(path) -> LoadedModel:
     zones = _apply_derivations(zones, spec.derivations)
     for zone in zones:
         for attr, value in zone.attributes.items():
-            if value < 0:
+            if not value >= 0:
                 diagnostics.append(
                     f"{spec.zones_path}:{zone_lines[zone.zone_id]}: "
-                    f"attribute {attr!r} is negative ({value!r})"
+                    f"attribute {attr!r} must be >= 0, got {value!r}"
                 )
     counts = _resolve_counts(count_rows, network, spec.counts_path, diagnostics)
     if diagnostics:

@@ -1,5 +1,6 @@
 import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from flowfit.assignment import assign
 from flowfit.calibrate import calibrate, split_test
 from flowfit.cli import main
 from flowfit.metrics import evaluate, split_counts
-from flowfit.model_io import AssignmentOptions, CalibrationOptions, write_model
+from flowfit.model_io import AssignmentOptions, CalibrationOptions, load_model, write_model
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
 
 
@@ -41,6 +42,26 @@ def scenario_file(tmp_path):
         "  t0_min: 4.0\n"
     )
     return path
+
+
+@pytest.fixture
+def data_toy(tmp_path):
+    """A copy of the shipped data/toy model."""
+    return Path(shutil.copytree(Path(__file__).resolve().parents[1] / "data" / "toy",
+                                tmp_path / "toy"))
+
+
+def set_cell(path, row_id, column, value):
+    """Write value into the column of the row whose first cell is row_id;
+    returns that row's line number."""
+    rows = path.read_text().splitlines()
+    column = rows[0].split(",").index(column)
+    (k,) = [k for k, row in enumerate(rows) if row.split(",")[0] == row_id]
+    cells = rows[k].split(",")
+    cells[column] = value
+    rows[k] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n")
+    return k + 1
 
 
 def read_csv(path):
@@ -91,6 +112,13 @@ class TestValidateCommand:
         ("calibration", "seed", True, "calibration.seed: expected int, got True"),
         ("calibration", "xatol", "tiny", "calibration.xatol: expected float, got 'tiny'"),
         ("calibration", "max_evals", None, "calibration.max_evals: expected int, got None"),
+        ("calibration", "sa", {"n_sweeps": "five"},
+         "calibration.sa.n_sweeps: expected int, got 'five'"),
+        ("calibration", "sa", {"restarts": 1.0}, "calibration.sa.restarts: expected int, got 1.0"),
+        ("calibration", "sa", {"cooling": True}, "calibration.sa.cooling: expected float, got True"),
+        ("calibration", "sa", {"initial_temp": "hot"},
+         "calibration.sa.initial_temp: expected float | None, got 'hot'"),
+        ("calibration", "sa", {"polish": 1}, "calibration.sa.polish: expected bool, got 1"),
     ])
     def test_scalar_option_of_the_wrong_type_exits_two(self, toy_spec, capsys,
                                                          section, key, value, message):
@@ -185,9 +213,30 @@ class TestValidateCommand:
         raw = yaml.safe_load(toy_spec.read_text())
         raw["assignment"]["gap_tol"] = 0
         raw["calibration"]["fatol"] = 1
+        raw["calibration"]["sa"] = {"cooling": 1, "initial_temp": 2, "n_sweeps": 3}
         toy_spec.write_text(yaml.safe_dump(raw))
         assert main(["validate", str(toy_spec)]) == 0
         assert "OK" in capsys.readouterr().out
+        sa = load_model(toy_spec).calibration.sa
+        assert {k: type(v) for k, v in sa.items()} == {
+            "cooling": float, "initial_temp": float, "n_sweeps": int}
+
+    @pytest.mark.parametrize("table, row_id, column, value, message", [
+        ("links", "n1_n2", "alpha1", "nan", "link 'n1_n2': alpha1 must be >= 0, got nan"),
+        ("links", "n1_n2", "alpha2", "nan", "link 'n1_n2': alpha2 must be >= 1, got nan"),
+        ("zones", "Z1", "attr:population", "nan",
+         "attribute 'population' must be >= 0, got nan"),
+        ("counts", "n1_n2", "observed_veh24h", "nan", "observed flow must be >= 0, got nan"),
+        ("counts", "n1_n2", "observed_veh24h", "-5.0", "observed flow must be >= 0, got -5.0"),
+    ], ids=["alpha1-nan", "alpha2-nan", "attribute-nan", "observed-nan", "observed-negative"])
+    def test_value_outside_its_range_exits_three(self, data_toy, capsys,
+                                                 table, row_id, column, value, message):
+        path = data_toy / f"{table}.csv"
+        lineno = set_cell(path, row_id, column, value)
+        assert main(["validate", str(data_toy / "model.yaml")]) == 3
+        out = capsys.readouterr().out
+        assert f"{path}:{lineno}: {message}" in out
+        assert "1 issue(s)" in out
 
 
 class TestAssignCommand:

@@ -420,6 +420,26 @@ def newton_results(monkeypatch):
     return results
 
 
+@pytest.fixture
+def newton_sweeps(monkeypatch):
+    """The sweeps run before each _newton_balance call, in order; a sweep
+    makes two _scale calls."""
+    halves, sweeps = [0], []
+    scale, newton = demand._scale, demand._newton_balance
+
+    def counted_scale(*args):
+        halves[0] += 1
+        return scale(*args)
+
+    def recorded_newton(*args):
+        sweeps.append(halves[0] // 2)
+        return newton(*args)
+
+    monkeypatch.setattr(demand, "_scale", counted_scale)
+    monkeypatch.setattr(demand, "_newton_balance", recorded_newton)
+    return sweeps
+
+
 class TestNewton:
     """Balances whose sweeps stall move to Newton's method on the log scales."""
 
@@ -451,6 +471,23 @@ class TestNewton:
         trips = furness_balance(seed, ends).trips
         assert len(newton_results) == 1 and newton_results[0] is trips
         assert np.abs(trips - reference).max() <= 1e-6 * reference.max()
+
+    def test_slow_80_zone_balance_hands_off_at_the_first_projection(self, grid, newton_sweeps):
+        # the criterion-7 grid at beta 1.0: the first window only sets the
+        # rate's baseline, and the second projects more sweeps than two
+        # Newton steps cost (at ten steps it ran 60 sweeps first)
+        seed, ends = self.grid_case(grid(10, 8), 1.0)
+        trips = furness_balance(seed, ends).trips
+        assert newton_sweeps == [2 * demand.FURNESS_RATE_WINDOW]
+        reference = furness_in_place(seed, ends, max_iter=100_000).trips
+        assert np.abs(trips - reference).max() <= 1e-8 * reference.max()
+
+    def test_fast_400_zone_balance_never_hands_off(self, grid, newton_sweeps):
+        # grid 20x20 at the benchmark's generating weights converges in 61
+        # sweeps; at a price of zero it would hand off after 20
+        seed, ends = self.grid_case(grid(20, 20), 0.08)
+        assert_margins(furness_balance(seed, ends).trips, ends)
+        assert newton_sweeps == []
 
     def test_sweeps_that_converge_fast_never_switch(self, rng, newton_results):
         seed, ends = TestFurnessParity.case(rng.uniform(0.05, 10.0, (50, 50)), rng)

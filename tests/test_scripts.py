@@ -46,15 +46,24 @@ def test_toy_instance_regenerates_byte_identical(tmp_path):
 
 
 def test_time_layers_reports_every_row():
-    out = run_script(ROOT / "scripts" / "time_layers.py", "--grid", "4x3", "--repeats", "2")
+    # grid 10x8, where both hand-off betas hand the balance to Newton
+    out = run_script(ROOT / "scripts" / "time_layers.py", "--grid", "10x8", "--repeats", "1")
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
-    assert report["zones"] == 12
-    assert [(r["layer"], r["beta"]) for r in report["rows"]] == [
+    assert report["zones"] == 80
+    rows = report["rows"]
+    assert [(r["layer"], r["beta"]) for r in rows] == [
         ("PathSet build (free flow)", None), ("furness_balance", 0.08),
         ("furness_balance", 0.3), ("furness_balance", 1.0),
+        ("Newton step / sweep", 0.3), ("Newton hand-off", 0.3), ("Newton hand-off", 1.0),
         ("one J eval (one-off)", 0.08), ("MSA-5 assign_iterative", 0.08),
-        ("load_model", None)]
-    for row in report["rows"]:
+        ("load_model", None), ("criterion-7 split grid", None)]
+    for row in rows:
         assert row["outcome"] == "ok"
-        assert len(row["runs_s"]) == 2 and row["median_s"] > 0.0
+        assert len(row["runs_s"]) == 1 and row["median_s"] > 0.0
+    ratio = rows[4]
+    assert ratio["ratio"] == ratio["median_s"] / ratio["sweep_s"] > 0.0
+    for handoff in rows[5:7]:
+        assert handoff["sweeps_before"] == 20 and handoff["newton_steps"] >= 1
+        assert handoff["cost_in_sweeps"] > 0.0
+    assert rows[-1]["calibrations"] == 70
