@@ -9,7 +9,6 @@ calibration of the per-stratum weights (mu, beta).
 from .assignment import (
     AssignmentResult,
     PathSet,
-    UnreachableODError,
     assign,
     assign_all_or_nothing,
     assign_iterative,

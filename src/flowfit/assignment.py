@@ -25,18 +25,6 @@ DEFAULT_GAP_TOL = 1e-3
 ASSIGNMENT_MODES = ("oneoff", "iterative")
 
 
-class UnreachableODError(RuntimeError):
-    """An OD pair demands trips but has no connecting path."""
-
-    def __init__(self, origin_zone: str, destination_zone: str, trips: float):
-        self.origin_zone = origin_zone
-        self.destination_zone = destination_zone
-        super().__init__(
-            f"{trips:g} trips from zone {origin_zone!r} to zone "
-            f"{destination_zone!r}, but no path connects them"
-        )
-
-
 class PathSet:
     """Anchor-to-anchor shortest paths under one fixed set of link times.
 
@@ -50,6 +38,9 @@ class PathSet:
     path set computes once and holds. assign_iterative calls it once per MSA
     iteration; the first iteration's free-flow path set may be built once
     and shared across calls, as ModelObjective and split_test do.
+
+    The constructor is the one connectivity check (DisconnectedZonesError,
+    after the cycle check); zone_ids orders the skim and flow_vector's ODs.
     """
 
     def __init__(self, network: Network, link_times: np.ndarray):
@@ -59,7 +50,6 @@ class PathSet:
         anchors = [network.zone_anchors[z] for z in self.zone_ids]
         self.dist, self.pred = shortest_path_tree(network, link_times, anchors)
         self._anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
-        self._unreachable = np.flatnonzero(np.isinf(self.dist[:, self._anchor_pos]))
 
         # flat over (origin, node): OD pairs' destinations, and tree edges
         n_nodes = self.pred.shape[1]
@@ -75,6 +65,10 @@ class PathSet:
             depth, up = depth + depth[up], up[up]
         if (self.pred.ravel()[up] >= 0).any():  # only a cycle stops short of a root
             raise ArithmeticError("predecessor cycle: link times lost in rounding path lengths")
+        unreachable = np.flatnonzero(np.isinf(self.dist[:, self._anchor_pos]))
+        if unreachable.size:
+            i, j = divmod(unreachable[0], len(self.zone_ids))
+            raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
         order = np.argsort(-depth[child], kind="stable")
         self._child, self._link, parent = child[order], link[order], parent[order]
         cuts = np.flatnonzero(np.diff(depth[self._child])) + 1
@@ -82,35 +76,22 @@ class PathSet:
         self._skim: CostMatrix | None = None
 
     def cost_matrix(self) -> CostMatrix:
-        """Skim matrix over the same zones, intrazonal diagonal filled; built
+        """Skim matrix over zone_ids, finite, intrazonal diagonal filled; built
         on the first call, then held (its values are read-only)."""
         if self._skim is None:
-            if self._unreachable.size:
-                i, j = divmod(self._unreachable[0], len(self.zone_ids))
-                raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
             values = self.dist[:, self._anchor_pos]  # a copy
             fill_intrazonal(values)
             values.setflags(write=False)
             self._skim = CostMatrix(self.zone_ids, values)
         return self._skim
 
-    def _aligned_trips(self, od: ODMatrix) -> np.ndarray:
-        if od.zone_ids == self.zone_ids:
-            return od.trips
-        if set(od.zone_ids) != set(self.zone_ids):
-            raise ValueError("OD matrix zones do not match network zones")
-        perm = [od.index[z] for z in self.zone_ids]
-        return od.trips[np.ix_(perm, perm)]
-
     def flow_vector(self, od: ODMatrix) -> np.ndarray:
-        """Link flows (ordered by link_ids) from loading every OD pair's path."""
-        T = self._aligned_trips(od)
-        stranded = self._unreachable[np.ravel(T)[self._unreachable] > 0]
-        if stranded.size:
-            i, j = divmod(stranded[0], len(self.zone_ids))
-            raise UnreachableODError(self.zone_ids[i], self.zone_ids[j], T[i, j])
+        """Link flows (ordered by link_ids) from loading every OD pair's path.
+        The OD matrix must hold zone_ids in this path set's order."""
+        if od.zone_ids != self.zone_ids:
+            raise ValueError("OD matrix zones do not match the path set's zones in order")
         # bincount sums zones that share an anchor; intrazonal trips stay at roots
-        acc = np.bincount(self._od_cell, np.ravel(T), self.pred.size)
+        acc = np.bincount(self._od_cell, np.ravel(od.trips), self.pred.size)
         for child, parent in self._levels:
             np.add.at(acc, parent, acc[child])
         return np.bincount(self._link, acc[self._child], len(self.link_ids))

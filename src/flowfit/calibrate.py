@@ -262,6 +262,24 @@ def _estimate_temperature(rec, x, fx, lo, hi, rng, n_probe=20, target_accept=0.8
     return float(np.mean(uphill) / math.log(1.0 / target_accept))
 
 
+# simulated_annealing's option ranges: name -> (test, rule), each test
+# failing NaN. check_sa_ranges applies them for simulated_annealing,
+# model_io's CalibrationOptions and the CLI's --seed.
+SA_RANGES = {
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "restarts": (lambda v: v >= 0, ">= 0"),
+    "initial_temp": (lambda v: v is None or v > 0, "null or > 0"),
+}
+
+
+def check_sa_ranges(**options) -> None:
+    """Raise ValueError naming the first option outside its SA_RANGES rule;
+    options without a rule pass."""
+    for name, (test, rule) in SA_RANGES.items():
+        if name in options and not test(options[name]):
+            raise ValueError(f"{name} must be {rule}, got {options[name]!r}")
+
+
 def simulated_annealing(
     f,
     bounds,
@@ -280,8 +298,10 @@ def simulated_annealing(
     Proposal steps are uniform perturbations scaled by the bound range and
     the current temperature fraction. restarts adds independent runs from
     random in-bounds starts; the first run starts from x0 when given. Fully
-    reproducible for a fixed seed.
+    reproducible for a fixed seed. seed, restarts and initial_temp must
+    meet their SA_RANGES rules.
     """
+    check_sa_ranges(seed=seed, restarts=restarts, initial_temp=initial_temp)
     lo, hi = bounds
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -332,8 +352,8 @@ class ModelObjective:
     shortest-path trees per stratum), and iterative mode builds a path set
     only for iterations 2 and on. The total flows at the counted links are
     scored with metrics.geh_objective, as evaluate does. The free-flow
-    PathSet is built, and its skim checked for disconnected zones, at
-    construction, unless a prebuilt one is shared via paths=.
+    PathSet is built at construction, unless a prebuilt one is shared via
+    paths=; building it is where disconnected zones fail.
 
     A Furness balance that fails (FurnessConvergenceError or
     FurnessInfeasibleError) scores J = +inf, which the optimizers rank
@@ -373,7 +393,6 @@ class ModelObjective:
         self._observed = np.array([c.observed for c in self.counts])
         self.furness_failures = 0
         self._paths = paths or PathSet(network, free_flow_times(network))
-        self._paths.cost_matrix()  # disconnected zones fail here, not per call
         self._count_idx = np.array([self._paths.link_index[c.link_id] for c in self.counts])
 
     def __call__(self, x) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import assign
-from .calibrate import CALIBRATION_METHODS, calibrate, split_test
+from .calibrate import CALIBRATION_METHODS, calibrate, check_sa_ranges, split_test
 from .metrics import evaluate, report_text
 from .model_io import (
     LoadedModel,
@@ -159,6 +159,16 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _seed(raw: str) -> int:
+    """--seed: an integer within simulated_annealing's seed range."""
+    seed = int(raw)
+    try:
+        check_sa_ranges(seed=seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return seed
+
+
 def cmd_split_test(args) -> int:
     model = load_model(args.spec)
     fractions = args.fractions  # parsed and range-checked by _parse_fractions
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--method", choices=CALIBRATION_METHODS,
                    help="override the configured optimizer")
-    p.add_argument("--seed", type=int, help="override the configured seed")
+    p.add_argument("--seed", type=_seed, help="override the configured seed (>= 0)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("split-test",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -92,9 +91,9 @@ class DemandStratum:
                 f"stratum {self.name!r}: unknown deterrence kind "
                 f"{self.deterrence_kind!r} (expected one of {DETERRENCE_KINDS})"
             )
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError(f"stratum {self.name!r}: mu must be >= 0")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"stratum {self.name!r}: beta must be >= 0")
         if not self.occupancy > 0:
             raise ValueError(f"stratum {self.name!r}: occupancy must be > 0")
@@ -116,10 +115,6 @@ class TripEnds:
     origins: np.ndarray
     destinations: np.ndarray
 
-    @property
-    def total(self) -> float:
-        return float(self.origins.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class ODMatrix:
@@ -127,10 +122,6 @@ class ODMatrix:
 
     zone_ids: tuple[str, ...]
     trips: np.ndarray
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {z: i for i, z in enumerate(self.zone_ids)}
 
 
 def derive_jobs(population: float, cutoff: float = DEFAULT_JOBS_CUTOFF) -> float:
@@ -145,17 +136,12 @@ def derive_jobs(population: float, cutoff: float = DEFAULT_JOBS_CUTOFF) -> float
     return 1.0
 
 
-def _attribute_vector(zones, attr: str, stratum_name: str) -> np.ndarray:
-    missing = [z.zone_id for z in zones if attr not in z.attributes]
-    if missing:
-        logger.warning(
-            "stratum %r: attribute %r missing on %d zone(s) (e.g. %s); treated as 0",
-            stratum_name, attr, len(missing), missing[0],
-        )
+def _attribute_vector(zones, attr: str) -> np.ndarray:
     vec = np.array([z.attributes.get(attr, 0.0) for z in zones], dtype=float)
-    if (vec < 0).any():
-        bad = zones[int(np.argmax(vec < 0))].zone_id
-        raise ValueError(f"attribute {attr!r} is negative on zone {bad!r}")
+    if not (vec >= 0).all():
+        k = int(np.argmin(vec >= 0))
+        raise ValueError(f"attribute {attr!r} on zone {zones[k].zone_id!r} "
+                         f"must be >= 0, got {float(vec[k])!r}")
     return vec
 
 
@@ -163,10 +149,11 @@ def generate_trip_ends(zones, stratum: DemandStratum) -> TripEnds:
     """Vehicle-trip origins and destinations per zone for one stratum.
 
     O_i = mu * production_attr(i) / occupancy; the attraction attribute is
-    rescaled so that destinations sum to the same total as origins.
+    rescaled so that destinations sum to the same total as origins. A zone
+    without an attribute counts 0 for it.
     """
-    prod = _attribute_vector(zones, stratum.production_attr, stratum.name)
-    attr = _attribute_vector(zones, stratum.attraction_attr, stratum.name)
+    prod = _attribute_vector(zones, stratum.production_attr)
+    attr = _attribute_vector(zones, stratum.attraction_attr)
     if prod.sum() == 0:
         raise DegenerateStratumError(
             f"stratum {stratum.name!r}: production attribute "
@@ -181,7 +168,6 @@ def generate_trip_ends(zones, stratum: DemandStratum) -> TripEnds:
     total = origins.sum()
     if total == 0.0:
         logger.warning("stratum %r generates no trips (mu = %g)", stratum.name, stratum.mu)
-        return TripEnds(np.zeros_like(prod), np.zeros_like(attr))
     destinations = attr * (total / attr.sum())
     return TripEnds(origins, destinations)
 
@@ -412,14 +398,12 @@ def _scale(target, sums, off, zone_ids, axis: str, margin: str) -> np.ndarray:
 
 
 def distribute(zones, stratum: DemandStratum, costs: CostMatrix) -> ODMatrix:
-    """Per-stratum OD matrix: trip ends -> gravity seed -> Furness balancing."""
+    """Per-stratum OD matrix: trip ends -> gravity seed -> Furness balancing,
+    in the zone order of costs (a PathSet's skim gives its flow_vector's)."""
     by_id = {z.zone_id: z for z in zones}
     if set(by_id) != set(costs.zone_ids):
         raise ValueError("zone set does not match the cost matrix")
     ordered = [by_id[z] for z in costs.zone_ids]
     ends = generate_trip_ends(ordered, stratum)
-    if ends.total == 0.0:
-        n = len(costs.zone_ids)
-        return ODMatrix(costs.zone_ids, np.zeros((n, n)))
     seed = seed_matrix(ends, costs, stratum.beta, stratum.deterrence_kind)
     return furness_balance(seed, ends)

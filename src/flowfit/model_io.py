@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,12 +38,15 @@ from .calibrate import (
     SA_OPTIONS,
     CalibrationResult,
     WeightVector,
+    check_sa_ranges,
 )
 from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs, require_unique_names
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
 from .network import Link, Network, Node, findings, validate
 
 ATTR_PREFIX = "attr:"
+
+logger = logging.getLogger(__name__)
 
 
 def _defaults(cls) -> dict:
@@ -129,6 +134,7 @@ class CalibrationOptions:
             if unknown:
                 raise ValueError(
                     f"unknown {key} key(s) {unknown}; accepted: {', '.join(accepted)}")
+        check_sa_ranges(seed=self.seed, **self.sa)
 
 
 _DERIVATION_METHODS = ("jobs_from_population",)
@@ -144,6 +150,8 @@ class DerivationRule:
     def __post_init__(self):
         if self.method not in _DERIVATION_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if not 0 <= self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be finite and >= 0, got {self.cutoff!r}")
 
 
 # model.yaml stratum keys that differ from their DemandStratum field
@@ -459,8 +467,10 @@ def _parse_spec(path: Path) -> ModelSpec:
                 diagnostics.append(
                     f"{cal_where}{key}.{name}: expected a list of two numbers, got {pair!r}")
     cal_raw["sa"] = dict(_entry(cal_raw, "sa", dict, cal_where, diagnostics))
-    _check_scalars(cal_raw["sa"], SA_OPTIONS, f"{cal_where}sa", diagnostics)
-    calibration = _options(CalibrationOptions, cal_raw, f"{where}calibration", diagnostics)
+    calibration = None
+    # CalibrationOptions checks the sa values' ranges, so only once their types fit
+    if _check_scalars(cal_raw["sa"], SA_OPTIONS, f"{cal_where}sa", diagnostics):
+        calibration = _options(CalibrationOptions, cal_raw, f"{where}calibration", diagnostics)
     if not diagnostics:
         # the strata's weights in the calibration box, as calibrate checks them
         try:
@@ -522,7 +532,8 @@ def load_model(path) -> LoadedModel:
     Parse problems raise ModelLoadError(stage="parse"); semantic problems
     (network.validate's findings, each with its links.csv or zones.csv line,
     unknown or negative attributes, unresolved counts) are aggregated and
-    raised as ModelLoadError(stage="validation").
+    raised as ModelLoadError(stage="validation"). A blank attr: cell that a
+    stratum reads counts as 0, with one warning naming its zones.csv line.
     """
     path = Path(path)
     spec = _parse_spec(path)
@@ -554,6 +565,12 @@ def load_model(path) -> LoadedModel:
     counts = _resolve_counts(count_rows, network, spec.counts_path, diagnostics)
     if diagnostics:
         raise ModelLoadError("validation", diagnostics)
+    used = sorted({a for s in spec.strata for a in (s.production_attr, s.attraction_attr)})
+    for zone in zones:
+        for attr in used:
+            if attr not in zone.attributes:
+                logger.warning("%s:%d: attribute %r is blank; treated as 0",
+                               spec.zones_path, zone_lines[zone.zone_id], attr)
     return LoadedModel(zones, network, counts, spec.strata, spec.assignment, spec.calibration)
 
 

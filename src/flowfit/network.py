@@ -26,7 +26,7 @@ FlowMap = dict[str, float]
 
 
 class DisconnectedZonesError(ValueError):
-    """Raised when a skim is requested between zones with no connecting path."""
+    """Raised when a PathSet is built over zones with no connecting path."""
 
     def __init__(self, origin_zone: str, destination_zone: str):
         self.origin_zone = origin_zone
@@ -220,13 +220,6 @@ class CostMatrix:
 
     zone_ids: tuple[str, ...]
     values: np.ndarray
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {z: i for i, z in enumerate(self.zone_ids)}
-
-    def cost(self, origin_zone: str, destination_zone: str) -> float:
-        return float(self.values[self.index[origin_zone], self.index[destination_zone]])
 
 
 def fill_intrazonal(values: np.ndarray) -> None:

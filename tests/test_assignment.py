@@ -11,12 +11,12 @@ import flowfit
 
 from flowfit.assignment import (
     PathSet,
-    UnreachableODError,
     assign_all_or_nothing,
     assign_iterative,
 )
 from flowfit.demand import DemandStratum, ODMatrix, Zone, derive_jobs, distribute
 from flowfit.network import (
+    DisconnectedZonesError,
     Link,
     Network,
     Node,
@@ -130,19 +130,12 @@ class TestAllOrNothing:
                                       od_of(["z1", "z2"], [[1000, 0], [0, 1000]]))
         assert set(flows.values()) == {0.0}
 
-    def test_unreachable_pair_with_trips_names_the_pair(self):
+    def test_unreachable_pair_names_the_pair_even_without_trips(self):
         net = make_network(["a", "b"], [("ab", "a", "b", 5.0)],
                            {"z1": "a", "z2": "b"})
-        with pytest.raises(UnreachableODError, match="'z2'.*'z1'"):
+        with pytest.raises(DisconnectedZonesError, match="'z2'.*'z1'"):
             assign_all_or_nothing(net, free_flow_times(net),
-                                  od_of(["z1", "z2"], [[0, 10], [10, 0]]))
-
-    def test_unreachable_pair_without_trips_is_fine(self):
-        net = make_network(["a", "b"], [("ab", "a", "b", 5.0)],
-                           {"z1": "a", "z2": "b"})
-        flows = assign_all_or_nothing(net, free_flow_times(net),
-                                      od_of(["z1", "z2"], [[0, 10], [0, 0]]))
-        assert flows["ab"] == 10.0
+                                  od_of(["z1", "z2"], [[0, 10], [0, 0]]))
 
     def test_matches_brute_force_exactly_on_random_networks(self, rng):
         # integer trip counts keep float sums exact, so equality is exact
@@ -301,6 +294,22 @@ class TestTreeLoader:
             net = make_network(["z", *ring], rows, {"z1": "z", "z2": "a"})
             with pytest.raises(ArithmeticError, match="predecessor cycle"):
                 PathSet(net, free_flow_times(net))
+
+
+class TestPathSetChecks:
+    def test_disconnected_zones_fail_when_the_path_set_is_built(self):
+        net = make_network(["a", "b"], [("ab", "a", "b", 5.0)], {"z1": "a", "z2": "b"})
+        with pytest.raises(DisconnectedZonesError, match="'z2'.*'z1'"):
+            PathSet(net, free_flow_times(net))
+
+    @pytest.mark.parametrize("zone_ids", [["z2", "z1"], ["z1", "z3"]],
+                             ids=["reversed", "other-zone"])
+    def test_od_outside_the_path_set_zone_order_rejected(self, zone_ids):
+        net = make_network(["a", "b"], [("ab", "a", "b", 5.0), ("ba", "b", "a", 5.0)],
+                           {"z1": "a", "z2": "b"})
+        paths = PathSet(net, free_flow_times(net))
+        with pytest.raises(ValueError, match="zones do not match"):
+            paths.flow_vector(od_of(zone_ids, [[0, 10], [20, 0]]))
 
 
 def test_import_leaves_scipy_out():

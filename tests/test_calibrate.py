@@ -176,6 +176,17 @@ class TestSimulatedAnnealing:
         with pytest.raises(ValueError, match="finite"):
             simulated_annealing(double_well, ([-np.inf], [np.inf]), seed=0)
 
+    @pytest.mark.parametrize("option, value, rule", [
+        ("seed", -1, ">= 0"), ("restarts", -1, ">= 0"),
+        ("initial_temp", 0.0, "null or > 0"), ("initial_temp", math.nan, "null or > 0"),
+    ])
+    def test_option_outside_its_range_rejected(self, option, value, rule):
+        calls = []
+        with pytest.raises(ValueError, match=f"{option} must be {rule}, got {value!r}"):
+            simulated_annealing(lambda x: calls.append(x) or 0.0, self.BOUNDS,
+                                **{option: value})
+        assert not calls  # rejected before the first evaluation
+
 
 def walled_bowl(x):
     """+inf for x[0] > 0.5, where a failed Furness balance would be; the

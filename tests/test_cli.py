@@ -64,6 +64,16 @@ def set_cell(path, row_id, column, value):
     return k + 1
 
 
+def run_cli(*args):
+    """flowfit's CLI in a child process, which imports the same flowfit as
+    this one, installed or not."""
+    src = str(Path(flowfit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "flowfit.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -137,6 +147,12 @@ class TestValidateCommand:
         ("strata", "name", 7, "strata[0].name: expected str, got 7"),
         ("strata", "deterrence", "bogus", "unknown deterrence kind 'bogus'"),
         ("strata", "colour", "red", "unexpected keyword argument 'colour'"),
+        ("calibration", "seed", -1, "calibration: seed must be >= 0, got -1"),
+        ("calibration", "sa", {"restarts": -1}, "calibration: restarts must be >= 0, got -1"),
+        ("calibration", "sa", {"initial_temp": 0},
+         "calibration: initial_temp must be null or > 0, got 0.0"),
+        ("calibration", "sa", {"initial_temp": float("nan")},
+         "calibration: initial_temp must be null or > 0, got nan"),
     ])
     def test_option_value_rejected_by_its_class_exits_two(self, toy_spec, capsys,
                                                            section, key, value, message):
@@ -154,6 +170,10 @@ class TestValidateCommand:
          "derivations[0]: unknown method 'bogus'"),
         ({"attribute": "jobs", "method": "jobs_from_population", "source": "population",
           "cutoff": "5000"}, "derivations[0].cutoff: expected float, got '5000'"),
+        ({"attribute": "jobs", "method": "jobs_from_population", "source": "population",
+          "cutoff": float("nan")}, "derivations[0]: cutoff must be finite and >= 0, got nan"),
+        ({"attribute": "jobs", "method": "jobs_from_population", "source": "population",
+          "cutoff": -1.0}, "derivations[0]: cutoff must be finite and >= 0, got -1.0"),
         ("jobs", "derivations[0]: expected a mapping, got 'jobs'"),
     ])
     def test_bad_derivation_exits_two(self, toy_spec, capsys, derivation, message):
@@ -329,6 +349,22 @@ class TestCalibrateCommand:
                      "--method", "simulated_annealing"]) == 0
         assert "simulated_annealing" in capsys.readouterr().out
 
+    def test_negative_seed_argument_exits_two(self, toy_spec, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["calibrate", str(toy_spec), "-o", str(tmp_path / "o"), "--seed", "-1"])
+        assert err.value.code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_blank_attribute_is_reported_once_per_run(self, data_toy, tmp_path):
+        zones = data_toy / "zones.csv"
+        lineno = set_cell(zones, "Z3", "attr:population", "")
+        out = run_cli("calibrate", str(data_toy / "model.yaml"), "-o", str(tmp_path / "o"))
+        assert out.returncode == 0, out.stderr
+        warnings = [line for line in out.stderr.splitlines() if "treated as 0" in line]
+        assert warnings == [f"WARNING flowfit.model_io: {zones}:{lineno}: "
+                            "attribute 'population' is blank; treated as 0"]
+
 
 class TestSplitTestCommand:
     def test_grid_row_count(self, toy_spec, tmp_path):
@@ -414,12 +450,7 @@ class TestSplitTestCommand:
 
 
 def test_console_script_lists_all_commands():
-    # the child process imports the same flowfit as this one, installed or not
-    src = str(Path(flowfit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "flowfit.cli", "--help"],
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
+    out = run_cli("--help")
     assert out.returncode == 0
     for cmd in ("validate", "assign", "evaluate", "calibrate",
                 "split-test", "compare"):

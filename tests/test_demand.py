@@ -110,17 +110,28 @@ class TestGenerateTripEnds:
         with pytest.raises(DegenerateStratumError, match="attraction"):
             generate_trip_ends(zones, stratum)
 
-    def test_missing_attribute_warns_and_counts_as_zero(self, caplog):
+    def test_missing_attribute_counts_as_zero(self):
         zones = [Zone("a", attributes={"population": 10.0}), Zone("b")]
         stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
-        with caplog.at_level("WARNING"):
-            ends = generate_trip_ends(zones, stratum)
+        ends = generate_trip_ends(zones, stratum)
         assert ends.origins.tolist() == [10.0, 0.0]
-        assert any("missing" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_nan_or_negative_attribute_rejected(self, value):
+        zones = [Zone("a", attributes={"population": value}),
+                 Zone("b", attributes={"population": 5.0})]
+        stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
+        with pytest.raises(ValueError, match=f"zone 'a' must be >= 0, got {value!r}"):
+            generate_trip_ends(zones, stratum)
+
+    @pytest.mark.parametrize("name, value", [("mu", -1.0), ("mu", math.nan),
+                                             ("beta", -0.1), ("beta", math.nan)])
+    def test_weight_outside_its_range_rejected(self, name, value):
+        weights = {"mu": 1.0, "beta": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            DemandStratum("s", "p", "p", **weights)
 
     def test_stratum_invariants_enforced(self):
-        with pytest.raises(ValueError, match="mu"):
-            DemandStratum("s", "p", "p", -1.0, 0.1)
         with pytest.raises(ValueError, match="occupancy"):
             DemandStratum("s", "p", "p", 1.0, 0.1, occupancy=0.0)
         with pytest.raises(ValueError, match="deterrence"):

@@ -386,7 +386,7 @@ class TestScenario:
         after = PathSet(edited, free_flow_times(edited)).cost_matrix()
         off = ~np.eye(len(before.zone_ids), dtype=bool)
         assert (after.values[off] <= before.values[off] + 1e-12).all()
-        assert after.cost("Z2", "Z5") == 3.0
+        assert after.values[1, 4] == 3.0  # Z2 -> Z5
 
     def test_removing_the_only_access_fails_validation(self, toy_dir):
         model = load_model(toy_dir / "model.yaml")

@@ -184,7 +184,7 @@ class TestSkimMatrix:
                 ("bc", "b", "c", 7.0), ("cb", "c", "b", 7.0)]
         net = make_network(["a", "b", "c"], rows, {"z1": "a", "z2": "b", "z3": "c"})
         costs = skim(net)
-        assert costs.cost("z1", "z3") == 12.0
+        assert costs.values[0, 2] == 12.0
 
     def test_disconnected_pair_names_both_zones(self):
         net = make_network(["a", "b"], [("ab", "a", "b", 1.0)], {"z1": "a", "z2": "b"})
