@@ -10,10 +10,9 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 from flowfit.calibrate import split_test
 from flowfit.demand import DemandStratum
+from flowfit.metrics import split_summary_text
 from flowfit.model_io import write_split_csv
 from flowfit.sample_models import grid_region, synthetic_counts
 
@@ -42,13 +41,7 @@ def main() -> None:
     )
     print(f"{len(results)} calibrations in {time.perf_counter() - start:.1f}s\n")
 
-    print(f"{'fraction':>8} {'train mean':>11} {'test mean':>10} {'test std':>9}")
-    for fraction in fractions:
-        cell = [r for r in results if r.split_fraction == fraction]
-        train = np.array([r.train_geh for r in cell])
-        test = np.array([r.test_geh for r in cell])
-        print(f"{fraction:>8.1f} {train.mean():>11.4f} {test.mean():>10.4f} "
-              f"{test.std(ddof=0):>9.4f}")
+    print(split_summary_text(results))
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -37,7 +37,7 @@ def main() -> None:
         start = time.perf_counter()
         res = calibrate(zones, network, toy_strata(), counts,
                         method=method, seed=args.seed,
-                        sa_options={"n_sweeps": 50, "steps_per_sweep": 10})
+                        sa={"n_sweeps": 50, "steps_per_sweep": 10})
         weights = {f"{e.stratum}.{e.param}": e.value
                    for e in res.best_weights.entries}
         print(f"\n{method}: J {res.history[0][1]:.3f} -> {res.best_objective:.3f} "

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -243,15 +242,15 @@ def nelder_mead(
     return OptimizeResult(rec.best_x, rec.best, rec.history, rec.n, converged)
 
 
-def _estimate_temperature(rec, x, fx, lo, hi, rng, n_probe=20, target_accept=0.8):
-    """Initial temperature such that ~80% of probe uphill moves are accepted.
+def _estimate_temperature(rec, x, fx, lo, hi, rng):
+    """Initial temperature such that ~80% of 20 probe uphill moves are accepted.
 
     Moves to or from a non-finite value are left out of the estimate.
     """
     span = hi - lo
     uphill = []
     cur_x, cur_f = x, fx
-    for _ in range(n_probe):
+    for _ in range(20):
         cand = np.clip(cur_x + rng.uniform(-1.0, 1.0, size=x.size) * span * 0.5, lo, hi)
         f_c = rec(cand)
         if f_c > cur_f and math.isfinite(f_c - cur_f):
@@ -259,49 +258,48 @@ def _estimate_temperature(rec, x, fx, lo, hi, rng, n_probe=20, target_accept=0.8
         cur_x, cur_f = cand, f_c
     if not uphill:
         return 1.0
-    return float(np.mean(uphill) / math.log(1.0 / target_accept))
+    return float(np.mean(uphill) / math.log(1.0 / 0.8))
 
 
-# simulated_annealing's option ranges: name -> (test, rule), each test
-# failing NaN. check_sa_ranges applies them for simulated_annealing,
-# model_io's CalibrationOptions and the CLI's --seed.
-SA_RANGES = {
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "restarts": (lambda v: v >= 0, ">= 0"),
-    "initial_temp": (lambda v: v is None or v > 0, "null or > 0"),
-}
+@dataclass(frozen=True)
+class AnnealingOptions:
+    """simulated_annealing's tuning options, model.yaml's calibration.sa.
+
+    initial_temp None estimates the temperature from probe moves; each
+    sweep multiplies it by cooling; restarts adds independent runs; polish
+    ends with a Nelder-Mead polish. Each range check fails NaN.
+    """
+
+    initial_temp: float | None = None
+    cooling: float = 0.95
+    n_sweeps: int = 100
+    steps_per_sweep: int = 20
+    restarts: int = 1
+    polish: bool = True
+
+    def __post_init__(self):
+        if not (self.initial_temp is None or 0 < self.initial_temp < math.inf):
+            raise ValueError(
+                f"initial_temp must be null or finite and > 0, got {self.initial_temp!r}")
+        if not 0 < self.cooling <= 1:
+            raise ValueError(f"cooling must be in (0, 1], got {self.cooling!r}")
+        for name in ("n_sweeps", "steps_per_sweep", "restarts"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
-def check_sa_ranges(**options) -> None:
-    """Raise ValueError naming the first option outside its SA_RANGES rule;
-    options without a rule pass."""
-    for name, (test, rule) in SA_RANGES.items():
-        if name in options and not test(options[name]):
-            raise ValueError(f"{name} must be {rule}, got {options[name]!r}")
-
-
-def simulated_annealing(
-    f,
-    bounds,
-    seed: int = 0,
-    *,
-    x0=None,
-    initial_temp: float | None = None,
-    cooling: float = 0.95,
-    n_sweeps: int = 100,
-    steps_per_sweep: int = 20,
-    restarts: int = 1,
-    polish: bool = True,
-) -> OptimizeResult:
+def simulated_annealing(f, bounds, seed: int = 0, *, x0=None, **options) -> OptimizeResult:
     """Metropolis search with geometric cooling and a Nelder-Mead polish.
 
-    Proposal steps are uniform perturbations scaled by the bound range and
-    the current temperature fraction. restarts adds independent runs from
-    random in-bounds starts; the first run starts from x0 when given. Fully
-    reproducible for a fixed seed. seed, restarts and initial_temp must
-    meet their SA_RANGES rules.
+    options are AnnealingOptions' fields. Proposal steps are uniform
+    perturbations scaled by the bound range and the current temperature
+    fraction. The first run starts from x0 when given, each restart from a
+    random in-bounds point. Fully reproducible for a fixed seed, which must
+    be one CalibrationOptions accepts. Bad options fail before the first
+    evaluation.
     """
-    check_sa_ranges(seed=seed, restarts=restarts, initial_temp=initial_temp)
+    opts = AnnealingOptions(**options)
+    CalibrationOptions(seed=seed)  # the seed's range rule
     lo, hi = bounds
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -310,8 +308,8 @@ def simulated_annealing(
     n = lo.size
     span = hi - lo
     rec = _Recorder(f)
-    temp0 = initial_temp
-    for run in range(restarts + 1):
+    temp0 = opts.initial_temp
+    for run in range(opts.restarts + 1):
         rng = np.random.default_rng([seed, run])
         if run == 0 and x0 is not None:
             x = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -321,26 +319,50 @@ def simulated_annealing(
         if temp0 is None:
             temp0 = _estimate_temperature(rec, x, fx, lo, hi, rng)
         temp = temp0
-        for _ in range(n_sweeps):
+        for _ in range(opts.n_sweeps):
             scale = span * max(temp / temp0, 0.01) * 0.5
-            for _ in range(steps_per_sweep):
+            for _ in range(opts.steps_per_sweep):
                 cand = np.clip(x + rng.uniform(-1.0, 1.0, size=n) * scale, lo, hi)
                 f_c = rec(cand)
                 delta = f_c - fx
                 if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-300)):
                     x, fx = cand, f_c
-            temp *= cooling
-    if polish:
+            temp *= opts.cooling
+    if opts.polish:
         _nelder_mead_core(rec, rec.best_x, lo, hi, 1e-8, 1e-10,
                           rec.n + 200 * max(n, 2))
     return OptimizeResult(rec.best_x, rec.best, rec.history, rec.n, True)
 
 
-# simulated_annealing's tuning options, accepted as calibrate's sa_options:
-# name -> type name as annotated (e.g. 'int', 'float | None')
-SA_OPTIONS = {name: p.annotation
-              for name, p in inspect.signature(simulated_annealing).parameters.items()
-              if p.kind is p.KEYWORD_ONLY and name != "x0"}
+@dataclass
+class CalibrationOptions:
+    """calibrate()'s settings, model.yaml's calibration section."""
+
+    method: str = "nelder_mead"  # | "simulated_annealing"
+    seed: int = 0
+    max_evals: int = DEFAULT_MAX_EVALS
+    xatol: float = DEFAULT_XATOL
+    fatol: float = DEFAULT_FATOL
+    # inner-loop assignment during optimization; the final report re-runs
+    # the calibrated weights through the configured assignment mode
+    assignment_mode: str = "oneoff"
+    bounds: dict = field(default_factory=dict)  # param -> [lo, hi]
+    bound_overrides: dict = field(default_factory=dict)  # "stratum.param" -> [lo, hi]
+    sa: dict = field(default_factory=dict)  # AnnealingOptions' fields
+
+    def __post_init__(self):
+        if self.method not in CALIBRATION_METHODS:
+            raise ValueError(
+                f"method must be one of {CALIBRATION_METHODS}, got {self.method!r}")
+        if self.assignment_mode not in ASSIGNMENT_MODES:
+            raise ValueError(f"assignment_mode must be one of {ASSIGNMENT_MODES}, "
+                             f"got {self.assignment_mode!r}")
+        unknown = [k for k in self.bounds if k not in DEFAULT_BOUNDS]
+        if unknown:
+            raise ValueError(
+                f"unknown bounds key(s) {unknown}; accepted: {', '.join(DEFAULT_BOUNDS)}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 class ModelObjective:
@@ -419,50 +441,41 @@ def calibrate(
     strata,
     counts,
     *,
-    method: str = "nelder_mead",
-    seed: int = 0,
-    bounds=None,
-    bound_overrides=None,
-    assignment_mode: str = "oneoff",
     n_outer: int = DEFAULT_N_OUTER,
     gap_tol: float = DEFAULT_GAP_TOL,
-    xatol: float = DEFAULT_XATOL,
-    fatol: float = DEFAULT_FATOL,
-    max_evals: int = DEFAULT_MAX_EVALS,
-    sa_options: dict | None = None,
     paths: PathSet | None = None,
+    **settings,
 ) -> CalibrationResult:
     """Minimize the mean-GEH objective over all stratum weights.
 
-    The initial weights are taken from the strata themselves and are always
-    part of the search, so the result can never be worse than the input.
+    settings are CalibrationOptions' fields; n_outer and gap_tol set the
+    inner-loop assignment. The initial weights are taken from the strata
+    themselves and are always part of the search, so the result can never
+    be worse than the input.
     """
     if not strata:
         raise ValueError("at least one stratum is required")
-    if method not in CALIBRATION_METHODS:
-        raise ValueError(f"unknown calibration method {method!r}")
+    opts = CalibrationOptions(**settings)
     objective = ModelObjective(
         zones, network, strata, counts,
-        assignment_mode=assignment_mode, n_outer=n_outer, gap_tol=gap_tol,
-        bounds=bounds, bound_overrides=bound_overrides, paths=paths,
+        assignment_mode=opts.assignment_mode, n_outer=n_outer, gap_tol=gap_tol,
+        bounds=opts.bounds, bound_overrides=opts.bound_overrides, paths=paths,
     )
     template = objective.template
     box = (template.lower(), template.upper())
-    if method == "nelder_mead":
+    if opts.method == "nelder_mead":
         res = nelder_mead(
             objective, template.values(), box,
-            xatol=xatol, fatol=fatol, max_evals=max_evals,
+            xatol=opts.xatol, fatol=opts.fatol, max_evals=opts.max_evals,
         )
     else:
-        res = simulated_annealing(
-            objective, box, seed, x0=template.values(), **(sa_options or {})
-        )
+        res = simulated_annealing(objective, box, opts.seed, x0=template.values(), **opts.sa)
     return CalibrationResult(
         best_weights=template.with_values(res.x),
         best_objective=res.objective,
         history=res.history,
         n_evaluations=res.n_evaluations,
-        method=method,
+        method=opts.method,
         converged=res.converged,
     )
 
@@ -475,39 +488,35 @@ def split_test(
     *,
     fractions,
     seeds,
-    method: str = "nelder_mead",
-    assignment_mode: str = "oneoff",
     n_outer: int = DEFAULT_N_OUTER,
     gap_tol: float = DEFAULT_GAP_TOL,
-    **calibrate_options,
+    **settings,
 ) -> list[SplitExperimentResult]:
     """Train/test robustness grid: calibrate on a count subset, score both sides.
 
-    Results are ordered by (fraction, seed). Each cell is scored under the
-    same assignment (mode, n_outer, gap_tol) that calibrated it. One
-    free-flow path set is built for the whole grid and shared by every
-    calibration and every scoring assignment, in either mode.
+    settings are CalibrationOptions' fields but seed: each cell calibrates
+    with its own seed. Results are ordered by (fraction, seed). A cell's
+    train score is its calibrated J; its test side is scored under the same
+    assignment (mode, n_outer, gap_tol) that calibrated it. One free-flow
+    path set is built for the whole grid and shared by every calibration
+    and every scoring assignment, in either mode.
     """
+    mode = CalibrationOptions(**settings).assignment_mode
     paths = PathSet(network, free_flow_times(network))
     results = []
     for fraction in fractions:
         for seed in seeds:
             train, test = split_counts(counts, fraction, seed)
-            res = calibrate(
-                zones, network, strata, train,
-                method=method, seed=seed, assignment_mode=assignment_mode,
-                n_outer=n_outer, gap_tol=gap_tol, paths=paths,
-                **calibrate_options,
-            )
-            best_strata = res.best_weights.apply(strata)
+            res = calibrate(zones, network, strata, train, seed=seed,
+                            n_outer=n_outer, gap_tol=gap_tol, paths=paths, **settings)
             flows = assign(
-                network, zones, best_strata, assignment_mode, n_outer,
+                network, zones, res.best_weights.apply(strata), mode, n_outer,
                 gap_tol=gap_tol, paths=paths,
             ).flows
             results.append(SplitExperimentResult(
                 split_fraction=fraction,
                 seed=seed,
-                train_geh=evaluate(flows, train).objective_j,
+                train_geh=res.best_objective,
                 test_geh=evaluate(flows, test).objective_j,
             ))
     return results

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .assignment import assign
-from .calibrate import CALIBRATION_METHODS, calibrate, check_sa_ranges, split_test
-from .metrics import evaluate, report_text
+from .calibrate import CALIBRATION_METHODS, CalibrationOptions, calibrate, split_test
+from .metrics import evaluate, report_text, split_summary_text
 from .model_io import (
     LoadedModel,
     ModelLoadError,
@@ -48,16 +47,12 @@ def _run_assignment(model: LoadedModel, strata=None, network=None):
     )
 
 
-def _calibration_options(model: LoadedModel) -> dict:
-    """calibrate() settings from the spec, shared by calibrate and split-test."""
-    opts = model.calibration
-    return dict(
-        bounds=opts.bounds or None, bound_overrides=opts.bound_overrides or None,
-        assignment_mode=opts.assignment_mode,
-        n_outer=model.assignment.n_outer, gap_tol=model.assignment.gap_tol,
-        xatol=opts.xatol, fatol=opts.fatol, max_evals=opts.max_evals,
-        sa_options=opts.sa or None,
-    )
+def _calibrate_keywords(model: LoadedModel, method: str | None) -> dict:
+    """calibrate()'s keywords, shared by calibrate and split-test: the spec's
+    calibration options, with method when given, and the configured
+    assignment's n_outer and gap_tol."""
+    return dict(dataclasses.asdict(model.calibration), method=method or model.calibration.method,
+                n_outer=model.assignment.n_outer, gap_tol=model.assignment.gap_tol)
 
 
 def cmd_validate(args) -> int:
@@ -101,20 +96,17 @@ def cmd_evaluate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     model = load_model(args.spec)
-    opts = model.calibration
-    method = args.method or opts.method
-    seed = opts.seed if args.seed is None else args.seed
-    result = calibrate(
-        model.zones, model.network, model.strata, model.counts,
-        method=method, seed=seed, **_calibration_options(model),
-    )
+    settings = _calibrate_keywords(model, args.method)
+    if args.seed is not None:
+        settings["seed"] = args.seed
+    result = calibrate(model.zones, model.network, model.strata, model.counts, **settings)
     best_strata = result.best_weights.apply(model.strata)
     out = _outdir(args)
     write_history_csv(out / "history.csv", result)
     write_weights_yaml(out / "calibrated_weights.yaml", best_strata)
 
     initial_j = result.history[0][1]
-    print(f"method: {method}  seed: {seed}  evaluations: {result.n_evaluations}")
+    print(f"method: {result.method}  seed: {settings['seed']}  evaluations: {result.n_evaluations}")
     print(f"objective J: {initial_j:.4f} -> {result.best_objective:.4f} "
           f"(converged={result.converged})")
     for e in result.best_weights.entries:
@@ -160,10 +152,10 @@ def _positive_int(raw: str) -> int:
 
 
 def _seed(raw: str) -> int:
-    """--seed: an integer within simulated_annealing's seed range."""
+    """--seed: an integer that CalibrationOptions accepts as a seed."""
     seed = int(raw)
     try:
-        check_sa_ranges(seed=seed)
+        CalibrationOptions(seed=seed)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return seed
@@ -171,21 +163,13 @@ def _seed(raw: str) -> int:
 
 def cmd_split_test(args) -> int:
     model = load_model(args.spec)
-    fractions = args.fractions  # parsed and range-checked by _parse_fractions
-    results = split_test(
-        model.zones, model.network, model.strata, model.counts,
-        fractions=fractions, seeds=list(range(args.seeds)),
-        method=args.method or model.calibration.method, **_calibration_options(model),
-    )
+    settings = _calibrate_keywords(model, args.method)
+    del settings["seed"]  # each cell calibrates with its own seed
+    results = split_test(model.zones, model.network, model.strata, model.counts,
+                         fractions=args.fractions, seeds=list(range(args.seeds)), **settings)
     out = _outdir(args)
     write_split_csv(out / "split_test.csv", results)
-    print(f"{'fraction':>8} {'mean train':>11} {'mean test':>10} {'sd test':>8}")
-    for fraction in fractions:
-        cell = [r for r in results if r.split_fraction == fraction]
-        train = np.array([r.train_geh for r in cell])
-        test = np.array([r.test_geh for r in cell])
-        print(f"{fraction:>8.2f} {train.mean():>11.4f} {test.mean():>10.4f} "
-              f"{test.std(ddof=0):>8.4f}")
+    print(split_summary_text(results))
     print(f"wrote {out / 'split_test.csv'} ({len(results)} rows)")
     return EXIT_OK
 
@@ -197,11 +181,7 @@ def cmd_compare(args) -> int:
     base = _run_assignment(model)
     changed = _run_assignment(model, network=edited)
     out = _outdir(args)
-    write_compare_csv(out / "compare.csv", base.flows, changed.flows)
-    deltas = {
-        lid: changed.flows.get(lid, 0.0) - base.flows.get(lid, 0.0)
-        for lid in set(base.flows) | set(changed.flows)
-    }
+    deltas = write_compare_csv(out / "compare.csv", base.flows, changed.flows)
     top = sorted(deltas.items(), key=lambda kv: (-abs(kv[1]), kv[0]))[:10]
     print(f"scenario {scenario.name!r}: {len(scenario.edits)} edit(s)")
     print(f"{'link':<20} {'delta veh/24h':>14}")

@@ -91,12 +91,12 @@ class DemandStratum:
                 f"stratum {self.name!r}: unknown deterrence kind "
                 f"{self.deterrence_kind!r} (expected one of {DETERRENCE_KINDS})"
             )
-        if not self.mu >= 0:
-            raise ValueError(f"stratum {self.name!r}: mu must be >= 0")
-        if not self.beta >= 0:
-            raise ValueError(f"stratum {self.name!r}: beta must be >= 0")
-        if not self.occupancy > 0:
-            raise ValueError(f"stratum {self.name!r}: occupancy must be > 0")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"stratum {self.name!r}: mu must be finite and >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"stratum {self.name!r}: beta must be finite and >= 0")
+        if not 0 < self.occupancy < math.inf:
+            raise ValueError(f"stratum {self.name!r}: occupancy must be finite and > 0")
 
 
 def require_unique_names(strata) -> None:
@@ -138,10 +138,11 @@ def derive_jobs(population: float, cutoff: float = DEFAULT_JOBS_CUTOFF) -> float
 
 def _attribute_vector(zones, attr: str) -> np.ndarray:
     vec = np.array([z.attributes.get(attr, 0.0) for z in zones], dtype=float)
-    if not (vec >= 0).all():
-        k = int(np.argmin(vec >= 0))
+    ok = (vec >= 0) & (vec < math.inf)
+    if not ok.all():
+        k = int(np.argmin(ok))
         raise ValueError(f"attribute {attr!r} on zone {zones[k].zone_id!r} "
-                         f"must be >= 0, got {float(vec[k])!r}")
+                         f"must be finite and >= 0, got {float(vec[k])!r}")
     return vec
 
 
@@ -369,8 +370,9 @@ def _newton_step(P, r, c, o, d):
     return -(g_u + P @ dv) / r, dv
 
 
-def _forward_substitution(L, rhs, block: int = 64):
+def _forward_substitution(L, rhs):
     """Solve L x = rhs for lower-triangular L, one diagonal block at a time."""
+    block = 64
     x = np.empty_like(rhs)
     for s in range(0, rhs.size, block):
         e = s + block

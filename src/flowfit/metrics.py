@@ -78,7 +78,7 @@ def geh_objective(predicted_daily, observed_daily) -> tuple[float, np.ndarray]:
     return float(np.mean(gehs)), gehs
 
 
-def evaluate(flows, counts, *, threshold: float = GEH_THRESHOLD) -> EvaluationReport:
+def evaluate(flows, counts) -> EvaluationReport:
     """Per-link GEH report against observed counts.
 
     The per-link rows and J come from one geh_objective call, the same one
@@ -99,7 +99,7 @@ def evaluate(flows, counts, *, threshold: float = GEH_THRESHOLD) -> EvaluationRe
     return EvaluationReport(
         per_link=per_link,
         objective_j=j,
-        share_geh_below_5=float((gehs < threshold).mean()),
+        share_geh_below_5=float((gehs < GEH_THRESHOLD).mean()),
         n_measurements=len(per_link),
     )
 
@@ -118,12 +118,12 @@ def split_counts(counts, fraction: float, seed: int):
     return train, test
 
 
-def report_text(report: EvaluationReport, *, threshold: float = GEH_THRESHOLD) -> str:
+def report_text(report: EvaluationReport) -> str:
     """Human-readable evaluation summary with the worst links listed first."""
     lines = [
         f"measurements: {report.n_measurements}",
         f"mean GEH (hourly-equivalent): {report.objective_j:.4f}",
-        f"share GEH < {threshold:g}: {100.0 * report.share_geh_below_5:.1f}%",
+        f"share GEH < {GEH_THRESHOLD:g}: {100.0 * report.share_geh_below_5:.1f}%",
         "",
         f"{'link':<20} {'observed':>12} {'predicted':>12} {'GEH':>8}",
     ]
@@ -132,4 +132,17 @@ def report_text(report: EvaluationReport, *, threshold: float = GEH_THRESHOLD) -
         lines.append(
             f"{e.link_id:<20} {e.observed:>12.1f} {e.predicted:>12.1f} {e.geh:>8.3f}"
         )
+    return "\n".join(lines)
+
+
+def split_summary_text(results) -> str:
+    """Per-fraction summary of a split_test grid, in the grid's order: mean
+    train and test GEH over the seeds, and the test GEH's spread."""
+    lines = [f"{'fraction':>8} {'mean train':>11} {'mean test':>10} {'sd test':>8}"]
+    for fraction in dict.fromkeys(r.split_fraction for r in results):
+        cell = [r for r in results if r.split_fraction == fraction]
+        train = np.array([r.train_geh for r in cell])
+        test = np.array([r.test_geh for r in cell])
+        lines.append(f"{fraction:>8.2f} {train.mean():>11.4f} {test.mean():>10.4f} "
+                     f"{test.std(ddof=0):>8.4f}")
     return "\n".join(lines)

@@ -11,7 +11,8 @@ road appears as two rows):
 Ids are non-empty, and unique except in counts.csv. One converter reads
 every other cell and every scenario edit field: a blank optional cell takes
 its field's default, a blank attr: cell leaves that attribute off the zone.
-A bidirectional count is split 50/50 onto the named link and its reverse.
+A count's bidirectional cell reads 1/true/yes or 0/false/no in any case (blank
+is no); a bidirectional count is split 50/50 onto the named link and its reverse.
 The model spec and scenarios are single YAML mappings; see data/toy/.
 Scenario edits name links.csv columns as fields. load_model reports
 network.validate's findings with the file and line of each link or zone.
@@ -23,23 +24,13 @@ import csv
 import dataclasses
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .assignment import ASSIGNMENT_MODES, DEFAULT_GAP_TOL, DEFAULT_N_OUTER, AssignmentResult
-from .calibrate import (
-    CALIBRATION_METHODS,
-    DEFAULT_BOUNDS,
-    DEFAULT_FATOL,
-    DEFAULT_MAX_EVALS,
-    DEFAULT_XATOL,
-    SA_OPTIONS,
-    CalibrationResult,
-    WeightVector,
-    check_sa_ranges,
-)
+from .calibrate import AnnealingOptions, CalibrationOptions, CalibrationResult, WeightVector
 from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs, require_unique_names
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
 from .network import Link, Network, Node, findings, validate
@@ -52,6 +43,16 @@ logger = logging.getLogger(__name__)
 def _defaults(cls) -> dict:
     return {f.name: f.default for f in dataclasses.fields(cls)
             if f.default is not dataclasses.MISSING}
+
+
+# a bidirectional cell, in any case; a blank one reads as no
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _flag(raw: str) -> bool:
+    if raw.lower() not in _FLAGS:
+        raise ValueError(f"expected one of {', '.join(_FLAGS)} or blank")
+    return _FLAGS[raw.lower()]
 
 
 # Each table's columns: the reader requires them, the writer's header starts
@@ -67,7 +68,7 @@ _ZONE_DEFAULTS = {**_defaults(Zone), "anchor": ""}  # validate reports a blank a
 _NODE_FIELDS = {"x": ("x", float), "y": ("y", float)}
 _NODE_DEFAULTS = _defaults(Node)
 _COUNT_FIELDS = {"observed_veh24h": ("observed", float),
-                 "bidirectional": ("bidirectional", lambda raw: raw in ("1", "true", "yes"))}
+                 "bidirectional": ("bidirectional", _flag)}
 _COUNT_DEFAULTS = {"bidirectional": False}
 # links.csv in Link's field order; one map for the reader, the scenario edits
 # and the writer. A field with a default in Link makes its column optional.
@@ -106,35 +107,6 @@ class AssignmentOptions:
             raise ValueError(f"mode must be one of {ASSIGNMENT_MODES}, got {self.mode!r}")
         if self.n_outer < 1:
             raise ValueError(f"n_outer must be >= 1, got {self.n_outer!r}")
-
-
-@dataclass
-class CalibrationOptions:
-    method: str = "nelder_mead"  # | "simulated_annealing"
-    seed: int = 0
-    max_evals: int = DEFAULT_MAX_EVALS
-    xatol: float = DEFAULT_XATOL
-    fatol: float = DEFAULT_FATOL
-    # inner-loop assignment during optimization; the final report re-runs
-    # the calibrated weights through the configured assignment mode
-    assignment_mode: str = "oneoff"
-    bounds: dict = field(default_factory=dict)  # param -> [lo, hi]
-    bound_overrides: dict = field(default_factory=dict)  # "stratum.param" -> [lo, hi]
-    sa: dict = field(default_factory=dict)  # simulated-annealing options
-
-    def __post_init__(self):
-        if self.method not in CALIBRATION_METHODS:
-            raise ValueError(
-                f"method must be one of {CALIBRATION_METHODS}, got {self.method!r}")
-        if self.assignment_mode not in ASSIGNMENT_MODES:
-            raise ValueError(f"assignment_mode must be one of {ASSIGNMENT_MODES}, "
-                             f"got {self.assignment_mode!r}")
-        for key, accepted in (("sa", SA_OPTIONS), ("bounds", tuple(DEFAULT_BOUNDS))):
-            unknown = [k for k in getattr(self, key) if k not in accepted]
-            if unknown:
-                raise ValueError(
-                    f"unknown {key} key(s) {unknown}; accepted: {', '.join(accepted)}")
-        check_sa_ranges(seed=self.seed, **self.sa)
 
 
 _DERIVATION_METHODS = ("jobs_from_population",)
@@ -265,7 +237,8 @@ def _convert(cells: dict, columns: dict, defaults: dict, problems: list[str]) ->
     """Field values by name from a CSV row or a scenario edit's fields, for
     each column -> (field, conversion) in columns. A blank or absent cell
     takes its field's value from defaults; one without a default, or one that
-    does not convert, is appended to problems with its column and value."""
+    does not convert, is appended to problems with its column, what the
+    conversion expected and the value."""
     values = {}
     for column, (name, convert) in columns.items():
         raw = cells.get(column, "")
@@ -279,8 +252,10 @@ def _convert(cells: dict, columns: dict, defaults: dict, problems: list[str]) ->
                 continue
         try:
             values[name] = convert(raw)
-        except (TypeError, ValueError):
-            problems.append(f"column {column!r}: not a number: {raw!r}")
+        except (TypeError, ValueError) as exc:
+            # float's own message repeats the value; _flag says what it expects
+            problem = "not a number" if convert is float else exc
+            problems.append(f"column {column!r}: {problem}: {raw!r}")
     return values
 
 
@@ -330,9 +305,9 @@ def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]
         if link is None:
             diagnostics.append(f"{source}:{row['lineno']}: unknown link {lid!r}")
             continue
-        if not row["observed"] >= 0:
-            diagnostics.append(
-                f"{source}:{row['lineno']}: observed flow must be >= 0, got {row['observed']!r}")
+        if not 0 <= row["observed"] < math.inf:
+            diagnostics.append(f"{source}:{row['lineno']}: "
+                               f"observed flow must be finite and >= 0, got {row['observed']!r}")
             continue
         if not row["bidirectional"]:
             counts.append(TrafficCount(lid, row["observed"]))
@@ -404,14 +379,19 @@ def _check_scalars(values: dict, types: dict, where: str, diagnostics: list[str]
 
 def _options(cls, values, where: str, diagnostics: list[str]):
     """cls(**values), each scalar checked against its field's type by
-    _check_scalars. An unknown or missing key, or a value cls rejects with
-    ValueError, is one diagnostic. Any diagnostic gives None."""
+    _check_scalars. Unknown keys (listed with the accepted ones), a missing
+    key, or a value cls rejects with ValueError give one diagnostic. Any
+    diagnostic gives None."""
     if not isinstance(values, dict):
         diagnostics.append(f"{where}: expected a mapping, got {values!r}")
         return None
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = [key for key in values if key not in types]
+    if unknown:
+        diagnostics.append(f"{where}: unknown key(s) {unknown}; accepted: {', '.join(types)}")
+        return None
     values = dict(values)
-    if not _check_scalars(values, {f.name: f.type for f in dataclasses.fields(cls)},
-                          where, diagnostics):
+    if not _check_scalars(values, types, where, diagnostics):
         return None
     try:
         return cls(**values)
@@ -466,11 +446,11 @@ def _parse_spec(path: Path) -> ModelSpec:
             else:
                 diagnostics.append(
                     f"{cal_where}{key}.{name}: expected a list of two numbers, got {pair!r}")
-    cal_raw["sa"] = dict(_entry(cal_raw, "sa", dict, cal_where, diagnostics))
-    calibration = None
-    # CalibrationOptions checks the sa values' ranges, so only once their types fit
-    if _check_scalars(cal_raw["sa"], SA_OPTIONS, f"{cal_where}sa", diagnostics):
-        calibration = _options(CalibrationOptions, cal_raw, f"{where}calibration", diagnostics)
+    sa_raw = _entry(cal_raw, "sa", dict, cal_where, diagnostics)
+    sa = _options(AnnealingOptions, sa_raw, f"{cal_where}sa", diagnostics)
+    # the keys given, with their values as read (an int for a float becomes one)
+    cal_raw["sa"] = {key: getattr(sa, key) for key in sa_raw} if sa else {}
+    calibration = _options(CalibrationOptions, cal_raw, f"{where}calibration", diagnostics)
     if not diagnostics:
         # the strata's weights in the calibration box, as calibrate checks them
         try:
@@ -557,10 +537,10 @@ def load_model(path) -> LoadedModel:
     zones = _apply_derivations(zones, spec.derivations)
     for zone in zones:
         for attr, value in zone.attributes.items():
-            if not value >= 0:
+            if not 0 <= value < math.inf:
                 diagnostics.append(
                     f"{spec.zones_path}:{zone_lines[zone.zone_id]}: "
-                    f"attribute {attr!r} must be >= 0, got {value!r}"
+                    f"attribute {attr!r} must be finite and >= 0, got {value!r}"
                 )
     counts = _resolve_counts(count_rows, network, spec.counts_path, diagnostics)
     if diagnostics:
@@ -734,14 +714,18 @@ def write_split_csv(path, results: list[SplitExperimentResult]) -> None:
                 for r in results))
 
 
-def write_compare_csv(path, base_flows, scenario_flows) -> None:
-    """Per-link flow deltas; links absent from one side count as zero flow."""
+def write_compare_csv(path, base_flows, scenario_flows) -> dict:
+    """Per-link flow deltas, written and returned by link id; links absent
+    from one side count as zero flow."""
+    deltas = {}
     rows = []
     for lid in sorted(set(base_flows) | set(scenario_flows)):
         qb = base_flows.get(lid, 0.0)
         qs = scenario_flows.get(lid, 0.0)
-        rows.append([lid, _fmt(qb), _fmt(qs), _fmt(qs - qb)])
+        deltas[lid] = qs - qb
+        rows.append([lid, _fmt(qb), _fmt(qs), _fmt(deltas[lid])])
     _write_csv(path, ["link_id", "flow_base", "flow_scenario", "delta"], rows)
+    return deltas
 
 
 def write_weights_yaml(path, strata) -> None:

@@ -257,10 +257,10 @@ def findings(network: Network):
             yield "links", lid, f"link {lid!r}: t0 must be > 0, got {link.t0!r}"
         if not link.q_max > 0:
             yield "links", lid, f"link {lid!r}: q_max must be > 0, got {link.q_max!r}"
-        if not link.alpha1 >= 0:
-            yield "links", lid, f"link {lid!r}: alpha1 must be >= 0, got {link.alpha1!r}"
-        if not link.alpha2 >= 1:
-            yield "links", lid, f"link {lid!r}: alpha2 must be >= 1, got {link.alpha2!r}"
+        if not 0 <= link.alpha1 < math.inf:
+            yield "links", lid, f"link {lid!r}: alpha1 must be finite and >= 0, got {link.alpha1!r}"
+        if not 1 <= link.alpha2 < math.inf:
+            yield "links", lid, f"link {lid!r}: alpha2 must be finite and >= 1, got {link.alpha2!r}"
     for zid in sorted(network.zone_anchors):
         anchor = network.zone_anchors[zid]
         if anchor not in network.nodes:

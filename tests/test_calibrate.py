@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,11 +179,18 @@ class TestSimulatedAnnealing:
 
     @pytest.mark.parametrize("option, value, rule", [
         ("seed", -1, ">= 0"), ("restarts", -1, ">= 0"),
-        ("initial_temp", 0.0, "null or > 0"), ("initial_temp", math.nan, "null or > 0"),
+        ("initial_temp", 0.0, "null or finite and > 0"),
+        ("initial_temp", math.nan, "null or finite and > 0"),
+        ("initial_temp", math.inf, "null or finite and > 0"),
+        ("cooling", 0.0, "in (0, 1]"), ("cooling", 1.5, "in (0, 1]"),
+        ("cooling", math.nan, "in (0, 1]"),
+        ("n_sweeps", -1, ">= 0"), ("steps_per_sweep", -1, ">= 0"),
+        ("steps_per_sweep", math.nan, ">= 0"),
     ])
     def test_option_outside_its_range_rejected(self, option, value, rule):
         calls = []
-        with pytest.raises(ValueError, match=f"{option} must be {rule}, got {value!r}"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{option} must be {rule}, got {value!r}")):
             simulated_annealing(lambda x: calls.append(x) or 0.0, self.BOUNDS,
                                 **{option: value})
         assert not calls  # rejected before the first evaluation
@@ -387,7 +395,7 @@ class TestCalibrate:
         zones, net, counts = toy_setup
         res = calibrate(zones, net, toy_strata(1.5, 0.1), counts,
                         method="simulated_annealing", seed=0,
-                        sa_options={"n_sweeps": 30, "steps_per_sweep": 10})
+                        sa={"n_sweeps": 30, "steps_per_sweep": 10})
         assert res.best_objective < 0.05
 
     def test_mu_and_count_scaling_leaves_beta_invariant(self, toy_setup):

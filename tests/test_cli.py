@@ -146,13 +146,27 @@ class TestValidateCommand:
         ("strata", "beta", "0.1", "strata[0].beta: expected float, got '0.1'"),
         ("strata", "name", 7, "strata[0].name: expected str, got 7"),
         ("strata", "deterrence", "bogus", "unknown deterrence kind 'bogus'"),
-        ("strata", "colour", "red", "unexpected keyword argument 'colour'"),
+        ("strata", "colour", "red", "strata[0]: unknown key(s) ['colour']; accepted: name, "
+         "production_attr, attraction_attr, mu, beta, deterrence_kind, occupancy"),
         ("calibration", "seed", -1, "calibration: seed must be >= 0, got -1"),
-        ("calibration", "sa", {"restarts": -1}, "calibration: restarts must be >= 0, got -1"),
+        ("calibration", "sa", {"restarts": -1}, "calibration.sa: restarts must be >= 0, got -1"),
         ("calibration", "sa", {"initial_temp": 0},
-         "calibration: initial_temp must be null or > 0, got 0.0"),
+         "calibration.sa: initial_temp must be null or finite and > 0, got 0.0"),
         ("calibration", "sa", {"initial_temp": float("nan")},
-         "calibration: initial_temp must be null or > 0, got nan"),
+         "calibration.sa: initial_temp must be null or finite and > 0, got nan"),
+        ("calibration", "sa", {"initial_temp": float("inf")},
+         "calibration.sa: initial_temp must be null or finite and > 0, got inf"),
+        ("calibration", "sa", {"cooling": float("nan")},
+         "calibration.sa: cooling must be in (0, 1], got nan"),
+        ("calibration", "sa", {"cooling": 0}, "calibration.sa: cooling must be in (0, 1], got 0.0"),
+        ("calibration", "sa", {"n_sweeps": -1}, "calibration.sa: n_sweeps must be >= 0, got -1"),
+        ("calibration", "sa", {"steps_per_sweep": -1},
+         "calibration.sa: steps_per_sweep must be >= 0, got -1"),
+        ("calibration", "tolerance", 1e-3, "calibration: unknown key(s) ['tolerance']; "
+         "accepted: method, seed, max_evals, xatol, fatol, assignment_mode, bounds, "
+         "bound_overrides, sa"),
+        ("assignment", "gap", 0.1, "assignment: unknown key(s) ['gap']; "
+         "accepted: mode, n_outer, gap_tol"),
     ])
     def test_option_value_rejected_by_its_class_exits_two(self, toy_spec, capsys,
                                                            section, key, value, message):
@@ -164,6 +178,16 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert message in out
         assert "1 issue(s)" in out  # a wrong type gives no second diagnostic
+
+    def test_sa_problem_and_bad_method_are_reported_together(self, toy_spec, capsys):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw["calibration"].update(method="newton", sa={"n_sweeps": "five"})
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 2
+        out = capsys.readouterr().out
+        assert "2 issue(s)" in out
+        assert "calibration.sa.n_sweeps: expected int, got 'five'" in out
+        assert "calibration: method must be one of" in out
 
     @pytest.mark.parametrize("derivation, message", [
         ({"attribute": "jobs", "method": "bogus", "source": "population"},
@@ -184,7 +208,7 @@ class TestValidateCommand:
         assert message in capsys.readouterr().out
 
     @pytest.mark.parametrize("key, value, message", [
-        ("sa", {"n_sweep": 5}, "calibration: unknown sa key(s) ['n_sweep']; accepted: "
+        ("sa", {"n_sweep": 5}, "calibration.sa: unknown key(s) ['n_sweep']; accepted: "
          "initial_temp, cooling, n_sweeps, steps_per_sweep, restarts, polish"),
         ("bounds", {"mu": [3, 0]}, "calibration: everyone.mu = 1.5 outside bounds [3, 0]"),
         ("bounds", {"mu": [0, float("inf")]}, "calibration: everyone.mu: bounds must be finite"),
@@ -242,13 +266,26 @@ class TestValidateCommand:
             "cooling": float, "initial_temp": float, "n_sweeps": int}
 
     @pytest.mark.parametrize("table, row_id, column, value, message", [
-        ("links", "n1_n2", "alpha1", "nan", "link 'n1_n2': alpha1 must be >= 0, got nan"),
-        ("links", "n1_n2", "alpha2", "nan", "link 'n1_n2': alpha2 must be >= 1, got nan"),
+        ("links", "n1_n2", "alpha1", "nan",
+         "link 'n1_n2': alpha1 must be finite and >= 0, got nan"),
+        ("links", "n1_n2", "alpha1", "inf",
+         "link 'n1_n2': alpha1 must be finite and >= 0, got inf"),
+        ("links", "n1_n2", "alpha2", "nan",
+         "link 'n1_n2': alpha2 must be finite and >= 1, got nan"),
+        ("links", "n1_n2", "alpha2", "inf",
+         "link 'n1_n2': alpha2 must be finite and >= 1, got inf"),
         ("zones", "Z1", "attr:population", "nan",
-         "attribute 'population' must be >= 0, got nan"),
-        ("counts", "n1_n2", "observed_veh24h", "nan", "observed flow must be >= 0, got nan"),
-        ("counts", "n1_n2", "observed_veh24h", "-5.0", "observed flow must be >= 0, got -5.0"),
-    ], ids=["alpha1-nan", "alpha2-nan", "attribute-nan", "observed-nan", "observed-negative"])
+         "attribute 'population' must be finite and >= 0, got nan"),
+        ("zones", "Z1", "attr:population", "inf",
+         "attribute 'population' must be finite and >= 0, got inf"),
+        ("counts", "n1_n2", "observed_veh24h", "nan",
+         "observed flow must be finite and >= 0, got nan"),
+        ("counts", "n1_n2", "observed_veh24h", "-5.0",
+         "observed flow must be finite and >= 0, got -5.0"),
+        ("counts", "n1_n2", "observed_veh24h", "inf",
+         "observed flow must be finite and >= 0, got inf"),
+    ], ids=["alpha1-nan", "alpha1-inf", "alpha2-nan", "alpha2-inf", "attribute-nan",
+            "attribute-inf", "observed-nan", "observed-negative", "observed-inf"])
     def test_value_outside_its_range_exits_three(self, data_toy, capsys,
                                                  table, row_id, column, value, message):
         path = data_toy / f"{table}.csv"
@@ -423,7 +460,7 @@ class TestSplitTestCommand:
         assert main(["split-test", str(spec), "-o", str(out), "--fractions", "0.5",
                      "--seeds", "2", "--method", "simulated_annealing"]) == 0
         expected = split_test(zones, net, strata, counts, fractions=[0.5], seeds=[0, 1],
-                              method="simulated_annealing", sa_options=sa)
+                              method="simulated_annealing", sa=sa)
         rows = read_csv(out / "split_test.csv")
         assert [(float(r["train_geh"]), float(r["test_geh"])) for r in rows] == \
             [(r.train_geh, r.test_geh) for r in expected]

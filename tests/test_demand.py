@@ -116,24 +116,26 @@ class TestGenerateTripEnds:
         ends = generate_trip_ends(zones, stratum)
         assert ends.origins.tolist() == [10.0, 0.0]
 
-    @pytest.mark.parametrize("value", [math.nan, -1.0])
-    def test_nan_or_negative_attribute_rejected(self, value):
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_attribute_outside_its_range_rejected(self, value):
         zones = [Zone("a", attributes={"population": value}),
                  Zone("b", attributes={"population": 5.0})]
         stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
-        with pytest.raises(ValueError, match=f"zone 'a' must be >= 0, got {value!r}"):
+        with pytest.raises(ValueError,
+                           match=f"zone 'a' must be finite and >= 0, got {value!r}"):
             generate_trip_ends(zones, stratum)
 
-    @pytest.mark.parametrize("name, value", [("mu", -1.0), ("mu", math.nan),
-                                             ("beta", -0.1), ("beta", math.nan)])
-    def test_weight_outside_its_range_rejected(self, name, value):
+    @pytest.mark.parametrize("name, value, rule", [
+        ("mu", -1.0, ">= 0"), ("mu", math.nan, ">= 0"), ("mu", math.inf, ">= 0"),
+        ("beta", -0.1, ">= 0"), ("beta", math.nan, ">= 0"), ("beta", math.inf, ">= 0"),
+        ("occupancy", 0.0, "> 0"), ("occupancy", math.inf, "> 0"),
+    ])
+    def test_weight_outside_its_range_rejected(self, name, value, rule):
         weights = {"mu": 1.0, "beta": 0.1, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and {rule}"):
             DemandStratum("s", "p", "p", **weights)
 
     def test_stratum_invariants_enforced(self):
-        with pytest.raises(ValueError, match="occupancy"):
-            DemandStratum("s", "p", "p", 1.0, 0.1, occupancy=0.0)
         with pytest.raises(ValueError, match="deterrence"):
             DemandStratum("s", "p", "p", 1.0, 0.1, deterrence_kind="sigmoid")
 

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import re
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 import yaml
 
 from flowfit.assignment import PathSet
-from flowfit.calibrate import simulated_annealing
+from flowfit.calibrate import AnnealingOptions, simulated_annealing
 from flowfit.demand import derive_jobs
 from flowfit.model_io import (
     AssignmentOptions,
@@ -169,15 +168,28 @@ class TestLoadModel:
             load_model(toy_dir / "model.yaml")
         assert any("ghost" in d for d in err.value.diagnostics)
 
-    def test_bidirectional_count_splits_between_directions(self, toy_dir):
-        counts = toy_dir / "counts.csv"
-        counts.write_text(
-            "link_id,observed_veh24h,bidirectional\nn1_n2,10000,1\n"
-        )
+    @pytest.mark.parametrize("flag, split", [
+        ("1", True), ("true", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("false", False), ("No", False), ("", False),
+    ])
+    def test_bidirectional_flag_is_read_in_any_case(self, toy_dir, flag, split):
+        (toy_dir / "counts.csv").write_text(
+            f"link_id,observed_veh24h,bidirectional\nn1_n2,10000,{flag}\n")
         model = load_model(toy_dir / "model.yaml")
-        assert sorted((c.link_id, c.observed) for c in model.counts) == [
-            ("n1_n2", 5000.0), ("n2_n1", 5000.0)
-        ]
+        expected = [("n1_n2", 5000.0), ("n2_n1", 5000.0)] if split else [("n1_n2", 10000.0)]
+        assert sorted((c.link_id, c.observed) for c in model.counts) == expected
+
+    @pytest.mark.parametrize("flag", ["y", "maybe", "2"])
+    def test_unknown_bidirectional_flag_names_its_line(self, toy_dir, flag):
+        counts = toy_dir / "counts.csv"
+        counts.write_text("link_id,observed_veh24h,bidirectional\n"
+                          f"n1_n2,10000,0\nn2_n1,10000,{flag}\n")
+        with pytest.raises(ModelLoadError) as err:
+            load_model(toy_dir / "model.yaml")
+        assert err.value.stage == "parse"
+        assert err.value.diagnostics == [
+            f"{counts}:3: column 'bidirectional': expected one of 1, true, yes, 0, false, "
+            f"no or blank: {flag!r}"]
 
     def test_missing_spec_file(self, tmp_path):
         with pytest.raises(ModelLoadError) as err:
@@ -312,13 +324,19 @@ class TestTableCells:
 
 
 class TestSpecChecks:
-    def test_sa_keys_are_simulated_annealings_tuning_options(self):
-        params = inspect.signature(simulated_annealing).parameters
-        tuning = [n for n, p in params.items() if p.kind is p.KEYWORD_ONLY and n != "x0"]
-        CalibrationOptions(sa=dict.fromkeys(tuning, 1))
+    def test_sa_keys_are_simulated_annealings_tuning_options(self, toy_dir):
+        tuning = {"initial_temp": 1, "cooling": 1, "n_sweeps": 1, "steps_per_sweep": 1,
+                  "restarts": 0, "polish": False}
+        assert [f.name for f in dataclasses.fields(AnnealingOptions)] == list(tuning)
+        simulated_annealing(lambda x: 0.0, ([0.0], [1.0]), **tuning)
+        spec = toy_dir / "model.yaml"
+        raw = yaml.safe_load(spec.read_text())
         for key in ("x0", "n_sweep", "seed"):
-            with pytest.raises(ValueError, match=rf"unknown sa key\(s\) \['{key}'\]"):
-                CalibrationOptions(sa={key: 1})
+            raw["calibration"]["sa"] = {**tuning, key: 1}
+            spec.write_text(yaml.safe_dump(raw))
+            with pytest.raises(ModelLoadError,
+                               match=rf"calibration\.sa: unknown key\(s\) \['{key}'\]"):
+                load_model(spec)
 
     def test_bounds_keys_are_mu_and_beta(self):
         CalibrationOptions(bounds={"mu": (0.0, 2.0), "beta": (0.0, 0.5)})
