@@ -1,4 +1,7 @@
-"""Network assignment: all-or-nothing loading and MSA congestion feedback."""
+"""Network assignment: all-or-nothing loading and MSA congestion feedback.
+
+AssignmentOptions declares each assignment setting's default and range once.
+"""
 
 from __future__ import annotations
 
@@ -20,9 +23,26 @@ from .network import (
     volume_delay,
 )
 
-DEFAULT_N_OUTER = 5
-DEFAULT_GAP_TOL = 1e-3
 ASSIGNMENT_MODES = ("oneoff", "iterative")
+
+
+@dataclass
+class AssignmentOptions:
+    """assign()'s settings, model.yaml's assignment section; the defaults
+    and ranges that assign_iterative, ModelObjective, calibrate and
+    split_test use too. Each range check fails NaN."""
+
+    mode: str = "iterative"  # | "oneoff"
+    n_outer: int = 5
+    gap_tol: float = 1e-3
+
+    def __post_init__(self):
+        if self.mode not in ASSIGNMENT_MODES:
+            raise ValueError(f"mode must be one of {ASSIGNMENT_MODES}, got {self.mode!r}")
+        if not self.n_outer >= 1:
+            raise ValueError(f"n_outer must be >= 1, got {self.n_outer!r}")
+        if not 0 <= self.gap_tol < math.inf:
+            raise ValueError(f"gap_tol must be finite and >= 0, got {self.gap_tol!r}")
 
 
 class PathSet:
@@ -140,9 +160,9 @@ def assign_iterative(
     network: Network,
     zones,
     strata,
-    n_outer: int = DEFAULT_N_OUTER,
+    n_outer: int = AssignmentOptions.n_outer,
     *,
-    gap_tol: float = DEFAULT_GAP_TOL,
+    gap_tol: float = AssignmentOptions.gap_tol,
     paths: PathSet | None = None,
 ) -> AssignmentResult:
     """Cycle skim -> distribution -> all-or-nothing -> MSA flow averaging.
@@ -154,11 +174,11 @@ def assign_iterative(
     with weight 1/k; redistribution lets demand react to congestion. Stops
     after n_outer iterations (n_outer=1 is the one-off mode), or earlier,
     converged, once the relative L1 change of total link flows drops below
-    gap_tol. Per-stratum flows are keyed by stratum name, so names must be
+    gap_tol. n_outer and gap_tol take AssignmentOptions' defaults and
+    ranges. Per-stratum flows are keyed by stratum name, so names must be
     distinct.
     """
-    if n_outer < 1:
-        raise ValueError("n_outer must be >= 1")
+    AssignmentOptions(n_outer=n_outer, gap_tol=gap_tol)  # the ranges
     require_unique_names(strata)
 
     paths = paths or PathSet(network, free_flow_times(network))
@@ -178,20 +198,12 @@ def assign_iterative(
     return AssignmentResult(network.link_ids, total, avg, iterations, gap < gap_tol, gap)
 
 
-def assign(
-    network: Network,
-    zones,
-    strata,
-    mode: str = "oneoff",
-    n_outer: int = DEFAULT_N_OUTER,
-    *,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    paths: PathSet | None = None,
-) -> AssignmentResult:
-    """Assignment in the named mode: "oneoff" is a single free-flow pass
-    (n_outer=1); "iterative" runs the MSA loop for up to n_outer iterations.
-    paths, when given, is the free-flow path set both modes start from."""
-    if mode not in ASSIGNMENT_MODES:
-        raise ValueError(f"unknown assignment mode {mode!r}")
-    outer = 1 if mode == "oneoff" else n_outer
-    return assign_iterative(network, zones, strata, outer, gap_tol=gap_tol, paths=paths)
+def assign(network: Network, zones, strata, *, paths: PathSet | None = None,
+           **settings) -> AssignmentResult:
+    """Assignment under settings, AssignmentOptions' fields: mode "oneoff" is
+    assign_iterative with n_outer=1, "iterative" runs it for up to n_outer
+    iterations. paths, when given, is the free-flow path set both modes
+    start from."""
+    opts = AssignmentOptions(**settings)
+    outer = 1 if opts.mode == "oneoff" else opts.n_outer
+    return assign_iterative(network, zones, strata, outer, gap_tol=opts.gap_tol, paths=paths)

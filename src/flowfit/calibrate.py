@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import ASSIGNMENT_MODES, DEFAULT_GAP_TOL, DEFAULT_N_OUTER, PathSet, assign
+from .assignment import ASSIGNMENT_MODES, AssignmentOptions, PathSet, assign
 from .demand import (
     DemandStratum,
     FurnessConvergenceError,
@@ -336,7 +336,8 @@ def simulated_annealing(f, bounds, seed: int = 0, *, x0=None, **options) -> Opti
 
 @dataclass
 class CalibrationOptions:
-    """calibrate()'s settings, model.yaml's calibration section."""
+    """calibrate()'s settings, model.yaml's calibration section. Each range
+    check fails NaN."""
 
     method: str = "nelder_mead"  # | "simulated_annealing"
     seed: int = 0
@@ -363,12 +364,18 @@ class CalibrationOptions:
                 f"unknown bounds key(s) {unknown}; accepted: {', '.join(DEFAULT_BOUNDS)}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if not self.max_evals >= 1:
+            raise ValueError(f"max_evals must be >= 1, got {self.max_evals!r}")
+        for name in ("xatol", "fatol"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 class ModelObjective:
     """J(weights): mean GEH between assigned and observed daily flows.
 
-    Each evaluation is one assignment.assign in the objective's mode, started
+    Each evaluation is one assignment.assign in assignment_mode, with n_outer
+    and gap_tol (AssignmentOptions' fields, checked at construction), started
     from the free-flow PathSet the objective holds: one-off mode is then one
     PathSet.load (gravity distribution plus one push of the trips up the
     shortest-path trees per stratum), and iterative mode builds a path set
@@ -391,23 +398,20 @@ class ModelObjective:
         counts,
         *,
         assignment_mode: str = "oneoff",
-        n_outer: int = DEFAULT_N_OUTER,
-        gap_tol: float = DEFAULT_GAP_TOL,
+        n_outer: int = AssignmentOptions.n_outer,
+        gap_tol: float = AssignmentOptions.gap_tol,
         bounds=None,
         bound_overrides=None,
         paths: PathSet | None = None,
     ):
-        if assignment_mode not in ASSIGNMENT_MODES:
-            raise ValueError(f"unknown assignment mode {assignment_mode!r}")
         if not counts:
             raise ValueError("no traffic counts: objective undefined")
         self.zones = zones
         self.network = network
         self.strata = list(strata)
         self.counts = list(counts)
-        self.assignment_mode = assignment_mode
-        self.n_outer = n_outer
-        self.gap_tol = gap_tol
+        opts = AssignmentOptions(mode=assignment_mode, n_outer=n_outer, gap_tol=gap_tol)
+        self._settings = dataclasses.asdict(opts)  # assign's keywords
         self.template = WeightVector.from_strata(self.strata, bounds, bound_overrides)
         for c in self.counts:
             if c.link_id not in network.links:
@@ -420,10 +424,8 @@ class ModelObjective:
     def __call__(self, x) -> float:
         weights = self.template.with_values(x)
         try:
-            result = assign(
-                self.network, self.zones, weights.apply(self.strata), self.assignment_mode,
-                self.n_outer, gap_tol=self.gap_tol, paths=self._paths,
-            )
+            result = assign(self.network, self.zones, weights.apply(self.strata),
+                            paths=self._paths, **self._settings)
             return geh_objective(result.total[self._count_idx], self._observed)[0]
         except (FurnessConvergenceError, FurnessInfeasibleError):
             self.furness_failures += 1
@@ -441,8 +443,8 @@ def calibrate(
     strata,
     counts,
     *,
-    n_outer: int = DEFAULT_N_OUTER,
-    gap_tol: float = DEFAULT_GAP_TOL,
+    n_outer: int = AssignmentOptions.n_outer,
+    gap_tol: float = AssignmentOptions.gap_tol,
     paths: PathSet | None = None,
     **settings,
 ) -> CalibrationResult:
@@ -488,8 +490,8 @@ def split_test(
     *,
     fractions,
     seeds,
-    n_outer: int = DEFAULT_N_OUTER,
-    gap_tol: float = DEFAULT_GAP_TOL,
+    n_outer: int = AssignmentOptions.n_outer,
+    gap_tol: float = AssignmentOptions.gap_tol,
     **settings,
 ) -> list[SplitExperimentResult]:
     """Train/test robustness grid: calibrate on a count subset, score both sides.
@@ -509,10 +511,8 @@ def split_test(
             train, test = split_counts(counts, fraction, seed)
             res = calibrate(zones, network, strata, train, seed=seed,
                             n_outer=n_outer, gap_tol=gap_tol, paths=paths, **settings)
-            flows = assign(
-                network, zones, res.best_weights.apply(strata), mode, n_outer,
-                gap_tol=gap_tol, paths=paths,
-            ).flows
+            flows = assign(network, zones, res.best_weights.apply(strata), mode=mode,
+                           n_outer=n_outer, gap_tol=gap_tol, paths=paths).flows
             results.append(SplitExperimentResult(
                 split_fraction=fraction,
                 seed=seed,

@@ -40,11 +40,8 @@ def _outdir(args) -> Path:
 
 
 def _run_assignment(model: LoadedModel, strata=None, network=None):
-    opts = model.assignment
-    return assign(
-        network or model.network, model.zones, strata or model.strata,
-        opts.mode, opts.n_outer, gap_tol=opts.gap_tol,
-    )
+    return assign(network or model.network, model.zones, strata or model.strata,
+                  **dataclasses.asdict(model.assignment))
 
 
 def _calibrate_keywords(model: LoadedModel, method: str | None) -> dict:

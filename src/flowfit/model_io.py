@@ -29,7 +29,7 @@ from pathlib import Path
 
 import yaml
 
-from .assignment import ASSIGNMENT_MODES, DEFAULT_GAP_TOL, DEFAULT_N_OUTER, AssignmentResult
+from .assignment import AssignmentOptions, AssignmentResult
 from .calibrate import AnnealingOptions, CalibrationOptions, CalibrationResult, WeightVector
 from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs, require_unique_names
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
@@ -94,19 +94,6 @@ class ModelLoadError(Exception):
         self.diagnostics = list(diagnostics)
         lines = "\n  ".join(self.diagnostics)
         super().__init__(f"{stage} failed with {len(self.diagnostics)} issue(s):\n  {lines}")
-
-
-@dataclass
-class AssignmentOptions:
-    mode: str = "iterative"  # "oneoff" | "iterative"
-    n_outer: int = DEFAULT_N_OUTER
-    gap_tol: float = DEFAULT_GAP_TOL
-
-    def __post_init__(self):
-        if self.mode not in ASSIGNMENT_MODES:
-            raise ValueError(f"mode must be one of {ASSIGNMENT_MODES}, got {self.mode!r}")
-        if self.n_outer < 1:
-            raise ValueError(f"n_outer must be >= 1, got {self.n_outer!r}")
 
 
 _DERIVATION_METHODS = ("jobs_from_population",)

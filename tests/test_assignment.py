@@ -10,7 +10,9 @@ import pytest
 import flowfit
 
 from flowfit.assignment import (
+    AssignmentOptions,
     PathSet,
+    assign,
     assign_all_or_nothing,
     assign_iterative,
 )
@@ -452,3 +454,32 @@ class TestIterativeAssignment:
         with pytest.raises(ValueError, match="n_outer"):
             assign_iterative(net, zones, toy_strata(), n_outer=0)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"n_outer": float("nan")}, "n_outer must be >= 1, got nan"),
+        ({"gap_tol": float("nan")}, "gap_tol must be finite and >= 0, got nan"),
+        ({"gap_tol": -1.0}, "gap_tol must be finite and >= 0, got -1.0"),
+    ])
+    def test_setting_outside_its_range_rejected(self, setting, message):
+        zones, net = eight_zone_star()
+        with pytest.raises(ValueError, match=message):
+            assign_iterative(net, zones, toy_strata(), **setting)
+
+
+class TestAssign:
+    def test_no_settings_run_the_assignment_options_defaults(self):
+        zones, net = eight_zone_star()
+        strata = toy_strata(0.7, 0.074)
+        default = assign(net, zones, strata)
+        spelled = assign(net, zones, strata, **dataclasses.asdict(AssignmentOptions()))
+        np.testing.assert_array_equal(default.total, spelled.total)
+        assert default.iterations == spelled.iterations > 1  # iterative, not one-off
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"mode": "msa"}, "mode must be one of"),
+        ({"n_outer": 0}, "n_outer must be >= 1, got 0"),
+        ({"gap_tol": float("inf")}, "gap_tol must be finite and >= 0, got inf"),
+    ])
+    def test_setting_outside_its_range_rejected(self, setting, message):
+        zones, net = eight_zone_star()
+        with pytest.raises(ValueError, match=message):
+            assign(net, zones, toy_strata(), **setting)

@@ -270,7 +270,7 @@ class TestObjective:
         strata = toy_strata(0.8, 0.09)
         obj = ModelObjective(zones, net, strata, counts)
         j_fast = obj(WeightVector.from_strata(strata).values())
-        flows = assign(net, zones, strata, "oneoff").flows
+        flows = assign(net, zones, strata, mode="oneoff").flows
         j_full = evaluate(flows, counts).objective_j
         assert j_fast == pytest.approx(j_full, rel=1e-12)
 
@@ -283,7 +283,7 @@ class TestObjective:
         obj = ModelObjective(zones, net, strata, counts, assignment_mode=mode)
         for x in ([0.7, 0.07, 0.3, 0.1], [1.5, 0.1, 0.0, 0.05], [0.2, 0.3, 2.0, 0.0]):
             trial = obj.template.with_values(x).apply(strata)
-            flows = assign(net, zones, trial, mode).flows
+            flows = assign(net, zones, trial, mode=mode).flows
             assert obj(np.array(x)) == evaluate(flows, counts).objective_j
 
     def test_pipeline_errors_carry_the_weights(self, toy_setup):
@@ -352,6 +352,18 @@ class TestObjective:
         with pytest.raises(ValueError, match="unknown link"):
             ModelObjective(zones, net, toy_strata(), [TrafficCount("ghost", 1.0)])
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"gap_tol": -1.0}, "gap_tol must be finite and >= 0, got -1.0"),
+        ({"gap_tol": math.nan}, "gap_tol must be finite and >= 0, got nan"),
+        ({"n_outer": 0}, "n_outer must be >= 1, got 0"),
+        ({"assignment_mode": "bogus"}, "mode must be one of"),
+    ])
+    def test_assignment_setting_outside_its_range_rejected_at_construction(
+            self, toy_setup, setting, message):
+        zones, net, counts = toy_setup
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelObjective(zones, net, toy_strata(), counts, **setting)
+
 
 class TestCalibrate:
     def test_recovers_ground_truth_from_trial_weights(self, toy_setup):
@@ -414,6 +426,18 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="counts"):
             calibrate(zones, net, toy_strata(), [])
 
+    @pytest.mark.parametrize("setting, rule", [
+        ({"xatol": math.nan}, "xatol must be finite and >= 0, got nan"),
+        ({"xatol": math.inf}, "xatol must be finite and >= 0, got inf"),
+        ({"fatol": -1.0}, "fatol must be finite and >= 0, got -1.0"),
+        ({"max_evals": -5}, "max_evals must be >= 1, got -5"),
+        ({"max_evals": 0}, "max_evals must be >= 1, got 0"),
+    ])
+    def test_stopping_rule_outside_its_range_rejected(self, toy_setup, setting, rule):
+        zones, net, counts = toy_setup
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            calibrate(zones, net, toy_strata(), counts, **setting)
+
 
 def count_path_sets(monkeypatch, *modules) -> list:
     """Patch PathSet in each module with a subclass that logs every build."""
@@ -457,8 +481,8 @@ class TestSplitTest:
                             max_evals=8, **options)
         train, test = split_counts(counts, 0.5, 0)
         cal = calibrate(zones, net, strata, train, seed=0, max_evals=8, **options)
-        flows = assign(net, zones, cal.best_weights.apply(strata), "iterative",
-                       8, gap_tol=0.05).flows
+        flows = assign(net, zones, cal.best_weights.apply(strata), mode="iterative",
+                       n_outer=8, gap_tol=0.05).flows
         assert res.train_geh == evaluate(flows, train).objective_j
         assert res.test_geh == evaluate(flows, test).objective_j
 

@@ -142,6 +142,16 @@ class TestValidateCommand:
         ("calibration", "method", "bogus", "method must be one of"),
         ("calibration", "assignment_mode", "bogus", "assignment_mode must be one of"),
         ("assignment", "n_outer", 0, "n_outer must be >= 1, got 0"),
+        ("assignment", "gap_tol", float("nan"),
+         "assignment: gap_tol must be finite and >= 0, got nan"),
+        ("assignment", "gap_tol", -1,
+         "assignment: gap_tol must be finite and >= 0, got -1"),
+        ("assignment", "gap_tol", float("inf"),
+         "assignment: gap_tol must be finite and >= 0, got inf"),
+        ("calibration", "xatol", float("nan"),
+         "calibration: xatol must be finite and >= 0, got nan"),
+        ("calibration", "fatol", -1.0, "calibration: fatol must be finite and >= 0, got -1.0"),
+        ("calibration", "max_evals", -5, "calibration: max_evals must be >= 1, got -5"),
         ("strata", "mu", True, "strata[0].mu: expected float, got True"),
         ("strata", "beta", "0.1", "strata[0].beta: expected float, got '0.1'"),
         ("strata", "name", 7, "strata[0].name: expected str, got 7"),
@@ -479,8 +489,8 @@ class TestSplitTestCommand:
         train, test = split_counts(counts, 0.5, 0)
         cal = calibrate(zones, net, strata, train, max_evals=8,
                         assignment_mode="iterative", n_outer=8, gap_tol=0.05)
-        flows = assign(net, zones, cal.best_weights.apply(strata), "iterative", 8,
-                       gap_tol=0.05).flows
+        flows = assign(net, zones, cal.best_weights.apply(strata), mode="iterative",
+                       n_outer=8, gap_tol=0.05).flows
         (row,) = read_csv(out / "split_test.csv")
         assert float(row["train_geh"]) == evaluate(flows, train).objective_j
         assert float(row["test_geh"]) == evaluate(flows, test).objective_j
