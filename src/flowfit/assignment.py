@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .demand import ODMatrix, distribute, require_unique_names
+from .demand import ODMatrix, check_field_types, distribute, require_unique_names
 from .network import (
     CostMatrix,
     DisconnectedZonesError,
@@ -37,6 +37,7 @@ class AssignmentOptions:
     gap_tol: float = 1e-3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mode not in ASSIGNMENT_MODES:
             raise ValueError(f"mode must be one of {ASSIGNMENT_MODES}, got {self.mode!r}")
         if not self.n_outer >= 1:

@@ -13,6 +13,8 @@ from .demand import (
     DemandStratum,
     FurnessConvergenceError,
     FurnessInfeasibleError,
+    check_field_types,
+    fits_field_type,
     require_unique_names,
 )
 from .metrics import SplitExperimentResult, evaluate, geh_objective, split_counts
@@ -22,16 +24,89 @@ from .network import Network, free_flow_times
 # steps outside these unless the model config overrides them.
 DEFAULT_BOUNDS = {"mu": (0.0, 5.0), "beta": (0.0, 1.0)}
 
-# Nelder-Mead stopping rule: simplex spread, objective spread, budget.
-DEFAULT_XATOL = 1e-6
-DEFAULT_FATOL = 1e-8
-DEFAULT_MAX_EVALS = 2000
-
 CALIBRATION_METHODS = ("nelder_mead", "simulated_annealing")
 
 
 class ObjectiveError(RuntimeError):
     """Pipeline failure during an objective evaluation, with the weights attached."""
+
+
+@dataclass(frozen=True)
+class AnnealingOptions:
+    """simulated_annealing's tuning options, model.yaml's calibration.sa.
+
+    initial_temp None estimates the temperature from probe moves; each
+    sweep multiplies it by cooling; restarts adds independent runs; polish
+    ends with a Nelder-Mead polish. Each range check fails NaN.
+    """
+
+    initial_temp: float | None = None
+    cooling: float = 0.95
+    n_sweeps: int = 100
+    steps_per_sweep: int = 20
+    restarts: int = 1
+    polish: bool = True
+
+    def __post_init__(self):
+        check_field_types(self)
+        if not (self.initial_temp is None or 0 < self.initial_temp < math.inf):
+            raise ValueError(
+                f"initial_temp must be null or finite and > 0, got {self.initial_temp!r}")
+        if not 0 < self.cooling <= 1:
+            raise ValueError(f"cooling must be in (0, 1], got {self.cooling!r}")
+        for name in ("n_sweeps", "steps_per_sweep", "restarts"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
+
+@dataclass
+class CalibrationOptions:
+    """calibrate()'s settings, model.yaml's calibration section. Each range
+    check fails NaN. Bounds are stored as tuples, sa as AnnealingOptions
+    reads the keys given."""
+
+    method: str = "nelder_mead"  # | "simulated_annealing"
+    seed: int = 0
+    # Nelder-Mead stopping rule: budget, simplex spread, objective spread
+    max_evals: int = 2000
+    xatol: float = 1e-6
+    fatol: float = 1e-8
+    # inner-loop assignment during optimization; the final report re-runs
+    # the calibrated weights through the configured assignment mode
+    assignment_mode: str = "oneoff"
+    bounds: dict = field(default_factory=dict)  # param -> [lo, hi]
+    bound_overrides: dict = field(default_factory=dict)  # "stratum.param" -> [lo, hi]
+    sa: dict = field(default_factory=dict)  # AnnealingOptions' fields
+
+    def __post_init__(self):
+        check_field_types(self)
+        for key in ("bounds", "bound_overrides"):
+            pairs = getattr(self, key)
+            for name, pair in pairs.items():
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                        and all(fits_field_type(v, "float") for v in pair)):
+                    raise TypeError(
+                        f"{key}.{name}: expected a list of two numbers, got {pair!r}")
+            setattr(self, key, {name: tuple(pair) for name, pair in pairs.items()})
+        sa = AnnealingOptions(**self.sa)
+        self.sa = {key: getattr(sa, key) for key in self.sa}  # numbers for floats as floats
+        if self.method not in CALIBRATION_METHODS:
+            raise ValueError(
+                f"method must be one of {CALIBRATION_METHODS}, got {self.method!r}")
+        if self.assignment_mode not in ASSIGNMENT_MODES:
+            raise ValueError(f"assignment_mode must be one of {ASSIGNMENT_MODES}, "
+                             f"got {self.assignment_mode!r}")
+        unknown = [k for k in self.bounds if k not in DEFAULT_BOUNDS]
+        if unknown:
+            raise ValueError(
+                f"unknown bounds key(s) {unknown}; accepted: {', '.join(DEFAULT_BOUNDS)}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if not self.max_evals >= 1:
+            raise ValueError(f"max_evals must be >= 1, got {self.max_evals!r}")
+        for name in ("xatol", "fatol"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -224,9 +299,9 @@ def nelder_mead(
     x0,
     bounds=None,
     *,
-    xatol: float = DEFAULT_XATOL,
-    fatol: float = DEFAULT_FATOL,
-    max_evals: int = DEFAULT_MAX_EVALS,
+    xatol: float = CalibrationOptions.xatol,
+    fatol: float = CalibrationOptions.fatol,
+    max_evals: int = CalibrationOptions.max_evals,
 ) -> OptimizeResult:
     """Minimize f by the Nelder-Mead simplex method.
 
@@ -259,33 +334,6 @@ def _estimate_temperature(rec, x, fx, lo, hi, rng):
     if not uphill:
         return 1.0
     return float(np.mean(uphill) / math.log(1.0 / 0.8))
-
-
-@dataclass(frozen=True)
-class AnnealingOptions:
-    """simulated_annealing's tuning options, model.yaml's calibration.sa.
-
-    initial_temp None estimates the temperature from probe moves; each
-    sweep multiplies it by cooling; restarts adds independent runs; polish
-    ends with a Nelder-Mead polish. Each range check fails NaN.
-    """
-
-    initial_temp: float | None = None
-    cooling: float = 0.95
-    n_sweeps: int = 100
-    steps_per_sweep: int = 20
-    restarts: int = 1
-    polish: bool = True
-
-    def __post_init__(self):
-        if not (self.initial_temp is None or 0 < self.initial_temp < math.inf):
-            raise ValueError(
-                f"initial_temp must be null or finite and > 0, got {self.initial_temp!r}")
-        if not 0 < self.cooling <= 1:
-            raise ValueError(f"cooling must be in (0, 1], got {self.cooling!r}")
-        for name in ("n_sweeps", "steps_per_sweep", "restarts"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 def simulated_annealing(f, bounds, seed: int = 0, *, x0=None, **options) -> OptimizeResult:
@@ -332,43 +380,6 @@ def simulated_annealing(f, bounds, seed: int = 0, *, x0=None, **options) -> Opti
         _nelder_mead_core(rec, rec.best_x, lo, hi, 1e-8, 1e-10,
                           rec.n + 200 * max(n, 2))
     return OptimizeResult(rec.best_x, rec.best, rec.history, rec.n, True)
-
-
-@dataclass
-class CalibrationOptions:
-    """calibrate()'s settings, model.yaml's calibration section. Each range
-    check fails NaN."""
-
-    method: str = "nelder_mead"  # | "simulated_annealing"
-    seed: int = 0
-    max_evals: int = DEFAULT_MAX_EVALS
-    xatol: float = DEFAULT_XATOL
-    fatol: float = DEFAULT_FATOL
-    # inner-loop assignment during optimization; the final report re-runs
-    # the calibrated weights through the configured assignment mode
-    assignment_mode: str = "oneoff"
-    bounds: dict = field(default_factory=dict)  # param -> [lo, hi]
-    bound_overrides: dict = field(default_factory=dict)  # "stratum.param" -> [lo, hi]
-    sa: dict = field(default_factory=dict)  # AnnealingOptions' fields
-
-    def __post_init__(self):
-        if self.method not in CALIBRATION_METHODS:
-            raise ValueError(
-                f"method must be one of {CALIBRATION_METHODS}, got {self.method!r}")
-        if self.assignment_mode not in ASSIGNMENT_MODES:
-            raise ValueError(f"assignment_mode must be one of {ASSIGNMENT_MODES}, "
-                             f"got {self.assignment_mode!r}")
-        unknown = [k for k in self.bounds if k not in DEFAULT_BOUNDS]
-        if unknown:
-            raise ValueError(
-                f"unknown bounds key(s) {unknown}; accepted: {', '.join(DEFAULT_BOUNDS)}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if not self.max_evals >= 1:
-            raise ValueError(f"max_evals must be >= 1, got {self.max_evals!r}")
-        for name in ("xatol", "fatol"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 class ModelObjective:

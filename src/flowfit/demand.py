@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,6 +86,7 @@ class DemandStratum:
     occupancy: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.deterrence_kind not in DETERRENCE_KINDS:
             raise ValueError(
                 f"stratum {self.name!r}: unknown deterrence kind "
@@ -106,6 +107,31 @@ def require_unique_names(strata) -> None:
     shared = sorted({n for n in names if names.count(n) > 1})
     if shared:
         raise ValueError(f"strata share a name: {shared}")
+
+
+# a settings field's annotation -> the value types it accepts
+_REAL = (float, int, np.floating, np.integer)
+FIELD_TYPES = {"str": (str,), "int": (int, np.integer), "float": _REAL, "bool": (bool,),
+               "float | None": (*_REAL, type(None)), "dict": (dict,)}
+
+
+def fits_field_type(value, annotation: str) -> bool:
+    """Whether value fits a field annotated annotation, a FIELD_TYPES key; a
+    bool stands for no number."""
+    return isinstance(value, FIELD_TYPES[annotation]) and (
+        annotation == "bool" or not isinstance(value, bool))
+
+
+def check_field_types(options) -> None:
+    """Raise TypeError naming the first field of the settings dataclass
+    options whose value does not fit its annotation; a number for a float
+    field becomes a float. NaN is left to the range checks."""
+    for f in fields(options):
+        value = getattr(options, f.name)
+        if not fits_field_type(value, f.type):
+            raise TypeError(f"{f.name}: expected {f.type}, got {value!r}")
+        if type(value) is not float and f.type.startswith("float") and value is not None:
+            object.__setattr__(options, f.name, float(value))  # frozen classes too
 
 
 @dataclass(frozen=True, eq=False)

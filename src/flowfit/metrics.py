@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,10 +18,14 @@ GEH_THRESHOLD = 5.0
 
 @dataclass(frozen=True)
 class TrafficCount:
-    """Observed daily flow (veh/24h) on one directed link."""
+    """Observed daily flow (veh/24h) on one directed link; finite and >= 0."""
 
     link_id: str
     observed: float
+
+    def __post_init__(self):
+        if not 0 <= self.observed < math.inf:
+            raise ValueError(f"observed flow must be finite and >= 0, got {self.observed!r}")
 
 
 class LinkGeh(NamedTuple):

@@ -31,7 +31,14 @@ import yaml
 
 from .assignment import AssignmentOptions, AssignmentResult
 from .calibrate import AnnealingOptions, CalibrationOptions, CalibrationResult, WeightVector
-from .demand import DEFAULT_JOBS_CUTOFF, DemandStratum, Zone, derive_jobs, require_unique_names
+from .demand import (
+    DEFAULT_JOBS_CUTOFF,
+    DemandStratum,
+    Zone,
+    check_field_types,
+    derive_jobs,
+    require_unique_names,
+)
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
 from .network import Link, Network, Node, findings, validate
 
@@ -107,6 +114,7 @@ class DerivationRule:
     cutoff: float = DEFAULT_JOBS_CUTOFF
 
     def __post_init__(self):
+        check_field_types(self)
         if self.method not in _DERIVATION_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0 <= self.cutoff < math.inf:
@@ -292,12 +300,13 @@ def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]
         if link is None:
             diagnostics.append(f"{source}:{row['lineno']}: unknown link {lid!r}")
             continue
-        if not 0 <= row["observed"] < math.inf:
-            diagnostics.append(f"{source}:{row['lineno']}: "
-                               f"observed flow must be finite and >= 0, got {row['observed']!r}")
+        try:
+            count = TrafficCount(lid, row["observed"])
+        except ValueError as exc:
+            diagnostics.append(f"{source}:{row['lineno']}: {exc}")
             continue
         if not row["bidirectional"]:
-            counts.append(TrafficCount(lid, row["observed"]))
+            counts.append(count)
             continue
         rev = reverse_of.get((link.to_node, link.from_node))
         if rev is None or rev == lid:
@@ -342,43 +351,18 @@ def _entry(mapping: dict, key: str, kind: type, where: str, diagnostics: list[st
     return value
 
 
-# scalar option type name -> the YAML value types it accepts
-_SCALAR_KINDS = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
-                 "float | None": (int, float, type(None))}
-
-
-def _check_scalars(values: dict, types: dict, where: str, diagnostics: list[str]) -> bool:
-    """Check each value against its key's type name in types, in place: an
-    int may stand for a float (and becomes one), a bool for nothing but a
-    bool. A wrong type is a diagnostic naming the key. True when all fit."""
-    ok = True
-    for key, value in values.items():
-        kinds = _SCALAR_KINDS.get(types.get(key))
-        if not kinds:
-            continue
-        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
-            diagnostics.append(f"{where}.{key}: expected {types[key]}, got {value!r}")
-            ok = False
-        elif float in kinds and value is not None:
-            values[key] = float(value)
-    return ok
-
-
 def _options(cls, values, where: str, diagnostics: list[str]):
-    """cls(**values), each scalar checked against its field's type by
-    _check_scalars. Unknown keys (listed with the accepted ones), a missing
-    key, or a value cls rejects with ValueError give one diagnostic. Any
-    diagnostic gives None."""
+    """cls(**values), which checks each value's type and range. A value that
+    is not a mapping, unknown keys (listed with the accepted ones), a missing
+    key, or a value cls rejects with TypeError or ValueError give one
+    diagnostic and None."""
     if not isinstance(values, dict):
         diagnostics.append(f"{where}: expected a mapping, got {values!r}")
         return None
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = [key for key in values if key not in types]
+    accepted = [f.name for f in dataclasses.fields(cls)]
+    unknown = [key for key in values if key not in accepted]
     if unknown:
-        diagnostics.append(f"{where}: unknown key(s) {unknown}; accepted: {', '.join(types)}")
-        return None
-    values = dict(values)
-    if not _check_scalars(values, types, where, diagnostics):
+        diagnostics.append(f"{where}: unknown key(s) {unknown}; accepted: {', '.join(accepted)}")
         return None
     try:
         return cls(**values)
@@ -424,19 +408,11 @@ def _parse_spec(path: Path) -> ModelSpec:
 
     cal_raw = dict(_entry(raw, "calibration", dict, where, diagnostics))
     cal_where = f"{path}: calibration."
-    for key in ("bounds", "bound_overrides"):
-        cal_raw[key] = pairs = dict(_entry(cal_raw, key, dict, cal_where, diagnostics))
-        for name, pair in pairs.items():
-            if isinstance(pair, list) and len(pair) == 2 and all(
-                    isinstance(v, (int, float)) for v in pair):
-                pairs[name] = tuple(pair)
-            else:
-                diagnostics.append(
-                    f"{cal_where}{key}.{name}: expected a list of two numbers, got {pair!r}")
-    sa_raw = _entry(cal_raw, "sa", dict, cal_where, diagnostics)
-    sa = _options(AnnealingOptions, sa_raw, f"{cal_where}sa", diagnostics)
-    # the keys given, with their values as read (an int for a float becomes one)
-    cal_raw["sa"] = {key: getattr(sa, key) for key in sa_raw} if sa else {}
+    for key in ("bounds", "bound_overrides", "sa"):
+        cal_raw[key] = _entry(cal_raw, key, dict, cal_where, diagnostics)
+    # sa is read on its own, so its problems are reported beside the section's
+    if _options(AnnealingOptions, cal_raw["sa"], f"{cal_where}sa", diagnostics) is None:
+        cal_raw["sa"] = {}
     calibration = _options(CalibrationOptions, cal_raw, f"{where}calibration", diagnostics)
     if not diagnostics:
         # the strata's weights in the calibration box, as calibrate checks them
@@ -621,10 +597,10 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _strata_yaml(strata) -> list[dict]:
-    """Strata as model.yaml `strata:` entries; numbers become plain floats."""
+    """Strata as model.yaml `strata:` entries; DemandStratum holds its numbers
+    as plain floats."""
     keys = {f: k for k, f in _STRATUM_KEYS.items()}
-    return [{keys.get(f, f): v if isinstance(v, str) else float(v)
-             for f, v in dataclasses.asdict(s).items()} for s in strata]
+    return [{keys.get(f, f): v for f, v in dataclasses.asdict(s).items()} for s in strata]
 
 
 def write_model(

@@ -118,7 +118,6 @@ def synthetic_counts(
     network: Network,
     strata,
     *,
-    link_ids=None,
     n_counts: int | None = None,
     noise: float = 0.0,
     noise_kind: str = "flow",
@@ -134,8 +133,7 @@ def synthetic_counts(
     many links are sampled at random.
     """
     flows = assign_iterative(network, zones, strata, n_outer).flows
-    if link_ids is None:
-        link_ids = [lid for lid in sorted(flows) if flows[lid] > 0]
+    link_ids = [lid for lid in sorted(flows) if flows[lid] > 0]
     rng = np.random.default_rng(seed)
     if n_counts is not None:
         if n_counts > len(link_ids):

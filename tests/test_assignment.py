@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from flowfit.assignment import (
     assign_iterative,
 )
 from flowfit.demand import DemandStratum, ODMatrix, Zone, derive_jobs, distribute
+from flowfit.model_io import load_model
 from flowfit.network import (
     DisconnectedZonesError,
     Link,
@@ -454,18 +456,23 @@ class TestIterativeAssignment:
         with pytest.raises(ValueError, match="n_outer"):
             assign_iterative(net, zones, toy_strata(), n_outer=0)
 
-    @pytest.mark.parametrize("setting, message", [
-        ({"n_outer": float("nan")}, "n_outer must be >= 1, got nan"),
-        ({"gap_tol": float("nan")}, "gap_tol must be finite and >= 0, got nan"),
-        ({"gap_tol": -1.0}, "gap_tol must be finite and >= 0, got -1.0"),
+    @pytest.mark.parametrize("setting, error, message", [
+        ({"n_outer": float("nan")}, TypeError, "n_outer: expected int, got nan"),
+        ({"gap_tol": float("nan")}, ValueError, "gap_tol must be finite and >= 0, got nan"),
+        ({"gap_tol": -1.0}, ValueError, "gap_tol must be finite and >= 0, got -1.0"),
     ])
-    def test_setting_outside_its_range_rejected(self, setting, message):
+    def test_setting_outside_its_range_rejected(self, setting, error, message):
         zones, net = eight_zone_star()
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             assign_iterative(net, zones, toy_strata(), **setting)
 
 
 class TestAssign:
+    def test_infinite_n_outer_rejected_on_the_toy_model(self):
+        model = load_model(Path(__file__).resolve().parents[1] / "data" / "toy" / "model.yaml")
+        with pytest.raises(TypeError, match="n_outer: expected int, got inf"):
+            assign(model.network, model.zones, model.strata, n_outer=math.inf)
+
     def test_no_settings_run_the_assignment_options_defaults(self):
         zones, net = eight_zone_star()
         strata = toy_strata(0.7, 0.074)

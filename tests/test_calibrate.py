@@ -185,12 +185,23 @@ class TestSimulatedAnnealing:
         ("cooling", 0.0, "in (0, 1]"), ("cooling", 1.5, "in (0, 1]"),
         ("cooling", math.nan, "in (0, 1]"),
         ("n_sweeps", -1, ">= 0"), ("steps_per_sweep", -1, ">= 0"),
-        ("steps_per_sweep", math.nan, ">= 0"),
     ])
     def test_option_outside_its_range_rejected(self, option, value, rule):
         calls = []
         with pytest.raises(ValueError,
                            match=re.escape(f"{option} must be {rule}, got {value!r}")):
+            simulated_annealing(lambda x: calls.append(x) or 0.0, self.BOUNDS,
+                                **{option: value})
+        assert not calls  # rejected before the first evaluation
+
+    @pytest.mark.parametrize("option, value, kind", [
+        ("seed", 1.5, "int"), ("steps_per_sweep", math.nan, "int"),
+        ("polish", "no", "bool"), ("cooling", True, "float"),
+    ])
+    def test_option_of_the_wrong_type_rejected(self, option, value, kind):
+        calls = []
+        with pytest.raises(TypeError,
+                           match=re.escape(f"{option}: expected {kind}, got {value!r}")):
             simulated_annealing(lambda x: calls.append(x) or 0.0, self.BOUNDS,
                                 **{option: value})
         assert not calls  # rejected before the first evaluation

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import flowfit
 from flowfit.assignment import assign
@@ -44,11 +47,15 @@ def scenario_file(tmp_path):
     return path
 
 
+TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
+# model.yaml's option sections and the classes that read them
+SECTIONS = {"assignment": AssignmentOptions, "calibration": CalibrationOptions}
+
+
 @pytest.fixture
 def data_toy(tmp_path):
     """A copy of the shipped data/toy model."""
-    return Path(shutil.copytree(Path(__file__).resolve().parents[1] / "data" / "toy",
-                                tmp_path / "toy"))
+    return Path(shutil.copytree(TOY, tmp_path / "toy"))
 
 
 def set_cell(path, row_id, column, value):
@@ -98,9 +105,9 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("key, value, message", [
         ("calibration", {"bounds": {"mu": 5}},
-         "calibration.bounds.mu: expected a list of two numbers, got 5"),
+         "calibration: bounds.mu: expected a list of two numbers, got 5"),
         ("calibration", {"bound_overrides": {"everyone.beta": [0.1, "x"]}},
-         "calibration.bound_overrides.everyone.beta: expected a list of two numbers"),
+         "calibration: bound_overrides.everyone.beta: expected a list of two numbers"),
         ("calibration", {"sa": 5}, "calibration.sa: expected a mapping, got 5"),
         ("calibration", 5, "calibration: expected a mapping, got 5"),
         ("files", 5, "files: expected a mapping, got 5"),
@@ -115,20 +122,20 @@ class TestValidateCommand:
         assert message in capsys.readouterr().out
 
     @pytest.mark.parametrize("section, key, value, message", [
-        ("assignment", "n_outer", "five", "assignment.n_outer: expected int, got 'five'"),
-        ("assignment", "n_outer", 2.5, "assignment.n_outer: expected int, got 2.5"),
-        ("assignment", "gap_tol", True, "assignment.gap_tol: expected float, got True"),
-        ("assignment", "mode", 1, "assignment.mode: expected str, got 1"),
-        ("calibration", "seed", True, "calibration.seed: expected int, got True"),
-        ("calibration", "xatol", "tiny", "calibration.xatol: expected float, got 'tiny'"),
-        ("calibration", "max_evals", None, "calibration.max_evals: expected int, got None"),
+        ("assignment", "n_outer", "five", "assignment: n_outer: expected int, got 'five'"),
+        ("assignment", "n_outer", 2.5, "assignment: n_outer: expected int, got 2.5"),
+        ("assignment", "gap_tol", True, "assignment: gap_tol: expected float, got True"),
+        ("assignment", "mode", 1, "assignment: mode: expected str, got 1"),
+        ("calibration", "seed", True, "calibration: seed: expected int, got True"),
+        ("calibration", "xatol", "tiny", "calibration: xatol: expected float, got 'tiny'"),
+        ("calibration", "max_evals", None, "calibration: max_evals: expected int, got None"),
         ("calibration", "sa", {"n_sweeps": "five"},
-         "calibration.sa.n_sweeps: expected int, got 'five'"),
-        ("calibration", "sa", {"restarts": 1.0}, "calibration.sa.restarts: expected int, got 1.0"),
-        ("calibration", "sa", {"cooling": True}, "calibration.sa.cooling: expected float, got True"),
+         "calibration.sa: n_sweeps: expected int, got 'five'"),
+        ("calibration", "sa", {"restarts": 1.0}, "calibration.sa: restarts: expected int, got 1.0"),
+        ("calibration", "sa", {"cooling": True}, "calibration.sa: cooling: expected float, got True"),
         ("calibration", "sa", {"initial_temp": "hot"},
-         "calibration.sa.initial_temp: expected float | None, got 'hot'"),
-        ("calibration", "sa", {"polish": 1}, "calibration.sa.polish: expected bool, got 1"),
+         "calibration.sa: initial_temp: expected float | None, got 'hot'"),
+        ("calibration", "sa", {"polish": 1}, "calibration.sa: polish: expected bool, got 1"),
     ])
     def test_scalar_option_of_the_wrong_type_exits_two(self, toy_spec, capsys,
                                                          section, key, value, message):
@@ -152,9 +159,9 @@ class TestValidateCommand:
          "calibration: xatol must be finite and >= 0, got nan"),
         ("calibration", "fatol", -1.0, "calibration: fatol must be finite and >= 0, got -1.0"),
         ("calibration", "max_evals", -5, "calibration: max_evals must be >= 1, got -5"),
-        ("strata", "mu", True, "strata[0].mu: expected float, got True"),
-        ("strata", "beta", "0.1", "strata[0].beta: expected float, got '0.1'"),
-        ("strata", "name", 7, "strata[0].name: expected str, got 7"),
+        ("strata", "mu", True, "strata[0]: mu: expected float, got True"),
+        ("strata", "beta", "0.1", "strata[0]: beta: expected float, got '0.1'"),
+        ("strata", "name", 7, "strata[0]: name: expected str, got 7"),
         ("strata", "deterrence", "bogus", "unknown deterrence kind 'bogus'"),
         ("strata", "colour", "red", "strata[0]: unknown key(s) ['colour']; accepted: name, "
          "production_attr, attraction_attr, mu, beta, deterrence_kind, occupancy"),
@@ -189,6 +196,30 @@ class TestValidateCommand:
         assert message in out
         assert "1 issue(s)" in out  # a wrong type gives no second diagnostic
 
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entry=st.sampled_from([(section, f.name, f.type) for section, cls in SECTIONS.items()
+                                  for f in dataclasses.fields(cls)]),
+           value=st.one_of(st.none(), st.booleans(), st.integers(-3, 3000), st.floats(),
+                           st.sampled_from(["oneoff", "iterative", "nelder_mead",
+                                            "simulated_annealing", "five", ""])))
+    def test_spec_option_rejected_exactly_when_its_class_rejects_it(self, data_toy, capsys,
+                                                                     entry, value):
+        section, key, annotation = entry
+        raw = yaml.safe_load((TOY / "model.yaml").read_text())
+        raw[section][key] = value
+        spec = data_toy / "model.yaml"
+        spec.write_text(yaml.safe_dump(raw))
+        # a null mapping reads as an empty one
+        library = {**raw[section], key: {} if value is None and annotation == "dict" else value}
+        try:
+            SECTIONS[section](**library)
+            code = 0
+        except (TypeError, ValueError):
+            code = 2
+        assert main(["validate", str(spec)]) == code
+        capsys.readouterr()
+
     def test_sa_problem_and_bad_method_are_reported_together(self, toy_spec, capsys):
         raw = yaml.safe_load(toy_spec.read_text())
         raw["calibration"].update(method="newton", sa={"n_sweeps": "five"})
@@ -196,14 +227,14 @@ class TestValidateCommand:
         assert main(["validate", str(toy_spec)]) == 2
         out = capsys.readouterr().out
         assert "2 issue(s)" in out
-        assert "calibration.sa.n_sweeps: expected int, got 'five'" in out
+        assert "calibration.sa: n_sweeps: expected int, got 'five'" in out
         assert "calibration: method must be one of" in out
 
     @pytest.mark.parametrize("derivation, message", [
         ({"attribute": "jobs", "method": "bogus", "source": "population"},
          "derivations[0]: unknown method 'bogus'"),
         ({"attribute": "jobs", "method": "jobs_from_population", "source": "population",
-          "cutoff": "5000"}, "derivations[0].cutoff: expected float, got '5000'"),
+          "cutoff": "5000"}, "derivations[0]: cutoff: expected float, got '5000'"),
         ({"attribute": "jobs", "method": "jobs_from_population", "source": "population",
           "cutoff": float("nan")}, "derivations[0]: cutoff must be finite and >= 0, got nan"),
         ({"attribute": "jobs", "method": "jobs_from_population", "source": "population",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowfit import demand
-from flowfit.assignment import PathSet
-from flowfit.calibrate import DEFAULT_BOUNDS, ModelObjective
+from flowfit.assignment import AssignmentOptions, PathSet
+from flowfit.calibrate import DEFAULT_BOUNDS, AnnealingOptions, CalibrationOptions, ModelObjective
 from flowfit.demand import (
+    FIELD_TYPES,
     DegenerateStratumError,
     DemandStratum,
     FurnessConvergenceError,
@@ -23,6 +25,7 @@ from flowfit.demand import (
     generate_trip_ends,
     seed_matrix,
 )
+from flowfit.model_io import DerivationRule
 from flowfit.network import CostMatrix, free_flow_times
 from flowfit.sample_models import eight_zone_star, grid_region, synthetic_counts, toy_strata
 
@@ -138,6 +141,45 @@ class TestGenerateTripEnds:
     def test_stratum_invariants_enforced(self):
         with pytest.raises(ValueError, match="deterrence"):
             DemandStratum("s", "p", "p", 1.0, 0.1, deterrence_kind="sigmoid")
+
+
+SETTINGS_CLASSES = (AssignmentOptions, CalibrationOptions, AnnealingOptions, DemandStratum,
+                    DerivationRule)
+STRATUM = {"name": "s", "production_attr": "p", "attraction_attr": "p", "mu": 1.0, "beta": 0.1}
+DERIVATION = {"attribute": "jobs", "method": "jobs_from_population", "source": "population"}
+
+
+class TestSettingsFieldTypes:
+    def test_every_annotation_is_one_the_check_handles(self):
+        annotations = {f.type for cls in SETTINGS_CLASSES for f in dataclasses.fields(cls)}
+        assert annotations <= set(FIELD_TYPES)
+
+    @pytest.mark.parametrize("cls, values, message", [
+        (AssignmentOptions, {"n_outer": math.inf, "gap_tol": 0.0},
+         "n_outer: expected int, got inf"),
+        (AssignmentOptions, {"n_outer": 2.5}, "n_outer: expected int, got 2.5"),
+        (CalibrationOptions, {"max_evals": 2.5}, "max_evals: expected int, got 2.5"),
+        (CalibrationOptions, {"sa": {"bogus": 1}}, "unexpected keyword argument 'bogus'"),
+        (CalibrationOptions, {"bounds": {"mu": 5}},
+         "bounds.mu: expected a list of two numbers, got 5"),
+        (CalibrationOptions, {"bound_overrides": {"s.mu": (0, True)}},
+         r"bound_overrides.s.mu: expected a list of two numbers, got \(0, True\)"),
+        (DemandStratum, {**STRATUM, "mu": True}, "mu: expected float, got True"),
+        (AnnealingOptions, {"polish": "no"}, "polish: expected bool, got 'no'"),
+        (DerivationRule, {**DERIVATION, "cutoff": "5000"}, "cutoff: expected float, got '5000'"),
+    ])
+    def test_wrong_type_rejected_at_construction(self, cls, values, message):
+        with pytest.raises(TypeError, match=message):
+            cls(**values)
+
+    def test_number_for_a_float_becomes_a_float(self):
+        assert type(DemandStratum(**{**STRATUM, "mu": 1}).mu) is float
+        assert type(AssignmentOptions(gap_tol=0).gap_tol) is float
+        assert AssignmentOptions(n_outer=np.int64(3)).n_outer == 3  # numpy ints are ints
+        assert type(DerivationRule(**DERIVATION, cutoff=np.int64(5000)).cutoff) is float
+        options = CalibrationOptions(bounds={"mu": [0, 3]}, sa={"cooling": 1, "n_sweeps": 3})
+        assert options.bounds == {"mu": (0, 3)}
+        assert {k: type(v) for k, v in options.sa.items()} == {"cooling": float, "n_sweeps": int}
 
 
 class TestDeterrence:

@@ -20,6 +20,14 @@ from flowfit.metrics import (
 flows_st = st.floats(0.0, 1e6).filter(lambda v: v == 0.0 or v >= 1e-6)
 
 
+class TestTrafficCount:
+    @pytest.mark.parametrize("observed", [math.nan, math.inf, -5.0])
+    def test_count_outside_its_range_rejected(self, observed):
+        with pytest.raises(ValueError,
+                           match=f"observed flow must be finite and >= 0, got {observed!r}"):
+            TrafficCount("l1", observed)
+
+
 class TestGehHourly:
     def test_equal_flows_give_zero(self):
         assert geh_hourly(500.0, 500.0) == 0.0
