@@ -26,14 +26,24 @@ repeated and reported as the median:
   * split_test over the criterion-7 grid, 7 fractions x 10 seeds, on
     grid_region(10, 8, seed=0) whatever NXxNY is.
 
-Prints one JSON object. Wall times depend on the machine; compare two
-versions of flowfit by running this script against each, alternately.
+A network keeps its free-flow path set once built, so each repeat of the
+MSA-5 and split-grid rows runs on its own copy of the network, made outside
+the timing: MSA-5 times five path builds and the split grid one free-flow
+build per repeat. A copy also builds its link arrays (Network.bpr and the
+like) again inside the timing, a few milliseconds at 30x30.
+
+Prints one JSON object, with the BLAS thread settings (OPENBLAS_NUM_THREADS
+and OMP_NUM_THREADS, null when unset) and the CPU count. Wall times depend
+on the machine; compare two versions of flowfit by running this script
+against each, alternately.
 
     python scripts/time_layers.py --grid 30x30 --repeats 3
 """
 
 import argparse
+import dataclasses
 import json
+import os
 import platform
 import statistics
 import tempfile
@@ -82,6 +92,11 @@ def timed(fn, repeats):
             outcome = type(exc).__name__
         runs.append(time.perf_counter() - t0)
     return statistics.median(runs), runs, outcome
+
+
+def copies(network, n):
+    """n copies of network, each without its cached free-flow path set."""
+    return [dataclasses.replace(network) for _ in range(n)]
 
 
 def sweeps(seed, ends):
@@ -186,8 +201,9 @@ def main() -> None:
                  "median_s": median, "runs_s": runs, "outcome": outcome,
                  "j": float(objective(weights))})
 
+    nets = copies(net, args.repeats)
     median, runs, outcome = timed(
-        lambda: assign_iterative(net, zones, [stratum], 5, gap_tol=0.0), args.repeats)
+        lambda: assign_iterative(nets.pop(), zones, [stratum], 5, gap_tol=0.0), args.repeats)
     rows.append({"layer": "MSA-5 assign_iterative", "mu": MU, "beta": J_BETA,
                  "median_s": median, "runs_s": runs, "outcome": outcome})
 
@@ -202,9 +218,9 @@ def main() -> None:
     split_counts = synthetic_counts(split_zones, split_net, split_truth, n_counts=N_COUNTS,
                                     noise=SPLIT_NOISE, seed=GRID_SEED + 1)
     split_start = [DemandStratum("all", "population", "population", *SPLIT_START)]
-    results = []
+    results, nets = [], copies(split_net, args.repeats)
     median, runs, outcome = timed(lambda: results.append(split_test(
-        split_zones, split_net, split_start, split_counts,
+        split_zones, nets.pop(), split_start, split_counts,
         fractions=SPLIT_FRACTIONS, seeds=SPLIT_SEEDS)), args.repeats)
     test_geh = {f: [r.test_geh for r in results[-1] if r.split_fraction == f]
                 for f in SPLIT_FRACTIONS} if results else {}
@@ -218,7 +234,10 @@ def main() -> None:
         "instance": f"grid_region({nx}, {ny}, seed={GRID_SEED})",
         "zones": len(zones), "links": len(net.links),
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
-                    "cpu": platform.processor() or platform.machine()},
+                    "cpu": platform.processor() or platform.machine(),
+                    "cpu_count": os.cpu_count(),
+                    "blas_threads": {name: os.environ.get(name) for name in
+                                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "rows": rows,
     }, indent=2))
 

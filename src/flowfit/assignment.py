@@ -18,7 +18,6 @@ from .network import (
     FlowMap,
     Network,
     fill_intrazonal,
-    free_flow_times,
     shortest_path_tree,
     volume_delay,
 )
@@ -57,8 +56,7 @@ class PathSet:
 
     load() is the one step from strata to link flows, over the skim the
     path set computes once and holds. assign_iterative calls it once per MSA
-    iteration; the first iteration's free-flow path set may be built once
-    and shared across calls, as ModelObjective and split_test do.
+    iteration.
 
     The constructor is the one connectivity check (DisconnectedZonesError,
     after the cycle check); zone_ids orders the skim and flow_vector's ODs.
@@ -67,7 +65,6 @@ class PathSet:
     def __init__(self, network: Network, link_times: np.ndarray):
         self.zone_ids = tuple(sorted(network.zone_anchors))
         self.link_ids = network.link_ids
-        self.link_index = {lid: k for k, lid in enumerate(self.link_ids)}
         anchors = [network.zone_anchors[z] for z in self.zone_ids]
         self.dist, self.pred = shortest_path_tree(network, link_times, anchors)
         self._anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
@@ -164,26 +161,22 @@ def assign_iterative(
     n_outer: int = AssignmentOptions.n_outer,
     *,
     gap_tol: float = AssignmentOptions.gap_tol,
-    paths: PathSet | None = None,
 ) -> AssignmentResult:
     """Cycle skim -> distribution -> all-or-nothing -> MSA flow averaging.
 
-    Iteration 1 loads on the free-flow path set: paths when given (it must
-    be PathSet(network, free_flow_times(network))), else one built here.
-    Iteration k >= 2 takes link times from the volume-delay curves at the
-    running mean and averages its fresh all-or-nothing flows into that mean
-    with weight 1/k; redistribution lets demand react to congestion. Stops
-    after n_outer iterations (n_outer=1 is the one-off mode), or earlier,
-    converged, once the relative L1 change of total link flows drops below
-    gap_tol. n_outer and gap_tol take AssignmentOptions' defaults and
-    ranges. Per-stratum flows are keyed by stratum name, so names must be
-    distinct.
+    Iteration 1 loads on network.free_flow_paths. Iteration k >= 2 takes
+    link times from the volume-delay curves at the running mean and averages
+    its fresh all-or-nothing flows into that mean with weight 1/k;
+    redistribution lets demand react to congestion. Stops after n_outer
+    iterations (n_outer=1 is the one-off mode), or earlier, converged, once
+    the relative L1 change of total link flows drops below gap_tol. n_outer
+    and gap_tol take AssignmentOptions' defaults and ranges. Per-stratum
+    flows are keyed by stratum name, so names must be distinct.
     """
     AssignmentOptions(n_outer=n_outer, gap_tol=gap_tol)  # the ranges
     require_unique_names(strata)
 
-    paths = paths or PathSet(network, free_flow_times(network))
-    avg = {s.name: vec for s, vec in zip(strata, paths.load(zones, strata))}
+    avg = {s.name: vec for s, vec in zip(strata, network.free_flow_paths.load(zones, strata))}
     total = sum(avg.values(), np.zeros(len(network.link_ids)))
     gap = math.inf
     iterations = 1
@@ -199,12 +192,10 @@ def assign_iterative(
     return AssignmentResult(network.link_ids, total, avg, iterations, gap < gap_tol, gap)
 
 
-def assign(network: Network, zones, strata, *, paths: PathSet | None = None,
-           **settings) -> AssignmentResult:
+def assign(network: Network, zones, strata, **settings) -> AssignmentResult:
     """Assignment under settings, AssignmentOptions' fields: mode "oneoff" is
     assign_iterative with n_outer=1, "iterative" runs it for up to n_outer
-    iterations. paths, when given, is the free-flow path set both modes
-    start from."""
+    iterations."""
     opts = AssignmentOptions(**settings)
     outer = 1 if opts.mode == "oneoff" else opts.n_outer
-    return assign_iterative(network, zones, strata, outer, gap_tol=opts.gap_tol, paths=paths)
+    return assign_iterative(network, zones, strata, outer, gap_tol=opts.gap_tol)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import ASSIGNMENT_MODES, AssignmentOptions, PathSet, assign
+from .assignment import ASSIGNMENT_MODES, AssignmentOptions, assign
 from .demand import (
     DemandStratum,
     FurnessConvergenceError,
@@ -18,7 +18,7 @@ from .demand import (
     require_unique_names,
 )
 from .metrics import SplitExperimentResult, evaluate, geh_objective, split_counts
-from .network import Network, free_flow_times
+from .network import Network
 
 # Brackets every plausible mobility / deterrence weight; calibration never
 # steps outside these unless the model config overrides them.
@@ -308,8 +308,10 @@ def nelder_mead(
     The initial simplex spans x0 plus per-coordinate steps of 5% of the
     bound range (0.05 absolute for unbounded coordinates). Terminates when
     both the simplex spread and the objective spread fall below xatol /
-    fatol, or when the evaluation budget is exhausted (converged=False).
+    fatol, or when the evaluation budget is exhausted (converged=False);
+    the three take CalibrationOptions' types and ranges.
     """
+    CalibrationOptions(xatol=xatol, fatol=fatol, max_evals=max_evals)
     x0 = np.asarray(x0, dtype=float)
     lo, hi = _unpack_bounds(bounds, x0.size)
     rec = _Recorder(f)
@@ -387,13 +389,12 @@ class ModelObjective:
 
     Each evaluation is one assignment.assign in assignment_mode, with n_outer
     and gap_tol (AssignmentOptions' fields, checked at construction), started
-    from the free-flow PathSet the objective holds: one-off mode is then one
-    PathSet.load (gravity distribution plus one push of the trips up the
-    shortest-path trees per stratum), and iterative mode builds a path set
-    only for iterations 2 and on. The total flows at the counted links are
-    scored with metrics.geh_objective, as evaluate does. The free-flow
-    PathSet is built at construction, unless a prebuilt one is shared via
-    paths=; building it is where disconnected zones fail.
+    from network.free_flow_paths: one-off mode is then one PathSet.load
+    (gravity distribution plus one push of the trips up the shortest-path
+    trees per stratum), and iterative mode builds a path set only for
+    iterations 2 and on. The total flows at the counted links are scored
+    with metrics.geh_objective, as evaluate does. Construction touches
+    network.free_flow_paths, so disconnected zones fail there.
 
     A Furness balance that fails (FurnessConvergenceError or
     FurnessInfeasibleError) scores J = +inf, which the optimizers rank
@@ -413,7 +414,6 @@ class ModelObjective:
         gap_tol: float = AssignmentOptions.gap_tol,
         bounds=None,
         bound_overrides=None,
-        paths: PathSet | None = None,
     ):
         if not counts:
             raise ValueError("no traffic counts: objective undefined")
@@ -429,14 +429,13 @@ class ModelObjective:
                 raise ValueError(f"count references unknown link {c.link_id!r}")
         self._observed = np.array([c.observed for c in self.counts])
         self.furness_failures = 0
-        self._paths = paths or PathSet(network, free_flow_times(network))
-        self._count_idx = np.array([self._paths.link_index[c.link_id] for c in self.counts])
+        network.free_flow_paths  # built here: where disconnected zones fail
+        self._count_idx = np.array([network.link_index[c.link_id] for c in self.counts])
 
     def __call__(self, x) -> float:
         weights = self.template.with_values(x)
         try:
-            result = assign(self.network, self.zones, weights.apply(self.strata),
-                            paths=self._paths, **self._settings)
+            result = assign(self.network, self.zones, weights.apply(self.strata), **self._settings)
             return geh_objective(result.total[self._count_idx], self._observed)[0]
         except (FurnessConvergenceError, FurnessInfeasibleError):
             self.furness_failures += 1
@@ -456,7 +455,6 @@ def calibrate(
     *,
     n_outer: int = AssignmentOptions.n_outer,
     gap_tol: float = AssignmentOptions.gap_tol,
-    paths: PathSet | None = None,
     **settings,
 ) -> CalibrationResult:
     """Minimize the mean-GEH objective over all stratum weights.
@@ -472,7 +470,7 @@ def calibrate(
     objective = ModelObjective(
         zones, network, strata, counts,
         assignment_mode=opts.assignment_mode, n_outer=n_outer, gap_tol=gap_tol,
-        bounds=opts.bounds, bound_overrides=opts.bound_overrides, paths=paths,
+        bounds=opts.bounds, bound_overrides=opts.bound_overrides,
     )
     template = objective.template
     box = (template.lower(), template.upper())
@@ -510,20 +508,17 @@ def split_test(
     settings are CalibrationOptions' fields but seed: each cell calibrates
     with its own seed. Results are ordered by (fraction, seed). A cell's
     train score is its calibrated J; its test side is scored under the same
-    assignment (mode, n_outer, gap_tol) that calibrated it. One free-flow
-    path set is built for the whole grid and shared by every calibration
-    and every scoring assignment, in either mode.
+    assignment (mode, n_outer, gap_tol) that calibrated it.
     """
     mode = CalibrationOptions(**settings).assignment_mode
-    paths = PathSet(network, free_flow_times(network))
     results = []
     for fraction in fractions:
         for seed in seeds:
             train, test = split_counts(counts, fraction, seed)
             res = calibrate(zones, network, strata, train, seed=seed,
-                            n_outer=n_outer, gap_tol=gap_tol, paths=paths, **settings)
+                            n_outer=n_outer, gap_tol=gap_tol, **settings)
             flows = assign(network, zones, res.best_weights.apply(strata), mode=mode,
-                           n_outer=n_outer, gap_tol=gap_tol, paths=paths).flows
+                           n_outer=n_outer, gap_tol=gap_tol).flows
             results.append(SplitExperimentResult(
                 split_fraction=fraction,
                 seed=seed,

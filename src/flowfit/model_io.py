@@ -37,6 +37,7 @@ from .demand import (
     Zone,
     check_field_types,
     derive_jobs,
+    fits_field_type,
     require_unique_names,
 )
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
@@ -246,6 +247,8 @@ def _convert(cells: dict, columns: dict, defaults: dict, problems: list[str]) ->
                     problems.append(f"column {column!r} is empty")
                 continue
         try:
+            if convert is float and not (isinstance(raw, str) or fits_field_type(raw, "float")):
+                raise TypeError  # a YAML bool is no number
             values[name] = convert(raw)
         except (TypeError, ValueError) as exc:
             # float's own message repeats the value; _flag says what it expects

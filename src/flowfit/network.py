@@ -122,6 +122,10 @@ class Network:
         return {nid: k for k, nid in enumerate(self.node_ids)}
 
     @cached_property
+    def link_index(self) -> dict[str, int]:
+        return {lid: k for k, lid in enumerate(self.link_ids)}
+
+    @cached_property
     def link_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """(tail, head) positions in node_ids of every link, ordered by
         link_ids; -1 where a link names an unknown node."""
@@ -138,6 +142,12 @@ class Network:
         for values in fields:
             values.setflags(write=False)
         return BPRParameters(self.link_ids, *fields)
+
+    @cached_property
+    def free_flow_paths(self):
+        """The free-flow PathSet every assignment starts from; a failed build keeps nothing."""
+        from .assignment import PathSet  # assignment imports network
+        return PathSet(self, free_flow_times(self))
 
 
 def free_flow_times(network: Network) -> np.ndarray:

@@ -1,11 +1,10 @@
-import importlib
 import math
 import re
 
 import numpy as np
 import pytest
 
-from flowfit import assignment, demand
+from flowfit import demand
 from flowfit.assignment import PathSet, assign
 from flowfit.calibrate import (
     ModelObjective,
@@ -34,9 +33,6 @@ from flowfit.sample_models import (
 )
 
 from conftest import make_network
-
-# the package's calibrate() function shadows the module of the same name
-calibrate_module = importlib.import_module("flowfit.calibrate")
 
 
 class TestWeightVector:
@@ -118,6 +114,17 @@ class TestNelderMead:
         res = nelder_mead(lambda x: float(np.sum(x**2)), np.ones(4), max_evals=10)
         assert not res.converged
         assert res.n_evaluations >= 10
+
+    @pytest.mark.parametrize("options, error, rule", [
+        ({"max_evals": 2.5}, TypeError, "max_evals: expected int, got 2.5"),
+        ({"xatol": -1.0, "fatol": math.nan, "max_evals": 50}, ValueError,
+         "xatol must be finite and >= 0, got -1.0"),
+    ])
+    def test_stopping_rule_checked_before_any_evaluation(self, options, error, rule):
+        seen = []
+        with pytest.raises(error, match=re.escape(rule)):
+            nelder_mead(lambda x: seen.append(x) or float(x[0] ** 2), [1.0], **options)
+        assert seen == []
 
     def test_history_tracks_every_evaluation(self):
         res = nelder_mead(lambda x: (x[0] - 1.0) ** 2, np.array([0.0]))
@@ -342,10 +349,10 @@ class TestObjective:
         zones, net, counts = toy_setup
         obj = ModelObjective(zones, net, toy_strata(), counts,
                              assignment_mode="iterative", n_outer=4, gap_tol=0.0)
-        built = count_path_sets(monkeypatch, assignment)
+        built = count_path_sets(monkeypatch)
         for x in ([0.9, 0.08], [0.7, 0.074]):
             obj(np.array(x))
-        # iteration 1 runs on the objective's free-flow path set
+        # iteration 1 runs on the network's free-flow path set
         assert len(built) == 2 * 3
 
     @pytest.mark.parametrize("mode", ["oneoff", "iterative"])
@@ -450,27 +457,37 @@ class TestCalibrate:
             calibrate(zones, net, toy_strata(), counts, **setting)
 
 
-def count_path_sets(monkeypatch, *modules) -> list:
-    """Patch PathSet in each module with a subclass that logs every build."""
-    built = []
+def count_path_sets(monkeypatch) -> list:
+    """Patch PathSet's constructor to log the arguments of every build."""
+    built, init = [], PathSet.__init__
 
-    class Counting(PathSet):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
 
-    for module in modules:
-        monkeypatch.setattr(module, "PathSet", Counting)
+    monkeypatch.setattr(PathSet, "__init__", counting)
     return built
 
 
 class TestSplitTest:
     def test_oneoff_grid_builds_one_path_set(self, toy_setup, monkeypatch):
-        zones, net, counts = toy_setup
-        built = count_path_sets(monkeypatch, assignment, calibrate_module)
+        _, _, counts = toy_setup
+        zones, net = eight_zone_star()  # toy_setup's network holds its set already
+        built = count_path_sets(monkeypatch)
         results = split_test(zones, net, toy_strata(1.0, 0.09), counts,
                              fractions=[0.5, 0.7], seeds=[0, 1, 2], max_evals=20)
         assert len(results) == 6
+        assert len(built) == 1
+
+    def test_calls_on_one_network_share_its_free_flow_path_set(self, toy_setup, monkeypatch):
+        _, _, counts = toy_setup
+        zones, net = eight_zone_star()
+        built = count_path_sets(monkeypatch)
+        assign(net, zones, toy_strata(), mode="oneoff")
+        for seed in (0, 1):
+            calibrate(zones, net, toy_strata(1.0, 0.09), counts, seed=seed, max_evals=20)
+        split_test(zones, net, toy_strata(1.0, 0.09), counts, fractions=[0.5], seeds=[0],
+                   max_evals=20)
         assert len(built) == 1
 
     def test_grid_shape_and_ordering(self, toy_setup):

@@ -19,6 +19,8 @@ from flowfit.metrics import evaluate, split_counts
 from flowfit.model_io import AssignmentOptions, CalibrationOptions, load_model, write_model
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
 
+from test_calibrate import count_path_sets
+
 
 @pytest.fixture
 def toy_spec(tmp_path):
@@ -443,6 +445,12 @@ class TestCalibrateCommand:
         assert warnings == [f"WARNING flowfit.model_io: {zones}:{lineno}: "
                             "attribute 'population' is blank; treated as 0"]
 
+    def test_builds_the_free_flow_path_set_once(self, data_toy, tmp_path, monkeypatch):
+        # the calibration and the final re-score both start from it
+        built = count_path_sets(monkeypatch)
+        assert main(["calibrate", str(data_toy / "model.yaml"), "-o", str(tmp_path / "o")]) == 0
+        assert len(built) == 1
+
 
 class TestSplitTestCommand:
     def test_grid_row_count(self, toy_spec, tmp_path):
@@ -580,7 +588,7 @@ class TestCompareCommand:
                      "-o", str(tmp_path / "o")]) == 2
         assert "expected a mapping" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["fast", "null"])
+    @pytest.mark.parametrize("value", ["fast", "null", "true"])
     def test_edit_value_that_is_not_a_number_exits_three(self, toy_spec, tmp_path, capsys,
                                                           value):
         scenario = tmp_path / "bad.yaml"

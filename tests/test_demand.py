@@ -449,13 +449,13 @@ class TestFurnessParity:
 
 @pytest.fixture(scope="module")
 def grid():
-    """grid_region(nx, ny, seed=0) with its free-flow path set, built once."""
+    """grid_region(nx, ny, seed=0), built once; its network keeps its
+    free-flow path set."""
     built = {}
 
     def get(nx, ny):
         if (nx, ny) not in built:
-            zones, net = grid_region(nx, ny, seed=0)
-            built[nx, ny] = zones, net, PathSet(net, free_flow_times(net))
+            built[nx, ny] = grid_region(nx, ny, seed=0)
         return built[nx, ny]
 
     return get
@@ -500,8 +500,8 @@ class TestNewton:
 
     @staticmethod
     def grid_case(grid, beta):
-        zones, _, paths = grid
-        costs = paths.cost_matrix()
+        zones, net = grid
+        costs = net.free_flow_paths.cost_matrix()
         by_id = {z.zone_id: z for z in zones}
         stratum = DemandStratum("all", "population", "population", 0.8, beta)
         ends = generate_trip_ends([by_id[z] for z in costs.zone_ids], stratum)
@@ -564,10 +564,10 @@ class TestNewton:
 
     @pytest.mark.parametrize("size", [(10, 8), (30, 30)], ids=["10x8", "30x30"])
     def test_objective_is_finite_on_the_default_box(self, grid, size):
-        zones, net, paths = grid(*size)
+        zones, net = grid(*size)
         truth = [DemandStratum("all", "population", "population", 0.8, 0.08)]
         counts = synthetic_counts(zones, net, truth, n_counts=250, noise=0.1, seed=1)
-        objective = ModelObjective(zones, net, truth, counts, paths=paths)
+        objective = ModelObjective(zones, net, truth, counts)
         (mu_lo, mu_hi), (beta_lo, beta_hi) = DEFAULT_BOUNDS["mu"], DEFAULT_BOUNDS["beta"]
         points = [(mu, beta) for mu in (mu_lo, mu_hi) for beta in (beta_lo, beta_hi)]
         points.append(((mu_lo + mu_hi) / 2, (beta_lo + beta_hi) / 2))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import yaml
 
-from flowfit.assignment import PathSet
 from flowfit.calibrate import AnnealingOptions, simulated_annealing
 from flowfit.demand import derive_jobs
 from flowfit.model_io import (
@@ -20,7 +19,7 @@ from flowfit.model_io import (
     load_scenario,
     write_model,
 )
-from flowfit.network import Link, Network, Node, free_flow_times, validate
+from flowfit.network import Link, Network, Node, validate
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
 
 
@@ -399,12 +398,12 @@ class TestScenario:
                 "t0_min": 3.0, "capacity_veh24h": 30000.0,
             }),
         ]
+        before = model.network.free_flow_paths.cost_matrix()
         edited = apply_scenario(model.network, Scenario("bypass", edits))
-        before = PathSet(model.network, free_flow_times(model.network)).cost_matrix()
-        after = PathSet(edited, free_flow_times(edited)).cost_matrix()
+        after = edited.free_flow_paths.cost_matrix()  # its own, not the base's
         off = ~np.eye(len(before.zone_ids), dtype=bool)
         assert (after.values[off] <= before.values[off] + 1e-12).all()
-        assert after.values[1, 4] == 3.0  # Z2 -> Z5
+        assert after.values[1, 4] == 3.0 < before.values[1, 4]  # Z2 -> Z5
 
     def test_removing_the_only_access_fails_validation(self, toy_dir):
         model = load_model(toy_dir / "model.yaml")
@@ -422,7 +421,7 @@ class TestScenario:
             apply_scenario(model.network,
                            Scenario("bad", [LinkEdit("remove_link", "ghost", {})]))
 
-    @pytest.mark.parametrize("value", ["fast", None])
+    @pytest.mark.parametrize("value", ["fast", None, True])
     def test_modify_with_a_value_that_is_not_a_number(self, toy_dir, value):
         model = load_model(toy_dir / "model.yaml")
         with pytest.raises(ModelLoadError) as err:

@@ -230,6 +230,26 @@ class TestSkimMatrix:
             assert values.tobytes() == expected.tobytes()
 
 
+class TestFreeFlowPaths:
+    def test_built_on_first_use_and_kept(self):
+        net = make_network(["a", "b"], [("ab", "a", "b", 2.0), ("ba", "b", "a", 3.0)],
+                           {"z1": "a", "z2": "b"})
+        paths = net.free_flow_paths
+        assert paths is net.free_flow_paths
+        assert np.array_equal(paths.cost_matrix().values, skim(net).values)
+
+    def test_a_failed_build_keeps_nothing(self):
+        net = make_network(["a", "b"], [("ab", "a", "b", 1.0)], {"z1": "a", "z2": "b"})
+        for _ in range(2):
+            with pytest.raises(DisconnectedZonesError):
+                net.free_flow_paths
+        assert "free_flow_paths" not in vars(net)
+
+    def test_link_index_is_the_position_in_link_ids(self, rng):
+        net = random_strongly_connected(rng)
+        assert [net.link_index[lid] for lid in net.link_ids] == list(range(len(net.links)))
+
+
 class TestValidate:
     def well_formed(self):
         return make_network(

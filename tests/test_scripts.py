@@ -51,6 +51,9 @@ def test_time_layers_reports_every_row():
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
     assert report["zones"] == 80
+    assert report["machine"]["blas_threads"] == {
+        name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    assert report["machine"]["cpu_count"] == os.cpu_count()
     rows = report["rows"]
     assert [(r["layer"], r["beta"]) for r in rows] == [
         ("PathSet build (free flow)", None), ("furness_balance", 0.08),
