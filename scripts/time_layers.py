@@ -6,7 +6,9 @@ Builds grid_region(NX, NY, seed=0), then times with time.perf_counter, each
 repeated and reported as the median:
 
   * the PathSet build at free-flow times (shortest-path trees and their
-    loading order);
+    loading order), and shortest_path_tree alone on the same call, so the
+    rest of the build (hop depths, their sort and the split into levels)
+    reads as the difference;
   * furness_balance of the population -> population gravity seed at
     mu = 0.8 and beta 0.08, 0.3 and 1.0 (exponential deterrence), with its
     outcome;
@@ -63,7 +65,7 @@ from flowfit.demand import (
     seed_matrix,
 )
 from flowfit.model_io import load_model, write_model
-from flowfit.network import free_flow_times
+from flowfit.network import free_flow_times, shortest_path_tree
 from flowfit.sample_models import grid_region, synthetic_counts
 
 MU, J_BETA = 0.8, 0.08
@@ -151,6 +153,11 @@ def main() -> None:
     median, runs, outcome = timed(lambda: PathSet(net, free_flow_times(net)), args.repeats)
     rows = [{"layer": "PathSet build (free flow)", "mu": None, "beta": None,
              "median_s": median, "runs_s": runs, "outcome": outcome}]
+    anchors = [net.zone_anchors[z] for z in sorted(net.zone_anchors)]
+    median, runs, outcome = timed(
+        lambda: shortest_path_tree(net, free_flow_times(net), anchors), args.repeats)
+    rows.append({"layer": "shortest_path_tree (free flow)", "mu": None, "beta": None,
+                 "median_s": median, "runs_s": runs, "outcome": outcome})
 
     costs = PathSet(net, free_flow_times(net)).cost_matrix()
     by_id = {z.zone_id: z for z in zones}

@@ -175,7 +175,9 @@ def cmd_compare(args) -> int:
     model = load_model(args.spec)
     scenario = load_scenario(args.scenario)
     edited = apply_scenario(model.network, scenario)
-    base = _run_assignment(model)
+    # the base runs on a copy of the network, so its free-flow path set is
+    # freed before the edited network builds its own
+    base = _run_assignment(model, network=dataclasses.replace(model.network))
     changed = _run_assignment(model, network=edited)
     out = _outdir(args)
     deltas = write_compare_csv(out / "compare.csv", base.flows, changed.flows)

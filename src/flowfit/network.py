@@ -3,19 +3,23 @@
 Link times and flows are float arrays aligned to Network.link_ids, and
 volume_delay takes the per-link BPR arrays that Network.bpr caches.
 
-shortest_path_tree is the package's one shortest-path engine: a distance-only
-Dijkstra over integer out-lists for all origins, followed by one exact array
-pass that applies the (node_id, link_id) tie rule.
+shortest_path_tree is the package's one shortest-path engine: distances for
+all origins at once by label-correcting rounds over numpy arrays
+(Bellman-Ford-Moore with a FIFO frontier), followed by one exact array pass
+that applies the (node_id, link_id) tie rule.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+# A label-correcting round forms at most origins x links candidates;
+# shortest_path_tree runs the origins in chunks that keep it within this.
+ROUND_CANDIDATES = 1 << 22
 
 # Rule-of-thumb BPR constants, used when the input does not set its own.
 DEFAULT_ALPHA1 = 0.15
@@ -155,6 +159,43 @@ def free_flow_times(network: Network) -> np.ndarray:
     return network.bpr.t0.copy()
 
 
+def _frontier_distances(n_nodes: int, tail, head, times, sources) -> np.ndarray:
+    """Shortest distances from each source over the links tail -> head, one
+    row per source: Bellman-Ford-Moore in FIFO rounds, all sources at once.
+
+    Labels are flat over (source, node). Each round relaxes the out-links
+    of the labels that improved in the previous round and keeps the strictly
+    better candidates. With positive times every label is final after
+    n_nodes - 1 rounds, so a frontier left after n_nodes rounds is an
+    internal error.
+    """
+    by_tail = np.argsort(tail, kind="stable")
+    out_head, out_time = head[by_tail], times[by_tail]
+    degree = np.bincount(tail, minlength=n_nodes)
+    first_out = np.concatenate(([0], np.cumsum(degree)[:-1]))
+    dist = np.full(sources.size * n_nodes, np.inf)
+    frontier = np.arange(sources.size) * n_nodes + sources
+    dist[frontier] = 0.0
+    improved = np.zeros(dist.size, dtype=bool)
+    for _ in range(n_nodes):
+        node = frontier % n_nodes
+        deg = degree[node]
+        ends = np.cumsum(deg)
+        # the CSR position of every out-link of every frontier label
+        pos = np.arange(ends[-1]) + np.repeat(first_out[node] - ends + deg, deg)
+        cand = np.repeat(dist[frontier], deg) + out_time[pos]
+        target = np.repeat(frontier - node, deg) + out_head[pos]
+        better = cand < dist[target]
+        target = target[better]
+        np.minimum.at(dist, target, cand[better])
+        improved[target] = True
+        frontier = np.flatnonzero(improved)
+        if not frontier.size:
+            return dist.reshape(sources.size, n_nodes)
+        improved[frontier] = False
+    raise RuntimeError(f"labels still improving after {n_nodes} rounds")
+
+
 def shortest_path_tree(
     network: Network, link_times: np.ndarray, origins
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +207,15 @@ def shortest_path_tree(
     node, the position in network.link_ids of the link on which the path
     enters it, and -1 at the origin and at unreachable nodes.
 
-    A label-setting (Dijkstra) loop computes distances only. One array
-    pass then picks predecessors: a link is tight when
-    dist[tail] + t == dist[head], and each node takes the tight link with
-    the smallest (node_id, link_id) pair, so the tree depends only on the
-    network content, never on input ordering. The pass is exact because
-    both steps form dist[tail] + t with the same double addition.
+    Label-correcting rounds (_frontier_distances) compute distances only,
+    for the origins in chunks when origins x links exceeds
+    ROUND_CANDIDATES. One array pass then picks predecessors: a link is
+    tight when dist[tail] + t == dist[head], and each node takes the tight
+    link with the smallest (node_id, link_id) pair, so the tree depends
+    only on the network content, never on input ordering. The pass is exact
+    because both steps form dist[tail] + t with the same double addition,
+    and when the rounds stop each reached node's label is the smallest such
+    sum over the links into it.
     """
     index = network.node_index
     for origin in origins:
@@ -187,28 +231,14 @@ def shortest_path_tree(
 
     tail, head = network.link_ends
     routable = np.flatnonzero((tail >= 0) & (head >= 0))
-    out: list[list[tuple[int, float]]] = [[] for _ in index]
-    for u, v, t in zip(tail[routable].tolist(), head[routable].tolist(),
-                       times[routable].tolist()):
-        out[u].append((v, t))
-
+    sources = np.array([index[o] for o in origins], dtype=np.intp)
     n = len(index)
-    dist = np.empty((len(origins), n))
-    for row, origin in enumerate(origins):
-        d = [math.inf] * n
-        s = index[origin]
-        d[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > d[u]:
-                continue
-            for v, t in out[u]:
-                nd = du + t
-                if nd < d[v]:
-                    d[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        dist[row] = d
+    step = max(1, ROUND_CANDIDATES // max(routable.size, 1))
+    dist = np.concatenate([
+        _frontier_distances(n, tail[routable], head[routable], times[routable],
+                            sources[k:k + step])
+        for k in range(0, sources.size, step)
+    ]) if sources.size else np.empty((0, n))
 
     # tie pass: with links sorted by (head, tail rank, link rank), the first
     # tight link in each head's group has the smallest (node_id, link_id)

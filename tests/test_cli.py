@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flowfit
-from flowfit.assignment import assign
+from flowfit.assignment import PathSet, assign
 from flowfit.calibrate import calibrate, split_test
 from flowfit.cli import main
 from flowfit.metrics import evaluate, split_counts
@@ -558,6 +559,21 @@ class TestCompareCommand:
             assert float(row["delta"]) == pytest.approx(
                 float(row["flow_scenario"]) - float(row["flow_base"]), abs=1e-9
             )
+
+    def test_base_free_flow_set_is_freed_before_the_edited_build(
+            self, toy_spec, scenario_file, tmp_path, monkeypatch):
+        # one-off: each build is a network's free-flow set
+        alive_at_build, built, init = [], [], PathSet.__init__
+
+        def tracking(self, *args):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            built.append(weakref.ref(self))
+            init(self, *args)
+
+        monkeypatch.setattr(PathSet, "__init__", tracking)
+        assert main(["compare", str(toy_spec), str(scenario_file),
+                     "-o", str(tmp_path / "out")]) == 0
+        assert alive_at_build == [0, 0]
 
     def test_added_link_appears_with_zero_base(self, toy_spec, tmp_path):
         scenario = tmp_path / "add.yaml"

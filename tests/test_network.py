@@ -1,24 +1,34 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flowfit import network
 from flowfit.assignment import PathSet
 from flowfit.network import (
     DisconnectedZonesError,
     Link,
     Network,
     Node,
+    _frontier_distances,
     fill_intrazonal,
     free_flow_times,
     shortest_path_tree,
     validate,
     volume_delay,
 )
+from flowfit.sample_models import grid_region
 
-from conftest import adjacency, brute_force_shortest, make_network, random_strongly_connected
+from conftest import (
+    adjacency,
+    brute_force_shortest,
+    make_network,
+    random_strongly_connected,
+    random_tied_network,
+)
 
 BPR = dict(t0=10.0, q_max=1000.0, alpha1=0.15, alpha2=4.0)
 
@@ -160,6 +170,111 @@ class TestShortestPathTree:
             )
             origin = sorted(net.nodes)[0]
             assert tree_from(net, origin) == tree_from(shuffled, origin)
+
+
+def networkx_dist(net, times, origins):
+    """Distances by networkx's Dijkstra, shaped (origins, nodes) in node_ids
+    order; links that name an unknown node are left out."""
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(net.node_ids)
+    for lid, t in zip(net.link_ids, times.tolist()):
+        link = net.links[lid]
+        if link.from_node in net.nodes and link.to_node in net.nodes:
+            graph.add_edge(link.from_node, link.to_node, weight=t)
+    out = np.full((len(origins), len(net.node_ids)), np.inf)
+    for row, origin in enumerate(origins):
+        for node, d in nx.single_source_dijkstra_path_length(graph, origin).items():
+            out[row, net.node_index[node]] = d
+    return out
+
+
+def convex_chain(k):
+    """Nodes v00..vk with a link vi -> vj for every i < j at time (j - i)**2.
+
+    The cheapest path to vj takes j hops of time 1, yet vj is reached in one
+    hop, and each further hop allowed lowers its label: label-correcting
+    rounds re-relax vj in each of rounds 1..j, so vk needs k rounds plus one
+    that finds nothing, the node count in all, against a hop diameter of 1.
+    """
+    ids = [f"v{i:02d}" for i in range(k + 1)]
+    rows = [(f"{u}_{v}", u, v, float((j - i) ** 2))
+            for i, u in enumerate(ids) for j, v in enumerate(ids) if i < j]
+    return make_network(ids, rows, {})
+
+
+class TestFrontierEngine:
+    """shortest_path_tree's distances against networkx's Dijkstra, bit for bit."""
+
+    def test_grids_with_scaled_random_times(self, rng):
+        for size in ((10, 8), (6, 5)):
+            _, net = grid_region(*size, seed=0)
+            times = free_flow_times(net) * rng.uniform(1.0, 4.0, len(net.links))
+            dist, _ = shortest_path_tree(net, times, net.node_ids)
+            assert np.array_equal(dist, networkx_dist(net, times, net.node_ids))
+
+    @pytest.mark.parametrize("make", [random_strongly_connected, random_tied_network])
+    def test_random_networks(self, rng, make):
+        for _ in range(50):
+            net = make(rng)
+            times = free_flow_times(net)
+            dist, _ = shortest_path_tree(net, times, net.node_ids)
+            assert np.array_equal(dist, networkx_dist(net, times, net.node_ids))
+
+    def test_unreachable_nodes_unknown_link_ends_and_repeated_origins(self, rng):
+        base = random_strongly_connected(rng)
+        first = base.node_ids[0]
+        rows = [(lid, l.from_node, l.to_node, l.t0) for lid, l in base.links.items()]
+        # sink is entered and never left, island has no link, ghost is no node
+        rows += [("to_sink", first, "sink", 2.5), ("to_ghost", first, "ghost", 1.0),
+                 ("from_ghost", "ghost", first, 1.0)]
+        net = make_network([*base.node_ids, "sink", "island"], rows, {})
+        origins = [first, "sink", first, "island", "sink"]
+        times = free_flow_times(net)
+        dist, pred = shortest_path_tree(net, times, origins)
+        assert np.array_equal(dist, networkx_dist(net, times, origins))
+        for row in (1, 3):  # sink and island reach only themselves
+            assert np.isinf(dist[row]).sum() == len(net.node_ids) - 1
+            assert (pred[row] == -1).all()
+        assert np.isinf(dist[0, net.node_index["island"]])
+        assert net.link_index["to_ghost"] not in pred and net.link_index["from_ghost"] not in pred
+        assert np.array_equal(dist[0], dist[2]) and np.array_equal(pred[0], pred[2])
+        assert np.array_equal(dist[1], dist[4]) and np.array_equal(pred[1], pred[4])
+
+    def test_labels_re_relaxed_in_every_round(self):
+        net = convex_chain(11)  # 12 nodes: all 12 rounds the bound allows
+        times = free_flow_times(net)
+        assert np.array_equal(shortest_path_tree(net, times, net.node_ids)[0],
+                              networkx_dist(net, times, net.node_ids))
+        origin = net.node_ids[0]
+        dist, pred = tree_from(net, origin)
+        for dst in net.node_ids[1:]:
+            cost, links = brute_force_shortest(net, origin, dst)
+            assert dist[dst] == cost
+            assert path_to(net, pred, origin, dst) == links
+
+    def test_labels_still_improving_after_node_count_rounds_is_an_internal_error(self):
+        # only a negative cycle, which the positive-time check keeps out, does it
+        with pytest.raises(RuntimeError, match="still improving after 2 rounds"):
+            _frontier_distances(2, np.array([0, 1]), np.array([1, 0]),
+                                np.array([1.0, -2.0]), np.array([0]))
+
+    @pytest.mark.parametrize("limit", [1, 1000, 5000])
+    def test_origins_in_chunks_give_the_same_trees(self, rng, monkeypatch, limit):
+        _, net = grid_region(10, 8, seed=0)
+        times = free_flow_times(net) * rng.uniform(1.0, 4.0, len(net.links))
+        whole = shortest_path_tree(net, times, net.node_ids)
+        monkeypatch.setattr(network, "ROUND_CANDIDATES", limit)
+        chunked = shortest_path_tree(net, times, net.node_ids)
+        assert [a.tobytes() for a in whole] == [a.tobytes() for a in chunked]
+
+    def test_times_lost_in_rounding_end_in_a_predecessor_cycle(self):
+        # 1 + 1e-20 == 1: no round improves a or b, so the rounds stop, and
+        # ab and ba are both tight; building a PathSet on this network raises
+        # ArithmeticError (test_assignment)
+        net = make_network(["z", "a", "b"],
+                           [("za", "z", "a", 1.0), ("zb", "z", "b", 1.0),
+                            ("ab", "a", "b", 1e-20), ("ba", "b", "a", 1e-20)], {})
+        assert tree_from(net, "z") == ({"a": 1.0, "b": 1.0, "z": 0.0}, {"a": "ba", "b": "ab"})
 
 
 class TestSkimMatrix:
