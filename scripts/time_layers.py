@@ -6,9 +6,10 @@ Builds grid_region(NX, NY, seed=0), then times with time.perf_counter, each
 repeated and reported as the median:
 
   * the PathSet build at free-flow times (shortest-path trees and their
-    loading order), and shortest_path_tree alone on the same call, so the
-    rest of the build (hop depths, their sort and the split into levels)
-    reads as the difference;
+    loading order), shortest_path_tree alone on the same call, and its
+    label rounds (network._frontier_distances) alone, so the tie pass and
+    the rest of the build (hop depths, their sort and the split into
+    levels) read as differences;
   * furness_balance of the population -> population gravity seed at
     mu = 0.8 and beta 0.08, 0.3 and 1.0 (exponential deterrence), with its
     outcome;
@@ -65,7 +66,7 @@ from flowfit.demand import (
     seed_matrix,
 )
 from flowfit.model_io import load_model, write_model
-from flowfit.network import free_flow_times, shortest_path_tree
+from flowfit.network import _frontier_distances, free_flow_times, shortest_path_tree
 from flowfit.sample_models import grid_region, synthetic_counts
 
 MU, J_BETA = 0.8, 0.08
@@ -157,6 +158,12 @@ def main() -> None:
     median, runs, outcome = timed(
         lambda: shortest_path_tree(net, free_flow_times(net), anchors), args.repeats)
     rows.append({"layer": "shortest_path_tree (free flow)", "mu": None, "beta": None,
+                 "median_s": median, "runs_s": runs, "outcome": outcome})
+    tail, head = net.link_ends  # every grid link joins two known nodes
+    sources = np.array([net.node_index[a] for a in anchors])
+    median, runs, outcome = timed(lambda: _frontier_distances(
+        len(net.node_ids), tail, head, free_flow_times(net), sources), args.repeats)
+    rows.append({"layer": "_frontier_distances (free flow)", "mu": None, "beta": None,
                  "median_s": median, "runs_s": runs, "outcome": outcome})
 
     costs = PathSet(net, free_flow_times(net)).cost_matrix()

@@ -50,9 +50,10 @@ class PathSet:
 
     One shortest_path_tree call covers all zone anchors; the path set keeps
     its (dist, pred) and every tree edge (node, parent, entering link),
-    grouped by hop depth. flow_vector adds trips at their destination nodes,
-    pushes them up the trees a depth level at a time, deepest first and all
-    origins in step, and sums each link's flow over the nodes it enters.
+    grouped by hop depth (pointer jumping to the roots, then one stable
+    sort). flow_vector adds trips at their destination nodes, pushes them up
+    the trees a depth level at a time, deepest first and all origins in
+    step, and sums each link's flow over the nodes it enters.
 
     load() is the one step from strata to link flows, over the skim the
     path set computes once and holds. assign_iterative calls it once per MSA
@@ -79,17 +80,21 @@ class PathSet:
         # hop depth by pointer jumping: pass k reaches 2**k up; trees are < n_nodes deep
         up, depth = np.arange(self.pred.size), np.zeros(self.pred.size, dtype=np.intp)
         up[child], depth[child] = parent, 1
-        for _ in range(n_nodes.bit_length()):
-            depth, up = depth + depth[up], up[up]
-        if (self.pred.ravel()[up] >= 0).any():  # only a cycle stops short of a root
-            raise ArithmeticError("predecessor cycle: link times lost in rounding path lengths")
+        root, passes = self.pred.ravel() < 0, n_nodes.bit_length()
+        while not root[up].all():
+            if not passes:  # only a cycle stops short of a root
+                raise ArithmeticError("predecessor cycle: link times lost in rounding path lengths")
+            depth, up, passes = depth + depth[up], up[up], passes - 1
         unreachable = np.flatnonzero(np.isinf(self.dist[:, self._anchor_pos]))
         if unreachable.size:
             i, j = divmod(unreachable[0], len(self.zone_ids))
             raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
-        order = np.argsort(-depth[child], kind="stable")
+        # deepest level first; a stable sort of keys of 16 bits or fewer is a radix sort
+        max_depth = depth.max(initial=0)
+        key = (max_depth - depth[child]).astype(np.min_scalar_type(max_depth))
+        order = np.argsort(key, kind="stable")
         self._child, self._link, parent = child[order], link[order], parent[order]
-        cuts = np.flatnonzero(np.diff(depth[self._child])) + 1
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
         self._levels = list(zip(np.split(self._child, cuts), np.split(parent, cuts)))
         self._skim: CostMatrix | None = None
 

@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-# A label-correcting round forms at most origins x links candidates;
-# shortest_path_tree runs the origins in chunks that keep it within this.
+# A label-correcting round and the tie pass each form up to origins x links
+# candidates; shortest_path_tree runs the origins in chunks that keep this.
 ROUND_CANDIDATES = 1 << 22
 
 # Rule-of-thumb BPR constants, used when the input does not set its own.
@@ -207,11 +207,11 @@ def shortest_path_tree(
     node, the position in network.link_ids of the link on which the path
     enters it, and -1 at the origin and at unreachable nodes.
 
-    Label-correcting rounds (_frontier_distances) compute distances only,
-    for the origins in chunks when origins x links exceeds
-    ROUND_CANDIDATES. One array pass then picks predecessors: a link is
-    tight when dist[tail] + t == dist[head], and each node takes the tight
-    link with the smallest (node_id, link_id) pair, so the tree depends
+    For each chunk of origins (origins x links within ROUND_CANDIDATES),
+    label-correcting rounds (_frontier_distances) compute distances only,
+    and one flat pass over (origin, link) picks predecessors: a link is
+    tight when dist[tail] + t == dist[head], and each reached node takes the
+    tight link with the smallest (node_id, link_id) pair, so the tree depends
     only on the network content, never on input ordering. The pass is exact
     because both steps form dist[tail] + t with the same double addition,
     and when the rounds stop each reached node's label is the smallest such
@@ -231,26 +231,26 @@ def shortest_path_tree(
 
     tail, head = network.link_ends
     routable = np.flatnonzero((tail >= 0) & (head >= 0))
+    # links sorted by (head, tail rank, link rank): among the tight links
+    # into a node, the first has the smallest (node_id, link_id)
+    order = routable[np.lexsort((routable, tail[routable], head[routable]))]
+    tail, head, times = tail[order], head[order], times[order]
     sources = np.array([index[o] for o in origins], dtype=np.intp)
     n = len(index)
-    step = max(1, ROUND_CANDIDATES // max(routable.size, 1))
-    dist = np.concatenate([
-        _frontier_distances(n, tail[routable], head[routable], times[routable],
-                            sources[k:k + step])
-        for k in range(0, sources.size, step)
-    ]) if sources.size else np.empty((0, n))
-
-    # tie pass: with links sorted by (head, tail rank, link rank), the first
-    # tight link in each head's group has the smallest (node_id, link_id)
-    order = routable[np.lexsort((routable, tail[routable], head[routable]))]
-    heads, starts = np.unique(head[order], return_index=True)
-    d_head = dist[:, head[order]]
-    tight = (dist[:, tail[order]] + times[order] == d_head) & np.isfinite(d_head)
-    rank = np.where(tight, np.arange(order.size), order.size)
+    dist = np.empty((sources.size, n))
     pred = np.full(dist.shape, -1, dtype=np.intp)
-    if order.size:
-        # rank order.size (no tight link) looks up the trailing -1
-        pred[:, heads] = np.append(order, -1)[np.minimum.reduceat(rank, starts, axis=1)]
+    step = max(1, ROUND_CANDIDATES // max(order.size, 1))
+    for k in range(0, sources.size, step):
+        d = dist[k:k + step]
+        d[:] = _frontier_distances(n, tail, head, times, sources[k:k + step])
+        # tie pass: flat positions run row-major over (origin, sorted link),
+        # so each (origin, head) cell's tight links come in one run, best first
+        tight = np.flatnonzero(np.take(d, tail, 1) + times == np.take(d, head, 1))
+        o, j = np.divmod(tight, order.size)
+        cell = o * n + head[j]
+        first = np.flatnonzero(np.diff(cell, prepend=-1))
+        keep = first[np.isfinite(d.ravel()[cell[first]])]
+        pred[k:k + step].ravel()[cell[keep]] = order[j[keep]]
     return dist, pred
 
 

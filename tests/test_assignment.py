@@ -300,6 +300,73 @@ class TestTreeLoader:
                 PathSet(net, free_flow_times(net))
 
 
+def pointer_jumping_levels(network, paths):
+    """Reference level split: the hop depth of every tree edge by all
+    bit_length(nodes) passes of pointer jumping, then the edges in a stable
+    argsort of -depth, cut where the depth changes."""
+    pred = paths.pred
+    n_nodes = pred.shape[1]
+    tail, _ = network.link_ends
+    child = np.flatnonzero(pred >= 0)
+    parent = child - child % n_nodes + tail[pred.ravel()[child]]
+    up, depth = np.arange(pred.size), np.zeros(pred.size, dtype=np.intp)
+    up[child], depth[child] = parent, 1
+    for _ in range(n_nodes.bit_length()):
+        depth, up = depth + depth[up], up[up]
+    assert (pred.ravel()[up] < 0).all()
+    order = np.argsort(-depth[child], kind="stable")
+    child, parent = child[order], parent[order]
+    cuts = np.flatnonzero(np.diff(depth[child])) + 1
+    return list(zip(np.split(child, cuts), np.split(parent, cuts)))
+
+
+def assert_same_levels(network, paths):
+    expected = pointer_jumping_levels(network, paths)
+    assert len(paths._levels) == len(expected)
+    for (child, parent), (ref_child, ref_parent) in zip(paths._levels, expected):
+        assert child.dtype == ref_child.dtype and np.array_equal(child, ref_child)
+        assert parent.dtype == ref_parent.dtype and np.array_equal(parent, ref_parent)
+
+
+class TestLevels:
+    """PathSet's levels against the full pointer jumping and argsort split."""
+
+    @pytest.mark.parametrize("grid", [(10, 8), (20, 20)])
+    def test_grid_with_scaled_times(self, rng, grid):
+        _, net = grid_region(*grid, seed=0)
+        times = free_flow_times(net) * rng.uniform(1.0, 4.0, len(net.links))
+        assert_same_levels(net, PathSet(net, times))
+
+    def test_star_with_equal_link_times(self):
+        _, star = eight_zone_star()
+        times = np.full(len(star.links), 10.0)
+        assert_same_levels(star, PathSet(star, times))
+
+    def test_chain_deeper_than_255_levels_carries_the_end_to_end_trips(self):
+        # 299 levels, so the sort key needs 16 bits
+        nodes = [f"v{i:03d}" for i in range(300)]
+        rows = [(f"f{i:03d}", u, v, 1.0) for i, (u, v) in enumerate(zip(nodes, nodes[1:]))]
+        rows += [(f"b{i:03d}", v, u, 1.0) for i, (u, v) in enumerate(zip(nodes, nodes[1:]))]
+        net = make_network(nodes, rows, {"z1": nodes[0], "z2": nodes[-1]})
+        paths = PathSet(net, free_flow_times(net))
+        assert len(paths._levels) == 299
+        assert_same_levels(net, paths)
+        flows = paths.flow_vector(od_of(["z1", "z2"], [[0, 5], [7, 0]]))
+        assert dict(zip(paths.link_ids, flows.tolist())) == {
+            lid: 5.0 if lid[0] == "f" else 7.0 for lid, *_ in rows}
+
+    def test_cycle_below_a_long_chain_raises(self):
+        # z -> c000 -> ... -> c099 -> {a, b}, and a <-> b at 1e-20, tight both
+        # ways: the chain's pointers reach z, the ring's never reach a root
+        chain = [f"c{i:03d}" for i in range(100)]
+        rows = [(f"e{i:03d}", u, v, 1.0) for i, (u, v) in enumerate(zip(["z", *chain], chain))]
+        rows += [("ta", chain[-1], "a", 1.0), ("tb", chain[-1], "b", 1.0),
+                 ("ab", "a", "b", 1e-20), ("ba", "b", "a", 1e-20)]
+        net = make_network(["z", *chain, "a", "b"], rows, {"z1": "z", "z2": "a"})
+        with pytest.raises(ArithmeticError, match="predecessor cycle"):
+            PathSet(net, free_flow_times(net))
+
+
 class TestPathSetChecks:
     def test_disconnected_zones_fail_when_the_path_set_is_built(self):
         net = make_network(["a", "b"], [("ab", "a", "b", 5.0)], {"z1": "a", "z2": "b"})

@@ -260,12 +260,15 @@ class TestFrontierEngine:
 
     @pytest.mark.parametrize("limit", [1, 1000, 5000])
     def test_origins_in_chunks_give_the_same_trees(self, rng, monkeypatch, limit):
+        # scaled times, and every link at 1 min, where most nodes have tied links
         _, net = grid_region(10, 8, seed=0)
-        times = free_flow_times(net) * rng.uniform(1.0, 4.0, len(net.links))
-        whole = shortest_path_tree(net, times, net.node_ids)
-        monkeypatch.setattr(network, "ROUND_CANDIDATES", limit)
-        chunked = shortest_path_tree(net, times, net.node_ids)
-        assert [a.tobytes() for a in whole] == [a.tobytes() for a in chunked]
+        for times in (free_flow_times(net) * rng.uniform(1.0, 4.0, len(net.links)),
+                      np.ones(len(net.links))):
+            whole = shortest_path_tree(net, times, net.node_ids)
+            with monkeypatch.context() as patched:
+                patched.setattr(network, "ROUND_CANDIDATES", limit)
+                chunked = shortest_path_tree(net, times, net.node_ids)
+            assert [a.tobytes() for a in whole] == [a.tobytes() for a in chunked]
 
     def test_times_lost_in_rounding_end_in_a_predecessor_cycle(self):
         # 1 + 1e-20 == 1: no round improves a or b, so the rounds stop, and

@@ -57,7 +57,7 @@ def test_time_layers_reports_every_row():
     rows = report["rows"]
     assert [(r["layer"], r["beta"]) for r in rows] == [
         ("PathSet build (free flow)", None), ("shortest_path_tree (free flow)", None),
-        ("furness_balance", 0.08),
+        ("_frontier_distances (free flow)", None), ("furness_balance", 0.08),
         ("furness_balance", 0.3), ("furness_balance", 1.0),
         ("Newton step / sweep", 0.3), ("Newton hand-off", 0.3), ("Newton hand-off", 1.0),
         ("one J eval (one-off)", 0.08), ("MSA-5 assign_iterative", 0.08),
@@ -65,9 +65,9 @@ def test_time_layers_reports_every_row():
     for row in rows:
         assert row["outcome"] == "ok"
         assert len(row["runs_s"]) == 1 and row["median_s"] > 0.0
-    ratio = rows[5]
+    ratio = rows[6]
     assert ratio["ratio"] == ratio["median_s"] / ratio["sweep_s"] > 0.0
-    for handoff in rows[6:8]:
+    for handoff in rows[7:9]:
         assert handoff["sweeps_before"] == 20 and handoff["newton_steps"] >= 1
         assert handoff["cost_in_sweeps"] > 0.0
     assert rows[-1]["calibrations"] == 70
