@@ -29,6 +29,11 @@ repeated and reported as the median:
   * split_test over the criterion-7 grid, 7 fractions x 10 seeds, on
     grid_region(10, 8, seed=0) whatever NXxNY is.
 
+Each row also reports minor_faults: the median, over its timed runs, of
+the minor page faults each run took (resource.getrusage of this process).
+Fresh memory costs time that a layer's arithmetic does not show, so a
+change that lowers a peak should report the faults beside it.
+
 A network keeps its free-flow path set once built, so each repeat of the
 MSA-5 and split-grid rows runs on its own copy of the network, made outside
 the timing: MSA-5 times five path builds and the split grid one free-flow
@@ -48,6 +53,7 @@ import dataclasses
 import json
 import os
 import platform
+import resource
 import statistics
 import tempfile
 import time
@@ -55,7 +61,7 @@ import time
 import numpy as np
 
 from flowfit import demand
-from flowfit.assignment import PathSet, assign_iterative
+from flowfit.assignment import assign_iterative
 from flowfit.calibrate import ModelObjective, split_test
 from flowfit.demand import (
     FURNESS_RATE_WINDOW,
@@ -66,7 +72,7 @@ from flowfit.demand import (
     seed_matrix,
 )
 from flowfit.model_io import load_model, write_model
-from flowfit.network import _frontier_distances, free_flow_times, shortest_path_tree
+from flowfit.network import PathSet, _frontier_distances, free_flow_times, shortest_path_tree
 from flowfit.sample_models import grid_region, synthetic_counts
 
 MU, J_BETA = 0.8, 0.08
@@ -83,18 +89,25 @@ SPLIT_FRACTIONS = tuple(round(0.3 + 0.1 * k, 1) for k in range(7))
 SPLIT_SEEDS = range(10)
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def timed(fn, repeats):
-    """(median seconds, every run's seconds, outcome of the last run)."""
-    runs, outcome = [], "ok"
+    """A row's timing fields: the median and every run's seconds, the outcome
+    of the last run, and the median of each run's minor page faults."""
+    runs, faults, outcome = [], [], "ok"
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        f0, t0 = minor_faults(), time.perf_counter()
         try:
             fn()
             outcome = "ok"
         except Exception as exc:  # a failing run is timed and named, not hidden
             outcome = type(exc).__name__
         runs.append(time.perf_counter() - t0)
-    return statistics.median(runs), runs, outcome
+        faults.append(minor_faults() - f0)
+    return {"median_s": statistics.median(runs), "runs_s": runs, "outcome": outcome,
+            "minor_faults": statistics.median(faults)}
 
 
 def copies(network, n):
@@ -151,20 +164,18 @@ def main() -> None:
     nx, ny = (int(v) for v in args.grid.lower().split("x"))
 
     zones, net = grid_region(nx, ny, seed=GRID_SEED)
-    median, runs, outcome = timed(lambda: PathSet(net, free_flow_times(net)), args.repeats)
     rows = [{"layer": "PathSet build (free flow)", "mu": None, "beta": None,
-             "median_s": median, "runs_s": runs, "outcome": outcome}]
+             **timed(lambda: PathSet(net, free_flow_times(net)), args.repeats)}]
     anchors = [net.zone_anchors[z] for z in sorted(net.zone_anchors)]
-    median, runs, outcome = timed(
-        lambda: shortest_path_tree(net, free_flow_times(net), anchors), args.repeats)
     rows.append({"layer": "shortest_path_tree (free flow)", "mu": None, "beta": None,
-                 "median_s": median, "runs_s": runs, "outcome": outcome})
+                 **timed(lambda: shortest_path_tree(net, free_flow_times(net), anchors),
+                         args.repeats)})
     tail, head = net.link_ends  # every grid link joins two known nodes
     sources = np.array([net.node_index[a] for a in anchors])
-    median, runs, outcome = timed(lambda: _frontier_distances(
-        len(net.node_ids), tail, head, free_flow_times(net), sources), args.repeats)
     rows.append({"layer": "_frontier_distances (free flow)", "mu": None, "beta": None,
-                 "median_s": median, "runs_s": runs, "outcome": outcome})
+                 **timed(lambda: _frontier_distances(
+                     len(net.node_ids), tail, head, free_flow_times(net), sources),
+                     args.repeats)})
 
     costs = PathSet(net, free_flow_times(net)).cost_matrix()
     by_id = {z.zone_id: z for z in zones}
@@ -173,34 +184,35 @@ def main() -> None:
 
     for beta in FURNESS_BETAS:
         seed = seed_matrix(ends, costs, beta, "exponential")
-        median, runs, outcome = timed(lambda: furness_balance(seed, ends), args.repeats)
         rows.append({"layer": "furness_balance", "mu": MU, "beta": beta,
-                     "median_s": median, "runs_s": runs, "outcome": outcome})
+                     **timed(lambda: furness_balance(seed, ends), args.repeats)})
 
     seed = seed_matrix(ends, costs, FURNESS_BETAS[1], "exponential")
-    sweep_s = timed(lambda: sweeps(seed, ends), args.repeats)[0]
+    sweep_s = timed(lambda: sweeps(seed, ends), args.repeats)["median_s"]
     sweep_s /= SWEEP_CALLS * FURNESS_RATE_WINDOW
     live_o, live_d = ends.origins > 0, ends.destinations > 0
     P = seed.trips[np.ix_(live_o, live_d)]
     o, d = ends.origins[live_o], ends.destinations[live_d]
-    median, runs, outcome = timed(
+    step = timed(
         lambda: demand._newton_step(P, P.sum(axis=1), P.sum(axis=0), o, d), args.repeats)
     flop_model = demand.newton_step_sweeps(*seed.trips.shape)
-    rows.append({"layer": "Newton step / sweep", "mu": MU, "beta": FURNESS_BETAS[1],
-                 "median_s": median, "runs_s": runs, "outcome": outcome,
-                 "sweep_s": sweep_s, "ratio": median / sweep_s, "flop_model": flop_model,
+    rows.append({"layer": "Newton step / sweep", "mu": MU, "beta": FURNESS_BETAS[1], **step,
+                 "sweep_s": sweep_s, "ratio": step["median_s"] / sweep_s,
+                 "flop_model": flop_model,
                  "price_sweeps": demand.NEWTON_SWITCH_STEPS * flop_model})
 
     for beta in HANDOFF_BETAS:
         seed = seed_matrix(ends, costs, beta, "exponential")
         row = {"layer": "Newton hand-off", "mu": MU, "beta": beta, "sweeps_before": None,
-               "newton_steps": 0, "median_s": None, "runs_s": [], "outcome": "no hand-off"}
+               "newton_steps": 0, "median_s": None, "runs_s": [], "outcome": "no hand-off",
+               "minor_faults": None}
         handed = handoff(seed, ends)
         if handed is not None:
             swept, steps, balanced, newton_args = handed
-            median, runs, _ = timed(lambda: demand._newton_balance(*newton_args), args.repeats)
-            row.update(sweeps_before=swept, newton_steps=steps, median_s=median, runs_s=runs,
-                       outcome="ok" if balanced else "failed", cost_in_sweeps=median / sweep_s)
+            row.update(timed(lambda: demand._newton_balance(*newton_args), args.repeats))
+            row.update(sweeps_before=swept, newton_steps=steps,
+                       outcome="ok" if balanced else "failed",
+                       cost_in_sweeps=row["median_s"] / sweep_s)
         rows.append(row)
 
     flows = assign_iterative(net, zones, [stratum], 1).flows
@@ -210,22 +222,19 @@ def main() -> None:
     objective = ModelObjective(zones, net, [stratum], counts, assignment_mode="oneoff")
     weights = np.array([MU, J_BETA])
     objective(weights)  # the free-flow path set is built once, outside the timing
-    median, runs, outcome = timed(lambda: objective(weights), args.repeats)
     rows.append({"layer": "one J eval (one-off)", "mu": MU, "beta": J_BETA,
-                 "median_s": median, "runs_s": runs, "outcome": outcome,
+                 **timed(lambda: objective(weights), args.repeats),
                  "j": float(objective(weights))})
 
     nets = copies(net, args.repeats)
-    median, runs, outcome = timed(
-        lambda: assign_iterative(nets.pop(), zones, [stratum], 5, gap_tol=0.0), args.repeats)
     rows.append({"layer": "MSA-5 assign_iterative", "mu": MU, "beta": J_BETA,
-                 "median_s": median, "runs_s": runs, "outcome": outcome})
+                 **timed(lambda: assign_iterative(nets.pop(), zones, [stratum], 5, gap_tol=0.0),
+                         args.repeats)})
 
     with tempfile.TemporaryDirectory() as tmp:
         spec = write_model(tmp, zones, net, counts, [stratum])
-        median, runs, outcome = timed(lambda: load_model(spec), args.repeats)
-    rows.append({"layer": "load_model", "mu": None, "beta": None,
-                 "median_s": median, "runs_s": runs, "outcome": outcome})
+        load = timed(lambda: load_model(spec), args.repeats)
+    rows.append({"layer": "load_model", "mu": None, "beta": None, **load})
 
     split_zones, split_net = grid_region(*SPLIT_GRID, seed=GRID_SEED)
     split_truth = [DemandStratum("all", "population", "population", MU, J_BETA)]
@@ -233,13 +242,12 @@ def main() -> None:
                                     noise=SPLIT_NOISE, seed=GRID_SEED + 1)
     split_start = [DemandStratum("all", "population", "population", *SPLIT_START)]
     results, nets = [], copies(split_net, args.repeats)
-    median, runs, outcome = timed(lambda: results.append(split_test(
+    split = timed(lambda: results.append(split_test(
         split_zones, nets.pop(), split_start, split_counts,
         fractions=SPLIT_FRACTIONS, seeds=SPLIT_SEEDS)), args.repeats)
     test_geh = {f: [r.test_geh for r in results[-1] if r.split_fraction == f]
                 for f in SPLIT_FRACTIONS} if results else {}
-    rows.append({"layer": "criterion-7 split grid", "mu": None, "beta": None,
-                 "median_s": median, "runs_s": runs, "outcome": outcome,
+    rows.append({"layer": "criterion-7 split grid", "mu": None, "beta": None, **split,
                  "instance": f"grid_region({SPLIT_GRID[0]}, {SPLIT_GRID[1]}, seed={GRID_SEED})",
                  "calibrations": len(results[-1]) if results else 0,
                  "test_geh_std": {str(f): float(np.std(g)) for f, g in test_geh.items()}})

@@ -8,7 +8,6 @@ calibration of the per-stratum weights (mu, beta).
 
 from .assignment import (
     AssignmentResult,
-    PathSet,
     assign,
     assign_all_or_nothing,
     assign_iterative,
@@ -50,6 +49,7 @@ from .network import (
     Link,
     Network,
     Node,
+    PathSet,
     free_flow_times,
     shortest_path_tree,
     validate,

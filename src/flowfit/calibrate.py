@@ -389,7 +389,7 @@ class ModelObjective:
 
     Each evaluation is one assignment.assign in assignment_mode, with n_outer
     and gap_tol (AssignmentOptions' fields, checked at construction), started
-    from network.free_flow_paths: one-off mode is then one PathSet.load
+    from network.free_flow_paths: one-off mode is then one load_strata
     (gravity distribution plus one push of the trips up the shortest-path
     trees per stratum), and iterative mode builds a path set only for
     iterations 2 and on. The total flows at the counted links are scored

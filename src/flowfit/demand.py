@@ -45,7 +45,8 @@ class DegenerateStratumError(ValueError):
 
 
 class FurnessInfeasibleError(ValueError):
-    """Seed has a zero row/column where the target margin is positive."""
+    """A trip end is negative or not finite, or the seed has a zero row/column
+    where the target margin is positive."""
 
 
 class FurnessConvergenceError(RuntimeError):
@@ -242,7 +243,9 @@ def furness_balance(
     during the sweeps: each costs two matrix-vector products with the
     seed, row = seed @ b and col = a @ seed, and the product is formed
     once, on convergence. tol bounds the maximum relative deviation of
-    row sums from origins and column sums from destinations.
+    row sums from origins and column sums from destinations. A trip end
+    that is negative or not finite raises FurnessInfeasibleError naming its
+    zone, origins first, before any sweep.
 
     Every FURNESS_RATE_WINDOW sweeps the deviation's contraction rate rho
     over the window projects the sweeps still needed, log(tol / dev) /
@@ -268,6 +271,12 @@ def furness_balance(
     D = np.asarray(ends.destinations, dtype=float)
     if K.shape != (O.size, D.size):
         raise ValueError("seed shape does not match trip ends")
+    for margin, target in (("origin", O), ("destination", D)):
+        bad = np.flatnonzero(~((target >= 0) & (target < math.inf)))
+        if bad.size:
+            raise FurnessInfeasibleError(
+                f"{margin} of zone {seed.zone_ids[bad[0]]!r} must be finite and >= 0, "
+                f"got {float(target[bad[0]])!r}")
     tot_o, tot_d = O.sum(), D.sum()
     if abs(tot_o - tot_d) > 1e-9 * max(tot_o, tot_d, 1.0):
         raise ValueError(

@@ -13,7 +13,8 @@ every other cell and every scenario edit field: a blank optional cell takes
 its field's default, a blank attr: cell leaves that attribute off the zone.
 A count's bidirectional cell reads 1/true/yes or 0/false/no in any case (blank
 is no); a bidirectional count is split 50/50 onto the named link and its reverse.
-The model spec and scenarios are single YAML mappings; see data/toy/.
+The model spec and scenarios are single YAML mappings; see data/toy/. An
+unknown key in any of their mappings is a parse error.
 Scenario edits name links.csv columns as fields. load_model reports
 network.validate's findings with the file and line of each link or zone.
 """
@@ -121,6 +122,11 @@ class DerivationRule:
         if not 0 <= self.cutoff < math.inf:
             raise ValueError(f"cutoff must be finite and >= 0, got {self.cutoff!r}")
 
+
+# the keys of model.yaml, of its files section and of a scenario file
+_SPEC_KEYS = ("files", "strata", "derivations", "assignment", "calibration")
+_FILES_KEYS = ("zones", "nodes", "links", "counts")
+_SCENARIO_KEYS = ("name", "edits")
 
 # model.yaml stratum keys that differ from their DemandStratum field
 _STRATUM_KEYS = {"deterrence": "deterrence_kind"}
@@ -354,6 +360,15 @@ def _entry(mapping: dict, key: str, kind: type, where: str, diagnostics: list[st
     return value
 
 
+def _unknown_keys(mapping: dict, accepted, where: str, diagnostics: list[str]) -> bool:
+    """Whether mapping has keys outside accepted; they give one diagnostic
+    that lists them with the accepted ones."""
+    unknown = [key for key in mapping if key not in accepted]
+    if unknown:
+        diagnostics.append(f"{where}: unknown key(s) {unknown}; accepted: {', '.join(accepted)}")
+    return bool(unknown)
+
+
 def _options(cls, values, where: str, diagnostics: list[str]):
     """cls(**values), which checks each value's type and range. A value that
     is not a mapping, unknown keys (listed with the accepted ones), a missing
@@ -362,10 +377,7 @@ def _options(cls, values, where: str, diagnostics: list[str]):
     if not isinstance(values, dict):
         diagnostics.append(f"{where}: expected a mapping, got {values!r}")
         return None
-    accepted = [f.name for f in dataclasses.fields(cls)]
-    unknown = [key for key in values if key not in accepted]
-    if unknown:
-        diagnostics.append(f"{where}: unknown key(s) {unknown}; accepted: {', '.join(accepted)}")
+    if _unknown_keys(values, [f.name for f in dataclasses.fields(cls)], where, diagnostics):
         return None
     try:
         return cls(**values)
@@ -378,10 +390,12 @@ def _parse_spec(path: Path) -> ModelSpec:
     diagnostics: list[str] = []
     raw = _read_yaml_mapping(path)
     where = f"{path}: "
+    _unknown_keys(raw, _SPEC_KEYS, str(path), diagnostics)
 
     base = path.parent
     files = _entry(raw, "files", dict, where, diagnostics)
-    for key in ("zones", "nodes", "links", "counts"):
+    _unknown_keys(files, _FILES_KEYS, f"{where}files", diagnostics)
+    for key in _FILES_KEYS:
         name = files.get(key) or ""
         if not isinstance(name, str):
             diagnostics.append(f"{path}: files.{key}: expected a file name, got {name!r}")
@@ -521,26 +535,36 @@ def load_model(path) -> LoadedModel:
 
 
 def load_scenario(path) -> Scenario:
+    """A scenario file's name (a string, the file's stem when absent) and
+    list of edits, each a mapping with an action and a non-empty link_id
+    string. Any problem raises ModelLoadError(stage="parse")."""
     path = Path(path)
     raw = _read_yaml_mapping(path)
+    where = f"{path}: "
     diagnostics: list[str] = []
+    _unknown_keys(raw, _SCENARIO_KEYS, str(path), diagnostics)
+    name = raw.get("name", path.stem)
+    if not isinstance(name, str):
+        diagnostics.append(f"{where}name: expected a string, got {name!r}")
     edits: list[LinkEdit] = []
-    for i, e in enumerate(raw.get("edits") or []):
+    for i, e in enumerate(_entry(raw, "edits", list, where, diagnostics)):
         if not isinstance(e, dict):
-            diagnostics.append(f"{path}: edits[{i}]: expected a mapping, got {e!r}")
+            diagnostics.append(f"{where}edits[{i}]: expected a mapping, got {e!r}")
             continue
         action = e.get("action")
         if action not in ("add_link", "remove_link", "modify_link"):
-            diagnostics.append(f"{path}: edits[{i}]: unknown action {action!r}")
+            diagnostics.append(f"{where}edits[{i}]: unknown action {action!r}")
             continue
-        if not e.get("link_id"):
-            diagnostics.append(f"{path}: edits[{i}]: link_id is required")
+        link_id = e.get("link_id")
+        if not (isinstance(link_id, str) and link_id):
+            diagnostics.append(
+                f"{where}edits[{i}]: link_id must be a non-empty string, got {link_id!r}")
             continue
         fields = {k: v for k, v in e.items() if k not in ("action", "link_id")}
-        edits.append(LinkEdit(action, str(e["link_id"]), fields))
+        edits.append(LinkEdit(action, link_id, fields))
     if diagnostics:
         raise ModelLoadError("parse", diagnostics)
-    return Scenario(name=str(raw.get("name", path.stem)), edits=edits)
+    return Scenario(name=name, edits=edits)
 
 
 def apply_scenario(network: Network, scenario: Scenario) -> Network:

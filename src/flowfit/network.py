@@ -6,7 +6,9 @@ volume_delay takes the per-link BPR arrays that Network.bpr caches.
 shortest_path_tree is the package's one shortest-path engine: distances for
 all origins at once by label-correcting rounds over numpy arrays
 (Bellman-Ford-Moore with a FIFO frontier), followed by one exact array pass
-that applies the (node_id, link_id) tie rule.
+that applies the (node_id, link_id) tie rule. PathSet holds its trees from
+every zone anchor, decoded into the skim and the loader from trips to link
+flows; Network.free_flow_paths keeps the one at free-flow times.
 """
 
 from __future__ import annotations
@@ -150,7 +152,6 @@ class Network:
     @cached_property
     def free_flow_paths(self):
         """The free-flow PathSet every assignment starts from; a failed build keeps nothing."""
-        from .assignment import PathSet  # assignment imports network
         return PathSet(self, free_flow_times(self))
 
 
@@ -270,6 +271,77 @@ def fill_intrazonal(values: np.ndarray) -> None:
     n = values.shape[0]
     off = np.where(np.eye(n, dtype=bool), np.inf, values)
     np.fill_diagonal(values, 0.5 * off.min(axis=1) if n > 1 else 0.0)
+
+
+class PathSet:
+    """Anchor-to-anchor shortest paths under one fixed set of link times.
+
+    One shortest_path_tree call covers all zone anchors; the path set keeps
+    its (dist, pred) and every tree edge (node, parent, entering link),
+    grouped by hop depth (pointer jumping to the roots, then one stable
+    sort). flow_vector adds trips at their destination nodes, pushes them up
+    the trees a depth level at a time, deepest first and all origins in
+    step, and sums each link's flow over the nodes it enters.
+
+    The constructor is the one connectivity check (DisconnectedZonesError,
+    after the cycle check); zone_ids orders the skim and flow_vector's ODs.
+    """
+
+    def __init__(self, network: Network, link_times: np.ndarray):
+        self.zone_ids = tuple(sorted(network.zone_anchors))
+        self.link_ids = network.link_ids
+        anchors = [network.zone_anchors[z] for z in self.zone_ids]
+        self.dist, self.pred = shortest_path_tree(network, link_times, anchors)
+        self._anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
+
+        # flat over (origin, node): OD pairs' destinations, and tree edges
+        n_nodes = self.pred.shape[1]
+        self._od_cell = (np.arange(len(anchors))[:, None] * n_nodes + self._anchor_pos).ravel()
+        tail, _ = network.link_ends
+        child = np.flatnonzero(self.pred >= 0)
+        link = self.pred.ravel()[child]
+        parent = child - child % n_nodes + tail[link]
+        # hop depth by pointer jumping: pass k reaches 2**k up; trees are < n_nodes deep
+        up, depth = np.arange(self.pred.size), np.zeros(self.pred.size, dtype=np.intp)
+        up[child], depth[child] = parent, 1
+        root, passes = self.pred.ravel() < 0, n_nodes.bit_length()
+        while not root[up].all():
+            if not passes:  # only a cycle stops short of a root
+                raise ArithmeticError("predecessor cycle: link times lost in rounding path lengths")
+            depth, up, passes = depth + depth[up], up[up], passes - 1
+        unreachable = np.flatnonzero(np.isinf(self.dist[:, self._anchor_pos]))
+        if unreachable.size:
+            i, j = divmod(unreachable[0], len(self.zone_ids))
+            raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
+        # deepest level first; a stable sort of keys of 16 bits or fewer is a radix sort
+        max_depth = depth.max(initial=0)
+        key = (max_depth - depth[child]).astype(np.min_scalar_type(max_depth))
+        order = np.argsort(key, kind="stable")
+        self._child, self._link, parent = child[order], link[order], parent[order]
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        self._levels = list(zip(np.split(self._child, cuts), np.split(parent, cuts)))
+        self._skim: CostMatrix | None = None
+
+    def cost_matrix(self) -> CostMatrix:
+        """Skim matrix over zone_ids, finite, intrazonal diagonal filled; built
+        on the first call, then held (its values are read-only)."""
+        if self._skim is None:
+            values = self.dist[:, self._anchor_pos]  # a copy
+            fill_intrazonal(values)
+            values.setflags(write=False)
+            self._skim = CostMatrix(self.zone_ids, values)
+        return self._skim
+
+    def flow_vector(self, od) -> np.ndarray:
+        """Link flows (ordered by link_ids) from loading every OD pair's path.
+        od, a demand.ODMatrix, must hold zone_ids in this path set's order."""
+        if od.zone_ids != self.zone_ids:
+            raise ValueError("OD matrix zones do not match the path set's zones in order")
+        # bincount sums zones that share an anchor; intrazonal trips stay at roots
+        acc = np.bincount(self._od_cell, np.ravel(od.trips), self.pred.size)
+        for child, parent in self._levels:
+            np.add.at(acc, parent, acc[child])
+        return np.bincount(self._link, acc[self._child], len(self.link_ids))
 
 
 def _reached(start: np.ndarray, tail: np.ndarray, head: np.ndarray) -> np.ndarray:

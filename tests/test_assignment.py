@@ -16,6 +16,7 @@ from flowfit.assignment import (
     assign,
     assign_all_or_nothing,
     assign_iterative,
+    load_strata,
 )
 from flowfit.demand import DemandStratum, ODMatrix, Zone, derive_jobs, distribute
 from flowfit.model_io import load_model
@@ -398,7 +399,7 @@ class TestLoad:
         strata = [DemandStratum("home", "population", "population", 0.6, 0.06),
                   DemandStratum("work", "population", "jobs", 0.4, 0.11)]
         paths = PathSet(net, free_flow_times(net))
-        loaded = paths.load(zones, strata)
+        loaded = load_strata(paths, zones, strata)
         assert len(loaded) == 2
         for s, vec in zip(strata, loaded):
             od = distribute(zones, s, paths.cost_matrix())
@@ -412,7 +413,7 @@ class TestLoad:
         calls = []
         monkeypatch.setattr(assignment, "distribute",
                             lambda z, s, c: calls.append(s.name) or distribute(z, s, c))
-        idle, busy = PathSet(net, free_flow_times(net)).load(zones, strata)
+        idle, busy = load_strata(PathSet(net, free_flow_times(net)), zones, strata)
         assert calls == ["busy"]
         assert not idle.any() and busy.sum() > 0
 

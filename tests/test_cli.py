@@ -124,6 +124,23 @@ class TestValidateCommand:
         assert main(["validate", str(toy_spec)]) == 2
         assert message in capsys.readouterr().out
 
+    def test_misspelt_top_level_key_exits_two(self, toy_spec, capsys):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw["calibraton"] = raw.pop("calibration")
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 2
+        assert (f"{toy_spec}: unknown key(s) ['calibraton']; accepted: files, strata, "
+                "derivations, assignment, calibration") in capsys.readouterr().out
+
+    def test_misspelt_file_key_exits_two(self, toy_spec, tmp_path, capsys):
+        raw = yaml.safe_load(toy_spec.read_text())
+        raw["files"]["count"] = raw["files"].pop("counts")
+        toy_spec.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(toy_spec)]) == 2
+        assert (f"{toy_spec}: files: unknown key(s) ['count']; accepted: zones, nodes, links, "
+                "counts") in capsys.readouterr().out
+        assert main(["calibrate", str(toy_spec), "-o", str(tmp_path / "o")]) == 2
+
     @pytest.mark.parametrize("section, key, value, message", [
         ("assignment", "n_outer", "five", "assignment: n_outer: expected int, got 'five'"),
         ("assignment", "n_outer", 2.5, "assignment: n_outer: expected int, got 2.5"),
@@ -603,6 +620,25 @@ class TestCompareCommand:
         assert main(["compare", str(toy_spec), str(scenario),
                      "-o", str(tmp_path / "o")]) == 2
         assert "expected a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("name: x\nedit:\n- action: remove_link\n  link_id: n1_n2\n",
+         "bad.yaml: unknown key(s) ['edit']; accepted: name, edits"),
+        ("name: x\nedits: 5\n", "bad.yaml: edits: expected a list, got 5"),
+        ("name: x\nedits: {a: 1}\n", "bad.yaml: edits: expected a list, got {'a': 1}"),
+        ("name: [1, 2]\nedits: []\n", "bad.yaml: name: expected a string, got [1, 2]"),
+        ("name: x\nedits:\n- action: remove_link\n  link_id: 5\n",
+         "bad.yaml: edits[0]: link_id must be a non-empty string, got 5"),
+        ("name: x\nedits:\n- action: remove_link\n  link_id: ''\n",
+         "bad.yaml: edits[0]: link_id must be a non-empty string, got ''"),
+    ])
+    def test_scenario_other_than_a_name_and_a_list_of_edits_exits_two(
+            self, toy_spec, tmp_path, capsys, text, message):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(text)
+        assert main(["compare", str(toy_spec), str(scenario),
+                     "-o", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["fast", "null", "true"])
     def test_edit_value_that_is_not_a_number_exits_three(self, toy_spec, tmp_path, capsys,

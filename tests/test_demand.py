@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,21 @@ class TestFurnessBalance:
         seed, ends = self.tiny_scale_case(rng, cols=[7])
         with pytest.raises(FurnessInfeasibleError, match="column scale for zone '7'"):
             furness_balance(seed, ends)
+
+    @pytest.mark.parametrize("margin", ["origin", "destination"])
+    @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+    def test_trip_end_negative_or_not_finite_is_infeasible_before_any_sweep(
+            self, monkeypatch, margin, value):
+        # the margins' totals agree wherever they are finite
+        ends = {"origin": np.full(6, 10.0), "destination": np.full(6, 10.0)}
+        ends[margin][2:4] = value, 25.0
+        sweeps, scale = [], demand._scale
+        monkeypatch.setattr(demand, "_scale", lambda *a: sweeps.append(a) or scale(*a))
+        message = f"{margin} of zone 'c' must be finite and >= 0, got {value!r}"
+        with pytest.raises(FurnessInfeasibleError, match=re.escape(message)):
+            furness_balance(ODMatrix(tuple("abcdef"), np.ones((6, 6))),
+                            TripEnds(ends["origin"], ends["destination"]))
+        assert sweeps == []
 
 
 def assert_margins(trips, ends, tol=1e-8):

@@ -1,4 +1,8 @@
+import ast
+import graphlib
 import math
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -6,13 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowfit import network
-from flowfit.assignment import PathSet
+from flowfit import assignment, network
 from flowfit.network import (
     DisconnectedZonesError,
     Link,
     Network,
     Node,
+    PathSet,
     _frontier_distances,
     fill_intrazonal,
     free_flow_times,
@@ -366,6 +370,43 @@ class TestFreeFlowPaths:
     def test_link_index_is_the_position_in_link_ids(self, rng):
         net = random_strongly_connected(rng)
         assert [net.link_index[lid] for lid in net.link_ids] == list(range(len(net.links)))
+
+
+def package_imports(path: Path):
+    """(imports at module level, imports anywhere) of one module's source."""
+    tree = ast.parse(path.read_text())
+    kinds = (ast.Import, ast.ImportFrom)
+    return ([node for node in tree.body if isinstance(node, kinds)],
+            [node for node in ast.walk(tree) if isinstance(node, kinds)])
+
+
+class TestPathSetHome:
+    """The path set lives beside the engine whose trees it decodes."""
+
+    def test_assignment_binds_the_network_path_set(self):
+        assert assignment.PathSet is network.PathSet
+        net = make_network(["a", "b"], [("ab", "a", "b", 2.0), ("ba", "b", "a", 3.0)],
+                           {"z1": "a", "z2": "b"})
+        assert type(net.free_flow_paths) is network.PathSet
+
+    def test_network_imports_only_the_standard_library_and_numpy(self):
+        _, nodes = package_imports(Path(network.__file__))
+        roots = set()
+        for node in nodes:
+            assert isinstance(node, ast.Import) or node.level == 0, ast.unparse(node)
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            roots.update(name.split(".")[0] for name in names)
+        assert roots - set(sys.stdlib_module_names) == {"numpy"}
+
+    def test_package_imports_only_at_module_level_and_without_a_cycle(self):
+        graph = {}
+        for path in Path(network.__file__).parent.glob("*.py"):
+            top, every = package_imports(path)
+            assert every == top, f"{path.name}: an import inside a function or class"
+            graph[path.stem] = {node.module for node in top
+                                if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert graph["network"] == set()
+        tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
 
 
 class TestValidate:

@@ -65,6 +65,7 @@ def test_time_layers_reports_every_row():
     for row in rows:
         assert row["outcome"] == "ok"
         assert len(row["runs_s"]) == 1 and row["median_s"] > 0.0
+        assert isinstance(row["minor_faults"], int) and row["minor_faults"] >= 0
     ratio = rows[6]
     assert ratio["ratio"] == ratio["median_s"] / ratio["sweep_s"] > 0.0
     for handoff in rows[7:9]:
