@@ -16,6 +16,7 @@ from .demand import (
     check_field_types,
     fits_field_type,
     require_unique_names,
+    stratum_attributes,
 )
 from .metrics import SplitExperimentResult, evaluate, geh_objective, split_counts
 from .network import Network
@@ -309,7 +310,10 @@ def nelder_mead(
     bound range (0.05 absolute for unbounded coordinates). Terminates when
     both the simplex spread and the objective spread fall below xatol /
     fatol, or when the evaluation budget is exhausted (converged=False);
-    the three take CalibrationOptions' types and ranges.
+    the three take CalibrationOptions' types and ranges. max_evals is
+    checked before each simplex step, which evaluates up to n + 2 points
+    (n = x0.size), so a run can end up to n + 1 evaluations past it, and
+    its best point may be one of those.
     """
     CalibrationOptions(xatol=xatol, fatol=fatol, max_evals=max_evals)
     x0 = np.asarray(x0, dtype=float)
@@ -394,7 +398,9 @@ class ModelObjective:
     trees per stratum), and iterative mode builds a path set only for
     iterations 2 and on. The total flows at the counted links are scored
     with metrics.geh_objective, as evaluate does. Construction touches
-    network.free_flow_paths, so disconnected zones fail there.
+    network.free_flow_paths, so disconnected zones fail there, and reads
+    each stratum's attributes, so a stratum whose production or attraction
+    is zero on every zone raises DegenerateStratumError there.
 
     A Furness balance that fails (FurnessConvergenceError or
     FurnessInfeasibleError) scores J = +inf, which the optimizers rank
@@ -424,6 +430,8 @@ class ModelObjective:
         opts = AssignmentOptions(mode=assignment_mode, n_outer=n_outer, gap_tol=gap_tol)
         self._settings = dataclasses.asdict(opts)  # assign's keywords
         self.template = WeightVector.from_strata(self.strata, bounds, bound_overrides)
+        for s in self.strata:
+            stratum_attributes(zones, s)
         for c in self.counts:
             if c.link_id not in network.links:
                 raise ValueError(f"count references unknown link {c.link_id!r}")

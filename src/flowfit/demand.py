@@ -24,12 +24,15 @@ DEFAULT_FURNESS_MAX_ITER = 1000
 # needed from the deviation's contraction over the window. It hands the
 # balance to Newton's method once that projection exceeds the sweeps left,
 # or the price of NEWTON_SWITCH_STEPS Newton steps at (2mn^2 + n^3/3) / 4mn
-# sweeps each. The 2 is fitted to hand-offs timed by scripts/time_layers.py:
-# one hand-off (2-3 steps with their line searches) cost 37-51 sweeps at 80
-# zones, 141-252 at 400 and 214-344 at 900, about one priced step or less.
-# At 1 the price fell inside that range, and some 400-zone balances that the
-# sweeps were about to finish handed off and ran slower; at 2 it is about
-# twice a hand-off's cost at 80 and 400 zones.
+# sweeps each. The 2 was fitted to hand-offs timed by scripts/time_layers.py
+# while a step took a Cholesky factor: one hand-off (2-3 steps with their
+# line searches) then cost 37-51 sweeps at 80 zones, 141-252 at 400 and
+# 214-344 at 900, about one priced step or less. At 1 the price fell inside
+# that range, and some 400-zone balances that the sweeps were about to
+# finish handed off and ran slower. With one numpy.linalg.solve per step a
+# hand-off costs 28-32 sweeps at 80 zones and 131-228 at 400 (one BLAS
+# thread), so the price (93 and 467 sweeps) sits two to three times above
+# it; re-fitting it would move hand-offs.
 FURNESS_RATE_WINDOW = 10
 NEWTON_SWITCH_STEPS = 2
 # Newton gives up (and the sweeps resume) after this many steps, or when
@@ -173,25 +176,28 @@ def _attribute_vector(zones, attr: str) -> np.ndarray:
     return vec
 
 
+def stratum_attributes(zones, stratum: DemandStratum) -> tuple[np.ndarray, np.ndarray]:
+    """A stratum's production and attraction attribute vectors over zones; a
+    zone without an attribute counts 0 for it. Raises DegenerateStratumError
+    when either is zero on every zone: the stratum has no trips to spread."""
+    prod = _attribute_vector(zones, stratum.production_attr)
+    attr = _attribute_vector(zones, stratum.attraction_attr)
+    for role, name, vec in (("production", stratum.production_attr, prod),
+                            ("attraction", stratum.attraction_attr, attr)):
+        if vec.sum() == 0:
+            raise DegenerateStratumError(
+                f"stratum {stratum.name!r}: {role} attribute {name!r} is zero on every zone")
+    return prod, attr
+
+
 def generate_trip_ends(zones, stratum: DemandStratum) -> TripEnds:
     """Vehicle-trip origins and destinations per zone for one stratum.
 
     O_i = mu * production_attr(i) / occupancy; the attraction attribute is
-    rescaled so that destinations sum to the same total as origins. A zone
-    without an attribute counts 0 for it.
+    rescaled so that destinations sum to the same total as origins, both
+    read by stratum_attributes.
     """
-    prod = _attribute_vector(zones, stratum.production_attr)
-    attr = _attribute_vector(zones, stratum.attraction_attr)
-    if prod.sum() == 0:
-        raise DegenerateStratumError(
-            f"stratum {stratum.name!r}: production attribute "
-            f"{stratum.production_attr!r} is zero on every zone"
-        )
-    if attr.sum() == 0:
-        raise DegenerateStratumError(
-            f"stratum {stratum.name!r}: attraction attribute "
-            f"{stratum.attraction_attr!r} is zero on every zone"
-        )
+    prod, attr = stratum_attributes(zones, stratum)
     origins = stratum.mu * prod / stratum.occupancy
     total = origins.sum()
     if total == 0.0:
@@ -255,10 +261,11 @@ def furness_balance(
     Ruiz 2013), which stops at the same tol test. A step is priced by its
     flops at (2mn^2 + n^3/3) / 4mn sweeps, from the seed's shape alone and
     never by a clock, so the result does not depend on the machine's speed;
-    the two steps come to 93 sweeps at 80 zones and 467 at 400, about twice
-    the measured cost of a hand-off there (see NEWTON_SWITCH_STEPS).
+    the two steps come to 93 sweeps at 80 zones and 467 at 400, two to
+    three times the measured cost of a hand-off there (see
+    NEWTON_SWITCH_STEPS).
 
-    If Newton fails (an indefinite Hessian, e.g. on block-diagonal support,
+    If Newton fails (a singular step system, e.g. on block-diagonal support,
     a step that is not finite or does not lower the deviation, or
     NEWTON_MAX_STEPS used up), the sweeps resume from where they switched
     and Newton is not tried again, so a system that does not balance raises
@@ -321,8 +328,10 @@ def furness_balance(
 
 def newton_step_sweeps(m: int, n: int) -> float:
     """A Newton step's price in sweeps of an m x n seed, by flops: about
-    2mn^2 + n^3/3 (forming the n x n Schur complement and its Cholesky
-    factor) against about 4mn for a sweep."""
+    2mn^2 + n^3/3 (forming the n x n Schur complement and a Cholesky
+    factor of it) against about 4mn for a sweep. The step's
+    numpy.linalg.solve does about 2n^3/3 flops, yet a step measures below
+    this price (see NEWTON_SWITCH_STEPS)."""
     return (2.0 * m * n * n + n**3 / 3.0) / (4.0 * m * n)
 
 
@@ -346,7 +355,7 @@ def _newton_balance(K, O, D, a, b, tol):
     is halved until it lowers the largest relative margin deviation; that
     test, unlike the objective itself, is not lost in rounding near the
     optimum. Returns the balanced matrix once that deviation is within tol,
-    None when a Cholesky factorisation fails, a step or the product is not
+    None when a step's system is singular, a step or the product is not
     finite, or the halvings or NEWTON_MAX_STEPS run out.
     """
     rows, cols = O > 0, D > 0
@@ -392,27 +401,14 @@ def _newton_step(P, r, c, o, d):
     The Hessian is [[diag(r), P], [P^T, diag(c)]]. Eliminating du leaves
     the Schur complement S = diag(c) - P^T diag(1/r) P in dv. Holding the
     last v fixed leaves S minus its last row and column, positive definite
-    when the support of P is connected; numpy.linalg.cholesky raises
-    LinAlgError otherwise.
+    when the support of P is connected; numpy.linalg.solve raises
+    LinAlgError when it is singular.
     """
     g_u, g_v = r - o, c - d
     Q = P / np.sqrt(r)[:, None]
     S = np.diag(c) - Q.T @ Q
-    L = np.linalg.cholesky(S[:-1, :-1])
-    rhs = (P.T @ (g_u / r) - g_v)[:-1]
-    y = _forward_substitution(L, rhs)
-    dv = np.append(_forward_substitution(L.T[::-1, ::-1], y[::-1])[::-1], 0.0)
+    dv = np.append(np.linalg.solve(S[:-1, :-1], (P.T @ (g_u / r) - g_v)[:-1]), 0.0)
     return -(g_u + P @ dv) / r, dv
-
-
-def _forward_substitution(L, rhs):
-    """Solve L x = rhs for lower-triangular L, one diagonal block at a time."""
-    block = 64
-    x = np.empty_like(rhs)
-    for s in range(0, rhs.size, block):
-        e = s + block
-        x[s:e] = np.linalg.solve(L[s:e, s:e], rhs[s:e] - L[s:e, :s] @ x[:s])
-    return x
 
 
 def _scale(target, sums, off, zone_ids, axis: str, margin: str) -> np.ndarray:

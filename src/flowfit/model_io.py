@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,12 +35,14 @@ from .assignment import AssignmentOptions, AssignmentResult
 from .calibrate import AnnealingOptions, CalibrationOptions, CalibrationResult, WeightVector
 from .demand import (
     DEFAULT_JOBS_CUTOFF,
+    DegenerateStratumError,
     DemandStratum,
     Zone,
     check_field_types,
     derive_jobs,
     fits_field_type,
     require_unique_names,
+    stratum_attributes,
 )
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
 from .network import Link, Network, Node, findings, validate
@@ -329,8 +332,20 @@ def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]
     return counts
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.SafeLoader that also reads an exponent form without a dot or an
+    exponent sign, such as 1e-3, 2E4 or 1e5, as a float, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def _read_yaml_mapping(path: Path) -> dict:
-    """A YAML file's top-level mapping (an empty file reads as {}).
+    """A YAML file's top-level mapping (an empty file reads as {}), read by
+    _Loader, so an unquoted 1e-3 is a number.
 
     A missing file, invalid YAML or any other top-level value raises
     ModelLoadError(stage="parse").
@@ -339,7 +354,7 @@ def _read_yaml_mapping(path: Path) -> dict:
         raise ModelLoadError("parse", [f"{path}: file not found"])
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=_Loader) or {}
     except yaml.YAMLError as exc:
         raise ModelLoadError("parse", [f"{path}: invalid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):
@@ -492,8 +507,10 @@ def load_model(path) -> LoadedModel:
     Parse problems raise ModelLoadError(stage="parse"); semantic problems
     (network.validate's findings, each with its links.csv or zones.csv line,
     unknown or negative attributes, unresolved counts) are aggregated and
-    raised as ModelLoadError(stage="validation"). A blank attr: cell that a
-    stratum reads counts as 0, with one warning naming its zones.csv line.
+    raised as ModelLoadError(stage="validation"); when there are none, so is
+    a stratum whose production or attraction attribute is zero on every zone.
+    A blank attr: cell that a stratum reads counts as 0, with one warning
+    naming its zones.csv line.
     """
     path = Path(path)
     spec = _parse_spec(path)
@@ -523,6 +540,12 @@ def load_model(path) -> LoadedModel:
                     f"attribute {attr!r} must be finite and >= 0, got {value!r}"
                 )
     counts = _resolve_counts(count_rows, network, spec.counts_path, diagnostics)
+    if not diagnostics:  # each stratum's attributes are known and valid
+        for stratum in spec.strata:
+            try:
+                stratum_attributes(zones, stratum)
+            except DegenerateStratumError as exc:
+                diagnostics.append(f"{spec.zones_path}: {exc}")
     if diagnostics:
         raise ModelLoadError("validation", diagnostics)
     used = sorted({a for s in spec.strata for a in (s.production_attr, s.attraction_attr)})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -16,6 +17,7 @@ from flowfit.calibrate import (
     split_test,
 )
 from flowfit.demand import (
+    DegenerateStratumError,
     DemandStratum,
     FurnessConvergenceError,
     FurnessInfeasibleError,
@@ -304,12 +306,35 @@ class TestObjective:
             flows = assign(net, zones, trial, mode=mode).flows
             assert obj(np.array(x)) == evaluate(flows, counts).objective_j
 
-    def test_pipeline_errors_carry_the_weights(self, toy_setup):
+    def test_pipeline_errors_carry_the_weights(self, toy_setup, monkeypatch):
         zones, net, counts = toy_setup
-        strata = [DemandStratum("s", "population", "nonexistent", 1.0, 0.1)]
+        strata = [DemandStratum("s", "population", "population", 1.0, 0.1)]
         obj = ModelObjective(zones, net, strata, counts)
-        with pytest.raises(ObjectiveError, match=r"s\.mu=1"):
+
+        def breaks(*args):
+            raise ValueError("seed broke")
+
+        monkeypatch.setattr(demand, "seed_matrix", breaks)
+        with pytest.raises(ObjectiveError, match=r"s\.mu=1.*seed broke"):
             obj(np.array([1.0, 0.1]))
+
+    @pytest.mark.parametrize("production, attraction, role", [
+        ("population", "nonexistent", "attraction"), ("jobs", "population", "production"),
+    ])
+    def test_degenerate_stratum_rejected_at_construction(self, toy_setup, production,
+                                                         attraction, role):
+        zones, net, counts = toy_setup
+        zones = [dataclasses.replace(z, attributes={**z.attributes, "jobs": 0.0}) for z in zones]
+        strata = [DemandStratum("s", production, attraction, 1.0, 0.1)]
+        with pytest.raises(DegenerateStratumError,
+                           match=f"stratum 's': {role} attribute '.*' is zero on every zone"):
+            ModelObjective(zones, net, strata, counts)
+
+    def test_construction_at_mu_zero_logs_nothing(self, toy_setup, caplog):
+        zones, net, counts = toy_setup
+        with caplog.at_level("WARNING"):
+            ModelObjective(zones, net, toy_strata(0.0, 0.1), counts)
+        assert caplog.records == []
 
     @staticmethod
     def far_apart_pair():

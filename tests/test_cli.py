@@ -16,6 +16,7 @@ import flowfit
 from flowfit.assignment import PathSet, assign
 from flowfit.calibrate import calibrate, split_test
 from flowfit.cli import main
+from flowfit.demand import derive_jobs
 from flowfit.metrics import evaluate, split_counts
 from flowfit.model_io import AssignmentOptions, CalibrationOptions, load_model, write_model
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
@@ -357,6 +358,97 @@ class TestValidateCommand:
         assert "1 issue(s)" in out
 
 
+    def test_exponent_without_a_dot_is_a_number(self, data_toy, capsys):
+        spec = data_toy / "model.yaml"
+        text = spec.read_text().replace("gap_tol: 0.001", "gap_tol: 1e-3")
+        text = text.replace("xatol: 1.0e-06", "xatol: 1e-6")
+        text += ("  bounds:\n    mu: [0, 5e0]\n"
+                 "derivations:\n- attribute: jobs\n  method: jobs_from_population\n"
+                 "  source: population\n  cutoff: 2e4\n")
+        spec.write_text(text)
+        assert main(["validate", str(spec)]) == 0
+        assert "OK" in capsys.readouterr().out
+        model = load_model(spec)
+        assert model.assignment.gap_tol == 1e-3 and model.calibration.xatol == 1e-6
+        assert model.calibration.bounds["mu"] == (0.0, 5.0)
+        assert type(model.calibration.bounds["mu"][1]) is float
+        jobs = {z.attributes["population"]: z.attributes["jobs"] for z in model.zones}
+        assert jobs == {p: derive_jobs(p, 2e4) for p in jobs}
+
+    def test_quoted_exponent_is_a_string(self, data_toy, capsys):
+        spec = data_toy / "model.yaml"
+        spec.write_text(spec.read_text().replace("gap_tol: 0.001", "gap_tol: '1e-3'"))
+        assert main(["validate", str(spec)]) == 2
+        assert "assignment: gap_tol: expected float, got '1e-3'" in capsys.readouterr().out
+
+    def test_missing_table_file_exits_two(self, data_toy, capsys):
+        spec = data_toy / "model.yaml"
+        spec.write_text(spec.read_text().replace("zones: zones.csv", "zones: nozones.csv"))
+        assert main(["validate", str(spec)]) == 2
+        assert f"{data_toy / 'nozones.csv'}: file not found" in capsys.readouterr().out
+
+    def test_missing_column_exits_two(self, data_toy, capsys):
+        links = data_toy / "links.csv"
+        rows = [row.split(",") for row in links.read_text().splitlines()]
+        links.write_text("".join(",".join(row[:3] + row[4:]) + "\n" for row in rows))
+        assert main(["validate", str(data_toy / "model.yaml")]) == 2
+        assert f"{links}: missing column(s) ['t0_min']" in capsys.readouterr().out
+
+    def test_invalid_yaml_exits_two(self, data_toy, capsys):
+        spec = data_toy / "model.yaml"
+        spec.write_text("files: [zones.csv\n")
+        assert main(["validate", str(spec)]) == 2
+        assert f"{spec}: invalid YAML: " in capsys.readouterr().out
+
+    def test_bidirectional_count_without_a_reverse_link_exits_three(self, data_toy, capsys):
+        links, counts = data_toy / "links.csv", data_toy / "counts.csv"
+        links.write_text(links.read_text() + "n2_n5,n2,n5,3.0,30000.0,0.15,4.0,12.0\n")
+        counts.write_text("link_id,observed_veh24h,bidirectional\n"
+                          "n1_n2,100.0,yes\nn2_n5,100.0,yes\n")
+        assert main(["validate", str(data_toy / "model.yaml")]) == 3
+        out = capsys.readouterr().out
+        assert f"{counts}:3: bidirectional count on 'n2_n5' but no reverse link exists" in out
+        assert "1 issue(s)" in out
+
+
+class TestDegenerateStratum:
+    """A stratum whose attraction attribute is zero on every zone: a jobs
+    column of zeros, or of zeros and blanks, which count as zero."""
+
+    @pytest.fixture(params=["zeros", "zeros-and-blanks"])
+    def jobless_toy(self, request, data_toy):
+        zones = data_toy / "zones.csv"
+        rows = zones.read_text().splitlines()
+        cells = ["" if request.param != "zeros" and k % 2 else "0" for k in range(len(rows) - 1)]
+        zones.write_text("\n".join([rows[0] + ",attr:jobs"]
+                                   + [f"{row},{cell}" for row, cell in zip(rows[1:], cells)])
+                         + "\n")
+        spec = data_toy / "model.yaml"
+        spec.write_text(spec.read_text().replace("attraction_attr: population",
+                                                 "attraction_attr: jobs"))
+        return spec
+
+    MESSAGE = "stratum 'everyone': attraction attribute 'jobs' is zero on every zone"
+
+    def test_validate_exits_three(self, jobless_toy, capsys):
+        assert main(["validate", str(jobless_toy)]) == 3
+        assert f"{jobless_toy.parent / 'zones.csv'}: {self.MESSAGE}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["assign", "calibrate"])
+    def test_run_exits_three_before_it_starts(self, jobless_toy, tmp_path, capsys, command):
+        assert main([command, str(jobless_toy), "-o", str(tmp_path / "o")]) == 3
+        assert self.MESSAGE in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_stratum_at_mu_zero_is_checked_without_a_warning(self, data_toy, caplog):
+        # criterion 6 starts a stratum at mu = 0, and the CLI prints warnings
+        spec = data_toy / "model.yaml"
+        spec.write_text(spec.read_text().replace("mu: 1.5", "mu: 0.0"))
+        with caplog.at_level("WARNING"):
+            assert main(["validate", str(spec)]) == 0
+        assert caplog.records == []
+
+
 class TestAssignCommand:
     def test_writes_flow_csv_with_stratum_columns(self, toy_spec, tmp_path):
         out = tmp_path / "out"
@@ -659,6 +751,19 @@ class TestCompareCommand:
         assert main(["compare", str(toy_spec), str(scenario),
                      "-o", str(tmp_path / "o")]) == 3
         assert "remove_link 'n1_n2': unknown field 't0_min'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action, link_id, message", [
+        ("add_link", "n1_n2", "add_link: link 'n1_n2' already exists"),
+        ("modify_link", "nope", "modify_link: unknown link 'nope'"),
+    ])
+    def test_edit_of_a_link_that_does_or_does_not_exist_exits_three(
+            self, toy_spec, tmp_path, capsys, action, link_id, message):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(f"name: x\nedits:\n- action: {action}\n  link_id: {link_id}\n"
+                            "  t0_min: 3.0\n")
+        assert main(["compare", str(toy_spec), str(scenario),
+                     "-o", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
 
     def test_broken_scenario_exits_three(self, toy_spec, tmp_path):
         scenario = tmp_path / "bad.yaml"

@@ -566,9 +566,9 @@ class TestNewton:
         assert newton_results == []
 
     def test_failed_newton_resumes_the_sweeps(self, newton_results):
-        # block-diagonal support with cross-block margins: the Schur
-        # complement is singular, so Cholesky fails, and the sweeps run out
-        # exactly as the in-place loop does
+        # block-diagonal support with cross-block margins: the reduced Schur
+        # complement is singular, so numpy.linalg.solve raises LinAlgError,
+        # and the sweeps run out exactly as the in-place loop does
         seed = ODMatrix(("a", "b"), np.array([[1.0, 0.0], [0.0, 1.0]]))
         ends = TripEnds(np.array([3.0, 1.0]), np.array([1.0, 3.0]))
         with pytest.raises(FurnessConvergenceError) as ref:
@@ -577,6 +577,22 @@ class TestNewton:
             furness_balance(seed, ends, tol=1e-12, max_iter=50)
         assert newton_results == [None]
         assert (got.value.iterations, got.value.deviation) == (50, ref.value.deviation)
+
+    @pytest.mark.parametrize("m, n", [(6, 6), (7, 4), (4, 7)])
+    def test_step_solves_the_full_newton_system(self, rng, m, n):
+        # the Hessian [[diag(r), P], [P^T, diag(c)]] against the gradient
+        # (r - o, c - d), with the last v held fixed: drop its row and column
+        P = rng.uniform(0.1, 5.0, (m, n))
+        r, c = P.sum(axis=1), P.sum(axis=0)
+        o, d = r * rng.uniform(0.5, 1.5, m), c * rng.uniform(0.5, 1.5, n)
+        du, dv = demand._newton_step(P, r, c, o, d)
+        hessian = np.block([[np.diag(r), P], [P.T, np.diag(c)]])
+        keep = m + n - 1
+        full = np.linalg.solve(hessian[:keep, :keep], -np.concatenate([r - o, c - d])[:keep])
+        expected = np.append(full, 0.0)
+        assert dv[-1] == 0.0
+        got = np.concatenate([du, dv])
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
     @pytest.mark.parametrize("size", [(10, 8), (30, 30)], ids=["10x8", "30x30"])
     def test_objective_is_finite_on_the_default_box(self, grid, size):
