@@ -12,7 +12,8 @@ repeated and reported as the median:
     levels) read as differences;
   * furness_balance of the population -> population gravity seed at
     mu = 0.8 and beta 0.08, 0.3 and 1.0 (exponential deterrence), with its
-    outcome;
+    outcome, its sweeps, whether it handed the balance to Newton, and the
+    relaxation factor omega of its last sweep (1 for a plain sweep);
   * one Newton step (demand._newton_step on the beta 0.3 seed) against one
     Furness sweep, with their cost ratio beside the flop model's, which
     furness_balance prices a Newton step at;
@@ -116,10 +117,11 @@ def copies(network, n):
 
 
 def sweeps(seed, ends):
-    """SWEEP_CALLS * FURNESS_RATE_WINDOW Furness sweeps: furness_balance
+    """SWEEP_CALLS * FURNESS_RATE_WINDOW plain Furness sweeps: furness_balance
     calls that tol = 0 does not stop early and that end before their first
-    projection could hand the balance to Newton. Each call's setup (a seed
-    check and one matrix-vector product) adds about a tenth to their time."""
+    projection could relax a sweep or hand the balance to Newton. Each
+    call's setup (a seed check and one matrix-vector product) adds about a
+    tenth to their time."""
     for _ in range(SWEEP_CALLS):
         try:
             furness_balance(seed, ends, tol=0.0, max_iter=FURNESS_RATE_WINDOW)
@@ -127,17 +129,20 @@ def sweeps(seed, ends):
             pass
 
 
-def handoff(seed, ends):
-    """(sweeps before it, its Newton steps, whether it balanced, its
-    arguments) for the hand-off to Newton that furness_balance makes at most
-    once, or None when it makes none. A sweep is two _scale calls."""
+def traced(seed, ends):
+    """(its sweeps, its last sweep's relaxation factor, its hand-off) for one
+    furness_balance run. The hand-off to Newton, made at most once, is
+    (sweeps before it, its Newton steps, whether it balanced, its
+    arguments), or None when there is none. A sweep is two _scale calls."""
     originals = {name: getattr(demand, name)
-                 for name in ("_scale", "_newton_step", "_newton_balance")}
-    calls, handed = dict.fromkeys(originals, 0), []
+                 for name in ("_scale", "_relaxed", "_newton_step", "_newton_balance")}
+    calls, handed, omega = dict.fromkeys(originals, 0), [], [1.0]
 
     def spy(name):
         def counted(*args):
             calls[name] += 1
+            if name == "_relaxed":
+                omega[0] = args[2]
             swept = calls["_scale"] // 2
             out = originals[name](*args)
             if name == "_newton_balance":
@@ -152,7 +157,7 @@ def handoff(seed, ends):
     finally:
         for name, original in originals.items():
             setattr(demand, name, original)
-    return handed[0] if handed else None
+    return calls["_scale"] // 2, omega[0], handed[0] if handed else None
 
 
 def main() -> None:
@@ -184,8 +189,10 @@ def main() -> None:
 
     for beta in FURNESS_BETAS:
         seed = seed_matrix(ends, costs, beta, "exponential")
+        swept, omega, handed = traced(seed, ends)
         rows.append({"layer": "furness_balance", "mu": MU, "beta": beta,
-                     **timed(lambda: furness_balance(seed, ends), args.repeats)})
+                     **timed(lambda: furness_balance(seed, ends), args.repeats),
+                     "sweeps": swept, "handed_off": handed is not None, "omega": omega})
 
     seed = seed_matrix(ends, costs, FURNESS_BETAS[1], "exponential")
     sweep_s = timed(lambda: sweeps(seed, ends), args.repeats)["median_s"]
@@ -206,7 +213,7 @@ def main() -> None:
         row = {"layer": "Newton hand-off", "mu": MU, "beta": beta, "sweeps_before": None,
                "newton_steps": 0, "median_s": None, "runs_s": [], "outcome": "no hand-off",
                "minor_faults": None}
-        handed = handoff(seed, ends)
+        handed = traced(seed, ends)[2]
         if handed is not None:
             swept, steps, balanced, newton_args = handed
             row.update(timed(lambda: demand._newton_balance(*newton_args), args.repeats))

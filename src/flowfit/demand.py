@@ -32,7 +32,9 @@ DEFAULT_FURNESS_MAX_ITER = 1000
 # finish handed off and ran slower. With one numpy.linalg.solve per step a
 # hand-off costs 28-32 sweeps at 80 zones and 131-228 at 400 (one BLAS
 # thread), so the price (93 and 467 sweeps) sits two to three times above
-# it; re-fitting it would move hand-offs.
+# it; re-fitting it would move hand-offs. All these costs are in plain
+# sweeps, and the projection reads over-relaxed sweeps' rate from sweep 20
+# on, so the hand-offs were fitted to a different rate than it now reads.
 FURNESS_RATE_WINDOW = 10
 NEWTON_SWITCH_STEPS = 2
 # Newton gives up (and the sweeps resume) after this many steps, or when
@@ -265,11 +267,26 @@ def furness_balance(
     three times the measured cost of a hand-off there (see
     NEWTON_SWITCH_STEPS).
 
+    From the second window on (sweep 20), a balance that does not switch
+    over-relaxes its sweeps (Thibault, Chizat, Dossal & Papadakis 2021;
+    Lehmann, von Renesse, Sambale & Uschmajew 2022): with s the plain
+    scale, a <- a (s / a)^omega, then the same for b, rows and columns
+    without a positive target keeping scale 0. The first omega is
+    2 / (1 + sqrt(1 - rho)) from the plain rate of sweeps 10 to 20; every
+    later window re-estimates it from its relaxed rate r by Young's
+    relation, rho = (r + omega - 1)^2 / (r omega^2) (_over_relaxation).
+    omega comes from deviations only, so a balance depends on its inputs
+    alone. Each window saves the scales and their deviation. If a relaxed
+    window does not lower the deviation, or a relaxed sweep's scale leaves
+    float range, the balance restores the saved window and sweeps plainly
+    (omega = 1) to the end; the next projection reads the plain rate from
+    the restored window, not a stall.
+
     If Newton fails (a singular step system, e.g. on block-diagonal support,
     a step that is not finite or does not lower the deviation, or
-    NEWTON_MAX_STEPS used up), the sweeps resume from where they switched
-    and Newton is not tried again, so a system that does not balance raises
-    FurnessConvergenceError after max_iter sweeps as before.
+    NEWTON_MAX_STEPS used up), the sweeps resume plainly from where they
+    switched and Newton is not tried again, so a system that does not
+    balance raises FurnessConvergenceError after max_iter sweeps as before.
     """
     K = np.asarray(seed.trips, dtype=float)
     if (K < 0).any():
@@ -297,16 +314,27 @@ def furness_balance(
     # so the divisor is never 0 there, even where the seed's sum is
     o_num, d_num = np.where(O > 0, O, 0.0), np.where(D > 0, D, 0.0)
     o_off, d_off = 1.0 * (O <= 0), 1.0 * (D <= 0)
-    b = np.ones(D.size)
+    a, b = np.ones(O.size), np.ones(D.size)
     row = K @ b  # row sums of diag(a) @ K @ diag(b) are a * row
     deviation = window_start = np.inf
     newton_cost = NEWTON_SWITCH_STEPS * newton_step_sweeps(*K.shape)
     newton_tried = False
+    omega, relax, swept, saved = 1.0, True, 0, None
     with np.errstate(divide="ignore", over="ignore"):
         for k in range(1, max_iter + 1):
-            a = _scale(o_num, row, o_off, seed.zone_ids, "row", "origin")
-            col = a @ K
-            b = _scale(d_num, col, d_off, seed.zone_ids, "column", "destination")
+            try:
+                a = _relaxed(a, _scale(o_num, row, o_off, seed.zone_ids, "row", "origin"),
+                             omega, o_off)
+                col = a @ K
+                b = _relaxed(b, _scale(d_num, col, d_off, seed.zone_ids, "column", "destination"),
+                             omega, d_off)
+            except FurnessInfeasibleError:
+                if omega == 1.0:
+                    raise
+                # a relaxed scale left float range, or a sum under it fell
+                # too small to scale: back to the saved window
+                (a, b, row, deviation), omega, relax, swept = saved, 1.0, False, 0
+                continue
             row = K @ b
             deviation = max(
                 (np.abs(a * row - O) / o_div).max(),
@@ -314,24 +342,33 @@ def furness_balance(
             )
             if deviation <= tol:
                 return ODMatrix(seed.zone_ids, a[:, None] * K * b)
-            if newton_tried or k % FURNESS_RATE_WINDOW:
+            swept += 1
+            if newton_tried or swept % FURNESS_RATE_WINDOW:
+                continue
+            if omega > 1.0 and not deviation < window_start:
+                # the relaxed window did not lower the deviation: restore its
+                # start and sweep plainly, so the next window's rate is plain
+                (a, b, row, deviation), omega, relax, swept = saved, 1.0, False, 0
                 continue
             needed = _sweeps_needed(window_start, deviation, tol)
-            window_start = deviation
             if needed > min(max_iter - k, newton_cost):
-                newton_tried = True
+                newton_tried, omega = True, 1.0
                 trips = _newton_balance(K, O, D, a, b, tol)
                 if trips is not None:
                     return ODMatrix(seed.zone_ids, trips)
+                continue
+            if relax and window_start < np.inf:
+                omega = _over_relaxation(window_start, deviation, omega)
+            window_start, saved = deviation, (a, b, row, deviation)
     raise FurnessConvergenceError(float(deviation), max_iter)
 
 
 def newton_step_sweeps(m: int, n: int) -> float:
     """A Newton step's price in sweeps of an m x n seed, by flops: about
-    2mn^2 + n^3/3 (forming the n x n Schur complement and a Cholesky
-    factor of it) against about 4mn for a sweep. The step's
-    numpy.linalg.solve does about 2n^3/3 flops, yet a step measures below
-    this price (see NEWTON_SWITCH_STEPS)."""
+    2mn^2 + n^3/3 (2mn^2 of it forming the n x n Schur complement) against
+    about 4mn for a plain sweep. The step's numpy.linalg.solve does about
+    2n^3/3 flops, yet a step measures below this price (see
+    NEWTON_SWITCH_STEPS)."""
     return (2.0 * m * n * n + n**3 / 3.0) / (4.0 * m * n)
 
 
@@ -344,6 +381,33 @@ def _sweeps_needed(previous: float, deviation: float, tol: float) -> float:
     if rate == 0.0:  # the first window, which began at an infinite deviation
         return 0.0
     return math.log(tol / deviation) / math.log(rate)
+
+
+def _over_relaxation(previous, deviation: float, omega: float) -> float:
+    """The relaxation factor 2 / (1 + sqrt(1 - rho)) for the next window.
+
+    rho is the plain sweeps' rate, read by Young's relation (r + omega - 1)^2
+    = r omega^2 rho from the rate r seen over the last window, which began at
+    deviation previous, under omega (so rho = r at omega = 1). A rate below
+    omega - 1, which the relation does not reach, reads as omega - 1 and
+    keeps omega."""
+    rate = max((deviation / previous) ** (1.0 / FURNESS_RATE_WINDOW), omega - 1.0)
+    rho = (rate + omega - 1.0) ** 2 / (rate * omega**2)
+    return 2.0 / (1.0 + math.sqrt(max(1.0 - rho, 0.0)))
+
+
+def _relaxed(previous, plain, omega: float, off):
+    """The over-relaxed scale previous * (plain / previous) ** omega, plain
+    itself at omega = 1; a row or column without a positive target (off)
+    keeps scale 0. Raises FurnessInfeasibleError when a live entry leaves
+    float range (is 0 or not finite), which furness_balance answers by
+    restoring its saved window."""
+    if omega == 1.0:
+        return plain
+    scale = previous * (plain / (previous + off)) ** omega
+    if not (scale.max() < math.inf and (scale + off).min() > 0.0):
+        raise FurnessInfeasibleError("an over-relaxed scale left float range")
+    return scale
 
 
 def _newton_balance(K, O, D, a, b, tol):

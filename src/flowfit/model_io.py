@@ -267,7 +267,8 @@ def _convert(cells: dict, columns: dict, defaults: dict, problems: list[str]) ->
 
 
 def load_zone_rows(path: Path, diagnostics: list[str]):
-    """Returns (zones, anchors, linenos) parsed from zones.csv."""
+    """Returns (zones, anchors, linenos, declared) parsed from zones.csv;
+    declared names the attributes of its attr: columns."""
     reader = _RowReader(path, _ZONE_COLUMNS, diagnostics)
     zones: list[Zone] = []
     anchors: dict[str, str] = {}
@@ -280,7 +281,7 @@ def load_zone_rows(path: Path, diagnostics: list[str]):
         anchors[zid] = values.pop("anchor")
         attributes = {a: v for c, a in attrs if (v := values.pop(c)) is not None}
         zones.append(Zone(zid, **values, attributes=attributes))
-    return zones, anchors, reader.linenos
+    return zones, anchors, reader.linenos, {a for _, a in attrs}
 
 
 def load_node_rows(path: Path, diagnostics: list[str]) -> list[Node]:
@@ -468,17 +469,21 @@ def _parse_spec(path: Path) -> ModelSpec:
     )
 
 
-def _unknown_attributes(zones: list[Zone], rules: list[DerivationRule], strata) -> list[str]:
-    """One walk over the attributes in use: a derivation's source must be
-    declared on a zone or derived by an earlier rule, a stratum's attributes
-    declared or derived by any rule."""
+def _unknown_attributes(zones: list[Zone], declared: set[str], rules: list[DerivationRule],
+                        strata) -> list[str]:
+    """One walk over the attributes in use: a derivation's source must be set
+    on a zone or derived by an earlier rule, a stratum's attributes set or
+    derived by any rule. An attribute that is declared (an attr: column) but
+    set on no zone is reported as blank on every zone."""
     known = {a for z in zones for a in z.attributes}
     issues: list[str] = []
 
     def require(owner: str, attr: str):
-        if attr not in known:
-            issues.append(
-                f"{owner}: attribute {attr!r} is neither declared on any zone nor derived")
+        if attr in known:
+            return
+        problem = ("is blank on every zone" if attr in declared
+                   else "is neither declared on any zone nor derived")
+        issues.append(f"{owner}: attribute {attr!r} {problem}")
 
     for rule in rules:
         require(f"derivation of {rule.attribute!r}", rule.source)
@@ -516,7 +521,7 @@ def load_model(path) -> LoadedModel:
     spec = _parse_spec(path)
 
     parse_diag: list[str] = []
-    zones, anchors, zone_lines = load_zone_rows(spec.zones_path, parse_diag)
+    zones, anchors, zone_lines, declared = load_zone_rows(spec.zones_path, parse_diag)
     nodes = load_node_rows(spec.nodes_path, parse_diag)
     links, link_lines = load_link_rows(spec.links_path, parse_diag)
     count_rows = load_count_rows(spec.counts_path, parse_diag) if spec.counts_path else []
@@ -530,7 +535,7 @@ def load_model(path) -> LoadedModel:
     for table, rid, message in findings(network):
         source, linenos = lines[table]
         diagnostics.append(f"{source}:{linenos[rid]}: {message}")
-    diagnostics.extend(_unknown_attributes(zones, spec.derivations, spec.strata))
+    diagnostics.extend(_unknown_attributes(zones, declared, spec.derivations, spec.strata))
     zones = _apply_derivations(zones, spec.derivations)
     for zone in zones:
         for attr, value in zone.attributes.items():

@@ -440,6 +440,21 @@ class TestDegenerateStratum:
         assert self.MESSAGE in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_column_blank_on_every_zone_is_named_as_blank(self, data_toy, capsys):
+        # the attr:jobs column is declared, so it is not "neither declared
+        # on any zone nor derived"
+        zones = data_toy / "zones.csv"
+        rows = zones.read_text().splitlines()
+        zones.write_text("\n".join([rows[0] + ",attr:jobs"] + [f"{row}," for row in rows[1:]])
+                         + "\n")
+        spec = data_toy / "model.yaml"
+        spec.write_text(spec.read_text().replace("attraction_attr: population",
+                                                 "attraction_attr: jobs"))
+        assert main(["validate", str(spec)]) == 3
+        out = capsys.readouterr().out
+        assert "stratum 'everyone': attribute 'jobs' is blank on every zone" in out
+        assert "neither declared" not in out
+
     def test_stratum_at_mu_zero_is_checked_without_a_warning(self, data_toy, caplog):
         # criterion 6 starts a stratum at mu = 0, and the CLI prints warnings
         spec = data_toy / "model.yaml"

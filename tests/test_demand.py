@@ -30,6 +30,10 @@ from flowfit.model_io import DerivationRule
 from flowfit.network import CostMatrix, free_flow_times
 from flowfit.sample_models import eight_zone_star, grid_region, synthetic_counts, toy_strata
 
+# no balance may lean on numpy's floating-point warnings: overflow and
+# division inside furness_balance are expected and silenced there
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def costs_of(values, zone_ids=None):
     values = np.asarray(values, dtype=float)
@@ -554,8 +558,9 @@ class TestNewton:
         assert np.abs(trips - reference).max() <= 1e-8 * reference.max()
 
     def test_fast_400_zone_balance_never_hands_off(self, grid, newton_sweeps):
-        # grid 20x20 at the benchmark's generating weights converges in 61
-        # sweeps; at a price of zero it would hand off after 20
+        # grid 20x20 at the benchmark's generating weights converges in 33
+        # relaxed sweeps (61 plain ones); at a price of zero it would hand
+        # off after 20
         seed, ends = self.grid_case(grid(20, 20), 0.08)
         assert_margins(furness_balance(seed, ends).trips, ends)
         assert newton_sweeps == []
@@ -606,6 +611,79 @@ class TestNewton:
         for x in points:
             assert math.isfinite(objective(np.array(x))), x
         assert objective.furness_failures == 0
+
+
+@pytest.fixture
+def omegas(monkeypatch):
+    """The relaxation factor of every _relaxed call, in order: one for the
+    rows, then one for the columns of each sweep."""
+    seen, relaxed = [], demand._relaxed
+
+    def spy(previous, plain, omega, off):
+        seen.append(omega)
+        return relaxed(previous, plain, omega, off)
+
+    monkeypatch.setattr(demand, "_relaxed", spy)
+    return seen
+
+
+class TestOverRelaxation:
+    """From the second rate window on, the sweeps over-relax the scales."""
+
+    @pytest.mark.parametrize("beta", [0.08, 0.1, 0.15])
+    def test_agrees_with_a_long_sweep_run_in_fewer_sweeps(self, grid, monkeypatch, omegas, beta):
+        seed, ends = TestNewton.grid_case(grid(20, 20), beta)
+        trips = furness_balance(seed, ends).trips
+        relaxed_sweeps = len(omegas) // 2
+        assert omegas[:40] == [1.0] * 40 and min(omegas[40:]) > 1.0
+        reference = furness_in_place(seed, ends, max_iter=100_000).trips
+        assert np.abs(trips - reference).max() <= 1e-8 * reference.max()
+        assert_margins(trips, ends)
+        # criterion 2's structure check: the result is diag(a) @ seed @ diag(b)
+        ratio = trips / seed.trips
+        a, b = ratio[:, 0], ratio[0, :] / ratio[0, 0]
+        assert np.abs(np.outer(a, b) / ratio - 1.0).max() <= 1e-6
+        # the same balance held at omega = 1 sweeps plainly, and longer
+        monkeypatch.setattr(demand, "_over_relaxation", lambda *args: 1.0)
+        omegas.clear()
+        furness_balance(seed, ends)
+        assert set(omegas) == {1.0} and relaxed_sweeps < len(omegas) // 2
+
+    def test_overflowing_relaxed_sweep_restores_the_saved_window(self, grid, monkeypatch, omegas):
+        # sweep 25's row scale is blown up, so its relaxed scale overflows:
+        # the balance goes back to the scales saved at sweep 20 and sweeps
+        # on plainly from there
+        seed, ends = TestNewton.grid_case(grid(20, 20), 0.15)
+        sums, scale = [], demand._scale
+
+        def faulty(*args):
+            sums.append(args[1])
+            out = scale(*args)
+            return out * 1e300 if len(sums) == 49 else out
+
+        monkeypatch.setattr(demand, "_scale", faulty)
+        trips = furness_balance(seed, ends).trips
+        assert min(omegas[40:49]) > 1.0 and set(omegas[49:]) == {1.0}
+        # sweep 25 stops at its rows; sweep 26 scales them from the row sums
+        # saved at sweep 20, as sweep 21 did
+        assert np.array_equal(sums[49], sums[40])
+        reference = furness_in_place(seed, ends, max_iter=100_000).trips
+        assert np.abs(trips - reference).max() <= 1e-8 * reference.max()
+        assert_margins(trips, ends)
+
+    def test_window_that_does_not_fall_restores_without_reading_as_stalled(
+            self, grid, omegas, newton_sweeps):
+        # grid 20x20 at beta 0.3: a relaxed window's deviation rises, the
+        # sweeps go back to its start and on plainly, and the plain rate
+        # from there projects fewer sweeps than Newton's price (a stalled
+        # window projects infinitely many and would hand off)
+        seed, ends = TestNewton.grid_case(grid(20, 20), 0.3)
+        trips = furness_balance(seed, ends).trips
+        assert max(omegas) > 1.0 and omegas[-1] == 1.0
+        assert newton_sweeps == []
+        reference = furness_in_place(seed, ends, max_iter=100_000).trips
+        assert np.abs(trips - reference).max() <= 1e-6 * reference.max()
+        assert_margins(trips, ends)
 
 
 class TestDistribute:

@@ -66,6 +66,13 @@ def test_time_layers_reports_every_row():
         assert row["outcome"] == "ok"
         assert len(row["runs_s"]) == 1 and row["median_s"] > 0.0
         assert isinstance(row["minor_faults"], int) and row["minor_faults"] >= 0
+    for furness in rows[3:6]:
+        assert isinstance(furness["sweeps"], int) and furness["sweeps"] > 0
+    # beta 0.08 balances in relaxed sweeps; the others hand off at the
+    # second window, before any sweep is relaxed
+    assert (rows[3]["handed_off"], rows[3]["omega"] > 1.0) == (False, True)
+    for furness in rows[4:6]:
+        assert (furness["handed_off"], furness["sweeps"], furness["omega"]) == (True, 20, 1.0)
     ratio = rows[6]
     assert ratio["ratio"] == ratio["median_s"] / ratio["sweep_s"] > 0.0
     for handoff in rows[7:9]:
