@@ -20,6 +20,9 @@ repeated and reported as the median:
   * at beta 0.3 and 1.0, the hand-off to Newton that furness_balance makes:
     the sweeps before it, its Newton steps, and demand._newton_balance
     timed from the scales it was handed, also counted in sweeps;
+  * one PathSet.flow_vector load of the beta 0.08 balanced OD on the
+    free-flow path set, with its tree levels and its accumulator entries
+    (origins x nodes);
   * one one-off ModelObjective evaluation at (mu, beta) = (0.8, 0.08)
     against 250 counts generated there with GEH noise 1 (every
     positive-flow link, if the grid has fewer);
@@ -182,7 +185,8 @@ def main() -> None:
                      len(net.node_ids), tail, head, free_flow_times(net), sources),
                      args.repeats)})
 
-    costs = PathSet(net, free_flow_times(net)).cost_matrix()
+    paths = PathSet(net, free_flow_times(net))
+    costs = paths.cost_matrix()
     by_id = {z.zone_id: z for z in zones}
     stratum = DemandStratum("all", "population", "population", MU, J_BETA)
     ends = generate_trip_ends([by_id[z] for z in costs.zone_ids], stratum)
@@ -221,6 +225,11 @@ def main() -> None:
                        outcome="ok" if balanced else "failed",
                        cost_in_sweeps=row["median_s"] / sweep_s)
         rows.append(row)
+
+    od = furness_balance(seed_matrix(ends, costs, J_BETA, "exponential"), ends)
+    rows.append({"layer": "PathSet.flow_vector (free flow)", "mu": MU, "beta": J_BETA,
+                 **timed(lambda: paths.flow_vector(od), args.repeats),
+                 "levels": len(paths._levels), "entries": paths.pred.size})
 
     flows = assign_iterative(net, zones, [stratum], 1).flows
     n_counts = min(N_COUNTS, sum(q > 0 for q in flows.values()))

@@ -277,11 +277,14 @@ class PathSet:
     """Anchor-to-anchor shortest paths under one fixed set of link times.
 
     One shortest_path_tree call covers all zone anchors; the path set keeps
-    its (dist, pred) and every tree edge (node, parent, entering link),
-    grouped by hop depth (pointer jumping to the roots, then one stable
-    sort). flow_vector adds trips at their destination nodes, pushes them up
-    the trees a depth level at a time, deepest first and all origins in
-    step, and sums each link's flow over the nodes it enters.
+    its (dist, pred) and gives every (origin, node) entry a slot in the
+    loader's accumulator. Tree edges come first, grouped by hop depth
+    (pointer jumping to the roots, then one stable sort), deepest level
+    first; the roots (origins and unreached nodes) follow. So each level is
+    one contiguous slice of slots, kept with its parents' slots, and the
+    entering links are kept in slot order. flow_vector adds trips at their
+    destinations' slots, pushes them up the trees a level at a time, all
+    origins in step, and sums each link's flow over the slots it enters.
 
     The constructor is the one connectivity check (DisconnectedZonesError,
     after the cycle check); zone_ids orders the skim and flow_vector's ODs.
@@ -294,9 +297,7 @@ class PathSet:
         self.dist, self.pred = shortest_path_tree(network, link_times, anchors)
         self._anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
 
-        # flat over (origin, node): OD pairs' destinations, and tree edges
         n_nodes = self.pred.shape[1]
-        self._od_cell = (np.arange(len(anchors))[:, None] * n_nodes + self._anchor_pos).ravel()
         tail, _ = network.link_ends
         child = np.flatnonzero(self.pred >= 0)
         link = self.pred.ravel()[child]
@@ -316,10 +317,20 @@ class PathSet:
         # deepest level first; a stable sort of keys of 16 bits or fewer is a radix sort
         max_depth = depth.max(initial=0)
         key = (max_depth - depth[child]).astype(np.min_scalar_type(max_depth))
+        # each origins x nodes array released here keeps the build's memory
+        # peak at shortest_path_tree's own
+        del up, depth
         order = np.argsort(key, kind="stable")
-        self._child, self._link, parent = child[order], link[order], parent[order]
+        child, self._link, parent = child[order], link[order], parent[order]
+        slot = np.empty(self.pred.size, dtype=np.intp)
+        slot[child] = np.arange(child.size)
+        slot[root] = np.arange(child.size, slot.size)
+        del child, link
+        self._od_slot = slot[(np.arange(len(anchors))[:, None] * n_nodes
+                              + self._anchor_pos).ravel()]
         cuts = np.flatnonzero(np.diff(key[order])) + 1
-        self._levels = list(zip(np.split(self._child, cuts), np.split(parent, cuts)))
+        bounds = [0, *cuts.tolist(), self._link.size]
+        self._levels = list(zip(bounds[:-1], bounds[1:], np.split(slot[parent], cuts)))
         self._skim: CostMatrix | None = None
 
     def cost_matrix(self) -> CostMatrix:
@@ -334,14 +345,23 @@ class PathSet:
 
     def flow_vector(self, od) -> np.ndarray:
         """Link flows (ordered by link_ids) from loading every OD pair's path.
-        od, a demand.ODMatrix, must hold zone_ids in this path set's order."""
+        od, a demand.ODMatrix, must hold zone_ids in this path set's order
+        and trips shaped (zones, zones).
+
+        Each level adds a copy of its slice to its parents' slots (np.add.at
+        with the slice itself, which overlaps its target, runs several times
+        slower). Within a level the slots keep flat (origin, node) order, so
+        each parent and each link sums in an order fixed by the trees alone."""
         if od.zone_ids != self.zone_ids:
             raise ValueError("OD matrix zones do not match the path set's zones in order")
+        n = len(self.zone_ids)
+        if np.shape(od.trips) != (n, n):
+            raise ValueError(f"OD trips have shape {np.shape(od.trips)}, expected ({n}, {n})")
         # bincount sums zones that share an anchor; intrazonal trips stay at roots
-        acc = np.bincount(self._od_cell, np.ravel(od.trips), self.pred.size)
-        for child, parent in self._levels:
-            np.add.at(acc, parent, acc[child])
-        return np.bincount(self._link, acc[self._child], len(self.link_ids))
+        acc = np.bincount(self._od_slot, np.ravel(od.trips), self.pred.size)
+        for lo, hi, parent in self._levels:
+            np.add.at(acc, parent, acc[lo:hi].copy())
+        return np.bincount(self._link, acc[:self._link.size], len(self.link_ids))
 
 
 def _reached(start: np.ndarray, tail: np.ndarray, head: np.ndarray) -> np.ndarray:

@@ -304,7 +304,8 @@ class TestTreeLoader:
 def pointer_jumping_levels(network, paths):
     """Reference level split: the hop depth of every tree edge by all
     bit_length(nodes) passes of pointer jumping, then the edges in a stable
-    argsort of -depth, cut where the depth changes."""
+    argsort of -depth, cut where the depth changes. Returns (child, parent)
+    flat (origin, node) indices per level."""
     pred = paths.pred
     n_nodes = pred.shape[1]
     tail, _ = network.link_ends
@@ -321,26 +322,73 @@ def pointer_jumping_levels(network, paths):
     return list(zip(np.split(child, cuts), np.split(parent, cuts)))
 
 
+def flat_index_flow_vector(network, paths, od):
+    """Reference loader over flat (origin, node) indices: trips added at
+    their destinations, each level's children gathered and added to their
+    parents, deepest first, then each link summed over the entries it
+    enters."""
+    levels = pointer_jumping_levels(network, paths)
+    n_nodes = paths.pred.shape[1]
+    anchor_pos = np.array([network.node_index[network.zone_anchors[z]]
+                           for z in paths.zone_ids], dtype=np.intp)
+    od_cell = (np.arange(anchor_pos.size)[:, None] * n_nodes + anchor_pos).ravel()
+    acc = np.bincount(od_cell, np.ravel(od.trips), paths.pred.size)
+    for child, parent in levels:
+        np.add.at(acc, parent, acc[child])
+    child = np.concatenate([child for child, _ in levels])
+    return np.bincount(paths.pred.ravel()[child], acc[child], len(network.link_ids))
+
+
 def assert_same_levels(network, paths):
+    """The path set's slot layout: the reference levels' edges take slots
+    0, 1, ... in order, the roots (pred -1) the rest in flat order; each
+    level is a (lo, hi) slice with its edges' parents' slots."""
     expected = pointer_jumping_levels(network, paths)
+    flat_pred = paths.pred.ravel()
+    edges = np.concatenate([child for child, _ in expected])
+    slot = np.empty(flat_pred.size, dtype=np.intp)
+    slot[edges] = np.arange(edges.size)
+    slot[flat_pred < 0] = np.arange(edges.size, flat_pred.size)
     assert len(paths._levels) == len(expected)
-    for (child, parent), (ref_child, ref_parent) in zip(paths._levels, expected):
-        assert child.dtype == ref_child.dtype and np.array_equal(child, ref_child)
-        assert parent.dtype == ref_parent.dtype and np.array_equal(parent, ref_parent)
+    lo = 0
+    for (got_lo, got_hi, parent), (child, ref_parent) in zip(paths._levels, expected):
+        assert (got_lo, got_hi) == (lo, lo + child.size)
+        lo = got_hi
+        assert parent.dtype == np.intp and np.array_equal(parent, slot[ref_parent])
+    assert np.array_equal(paths._link, flat_pred[edges])
+    assert paths._link.dtype == flat_pred.dtype
+
+
+def scaled_grid(rng, nx, ny):
+    _, net = grid_region(nx, ny, seed=0)
+    return net, free_flow_times(net) * rng.uniform(1.0, 4.0, len(net.links))
+
+
+def equal_time_star():
+    _, star = eight_zone_star()
+    return star, np.full(len(star.links), 10.0)
+
+
+def at_free_flow(network):
+    return network, free_flow_times(network)
+
+
+def network_with_unreached_node():
+    """Two zones on a and b, and a node c that no link enters."""
+    rows = [("ab", "a", "b", 5.0), ("ba", "b", "a", 5.0), ("ca", "c", "a", 1.0)]
+    return make_network(["a", "b", "c"], rows, {"z1": "a", "z2": "b"})
 
 
 class TestLevels:
-    """PathSet's levels against the full pointer jumping and argsort split."""
+    """PathSet's slot layout against the full pointer jumping and argsort split."""
 
     @pytest.mark.parametrize("grid", [(10, 8), (20, 20)])
     def test_grid_with_scaled_times(self, rng, grid):
-        _, net = grid_region(*grid, seed=0)
-        times = free_flow_times(net) * rng.uniform(1.0, 4.0, len(net.links))
+        net, times = scaled_grid(rng, *grid)
         assert_same_levels(net, PathSet(net, times))
 
     def test_star_with_equal_link_times(self):
-        _, star = eight_zone_star()
-        times = np.full(len(star.links), 10.0)
+        star, times = equal_time_star()
         assert_same_levels(star, PathSet(star, times))
 
     def test_chain_deeper_than_255_levels_carries_the_end_to_end_trips(self):
@@ -368,6 +416,28 @@ class TestLevels:
             PathSet(net, free_flow_times(net))
 
 
+LOADER_CASES = {
+    "grid10x8": lambda rng: scaled_grid(rng, 10, 8),
+    "grid20x20": lambda rng: scaled_grid(rng, 20, 20),
+    "star-ties": lambda rng: equal_time_star(),
+    "shared-anchor": lambda rng: at_free_flow(with_shared_anchor(grid_region(10, 8, seed=0)[1])),
+    "unreached-node": lambda rng: at_free_flow(network_with_unreached_node()),
+}
+
+
+class TestLevelMajorLoader:
+    """flow_vector bitwise against the flat-index reference loader, with
+    float trips, the diagonal included."""
+
+    @pytest.mark.parametrize("case", LOADER_CASES)
+    def test_flows_bitwise_equal_to_the_flat_index_loader(self, rng, case):
+        net, times = LOADER_CASES[case](rng)
+        paths = PathSet(net, times)
+        n = len(paths.zone_ids)
+        od = od_of(paths.zone_ids, rng.uniform(0.0, 100.0, (n, n)))
+        assert np.array_equal(paths.flow_vector(od), flat_index_flow_vector(net, paths, od))
+
+
 class TestPathSetChecks:
     def test_disconnected_zones_fail_when_the_path_set_is_built(self):
         net = make_network(["a", "b"], [("ab", "a", "b", 5.0)], {"z1": "a", "z2": "b"})
@@ -382,6 +452,15 @@ class TestPathSetChecks:
         paths = PathSet(net, free_flow_times(net))
         with pytest.raises(ValueError, match="zones do not match"):
             paths.flow_vector(od_of(zone_ids, [[0, 10], [20, 0]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (2, 3), (3, 3)],
+                             ids=["flat", "column", "wide", "too-many-zones"])
+    def test_trips_of_another_shape_rejected(self, shape):
+        net = make_network(["a", "b"], [("ab", "a", "b", 5.0), ("ba", "b", "a", 5.0)],
+                           {"z1": "a", "z2": "b"})
+        paths = PathSet(net, free_flow_times(net))
+        with pytest.raises(ValueError, match=r"shape .*expected \(2, 2\)"):
+            paths.flow_vector(od_of(["z1", "z2"], np.ones(shape)))
 
 
 def test_import_leaves_scipy_out():

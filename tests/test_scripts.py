@@ -60,8 +60,9 @@ def test_time_layers_reports_every_row():
         ("_frontier_distances (free flow)", None), ("furness_balance", 0.08),
         ("furness_balance", 0.3), ("furness_balance", 1.0),
         ("Newton step / sweep", 0.3), ("Newton hand-off", 0.3), ("Newton hand-off", 1.0),
-        ("one J eval (one-off)", 0.08), ("MSA-5 assign_iterative", 0.08),
-        ("load_model", None), ("criterion-7 split grid", None)]
+        ("PathSet.flow_vector (free flow)", 0.08), ("one J eval (one-off)", 0.08),
+        ("MSA-5 assign_iterative", 0.08), ("load_model", None),
+        ("criterion-7 split grid", None)]
     for row in rows:
         assert row["outcome"] == "ok"
         assert len(row["runs_s"]) == 1 and row["median_s"] > 0.0
@@ -78,4 +79,7 @@ def test_time_layers_reports_every_row():
     for handoff in rows[7:9]:
         assert handoff["sweeps_before"] == 20 and handoff["newton_steps"] >= 1
         assert handoff["cost_in_sweeps"] > 0.0
+    load = rows[9]
+    # one node per zone; a corner's tree reaches the far corner, 9 + 7 hops away
+    assert load["entries"] == 80 * 80 and load["levels"] >= 16
     assert rows[-1]["calibrations"] == 70
