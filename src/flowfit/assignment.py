@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .demand import ODMatrix, check_field_types, distribute, require_unique_names
+from .demand import ODMatrix, check_fields, distribute, ranged, require_unique_names
 from .network import FlowMap, Network, PathSet, volume_delay
 
 ASSIGNMENT_MODES = ("oneoff", "iterative")
@@ -20,21 +20,15 @@ ASSIGNMENT_MODES = ("oneoff", "iterative")
 @dataclass
 class AssignmentOptions:
     """assign()'s settings, model.yaml's assignment section; the defaults
-    and ranges that assign_iterative, ModelObjective, calibrate and
-    split_test use too. Each range check fails NaN."""
+    and ranges, declared on the fields, that assign_iterative,
+    ModelObjective, calibrate and split_test use too."""
 
-    mode: str = "iterative"  # | "oneoff"
-    n_outer: int = 5
-    gap_tol: float = 1e-3
+    mode: str = ranged(ASSIGNMENT_MODES, "iterative")
+    n_outer: int = ranged(">= 1", 5)
+    gap_tol: float = ranged("finite and >= 0", 1e-3)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.mode not in ASSIGNMENT_MODES:
-            raise ValueError(f"mode must be one of {ASSIGNMENT_MODES}, got {self.mode!r}")
-        if not self.n_outer >= 1:
-            raise ValueError(f"n_outer must be >= 1, got {self.n_outer!r}")
-        if not 0 <= self.gap_tol < math.inf:
-            raise ValueError(f"gap_tol must be finite and >= 0, got {self.gap_tol!r}")
+        check_fields(self)
 
 
 def load_strata(paths: PathSet, zones, strata) -> list[np.ndarray]:

@@ -13,8 +13,9 @@ from .demand import (
     DemandStratum,
     FurnessConvergenceError,
     FurnessInfeasibleError,
-    check_field_types,
+    check_fields,
     fits_field_type,
+    ranged,
     require_unique_names,
     stratum_attributes,
 )
@@ -38,49 +39,41 @@ class AnnealingOptions:
 
     initial_temp None estimates the temperature from probe moves; each
     sweep multiplies it by cooling; restarts adds independent runs; polish
-    ends with a Nelder-Mead polish. Each range check fails NaN.
+    ends with a Nelder-Mead polish. Ranges are declared on the fields.
     """
 
-    initial_temp: float | None = None
-    cooling: float = 0.95
-    n_sweeps: int = 100
-    steps_per_sweep: int = 20
-    restarts: int = 1
+    initial_temp: float | None = ranged("null or finite and > 0", None)
+    cooling: float = ranged("in (0, 1]", 0.95)
+    n_sweeps: int = ranged(">= 0", 100)
+    steps_per_sweep: int = ranged(">= 0", 20)
+    restarts: int = ranged(">= 0", 1)
     polish: bool = True
 
     def __post_init__(self):
-        check_field_types(self)
-        if not (self.initial_temp is None or 0 < self.initial_temp < math.inf):
-            raise ValueError(
-                f"initial_temp must be null or finite and > 0, got {self.initial_temp!r}")
-        if not 0 < self.cooling <= 1:
-            raise ValueError(f"cooling must be in (0, 1], got {self.cooling!r}")
-        for name in ("n_sweeps", "steps_per_sweep", "restarts"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        check_fields(self)
 
 
 @dataclass
 class CalibrationOptions:
-    """calibrate()'s settings, model.yaml's calibration section. Each range
-    check fails NaN. Bounds are stored as tuples, sa as AnnealingOptions
-    reads the keys given."""
+    """calibrate()'s settings, model.yaml's calibration section; ranges are
+    declared on the fields. Bounds are stored as tuples, take only
+    DEFAULT_BOUNDS' keys, and sa as AnnealingOptions reads the keys given."""
 
-    method: str = "nelder_mead"  # | "simulated_annealing"
-    seed: int = 0
+    method: str = ranged(CALIBRATION_METHODS, "nelder_mead")
+    seed: int = ranged(">= 0", 0)
     # Nelder-Mead stopping rule: budget, simplex spread, objective spread
-    max_evals: int = 2000
-    xatol: float = 1e-6
-    fatol: float = 1e-8
+    max_evals: int = ranged(">= 1", 2000)
+    xatol: float = ranged("finite and >= 0", 1e-6)
+    fatol: float = ranged("finite and >= 0", 1e-8)
     # inner-loop assignment during optimization; the final report re-runs
     # the calibrated weights through the configured assignment mode
-    assignment_mode: str = "oneoff"
+    assignment_mode: str = ranged(ASSIGNMENT_MODES, "oneoff")
     bounds: dict = field(default_factory=dict)  # param -> [lo, hi]
     bound_overrides: dict = field(default_factory=dict)  # "stratum.param" -> [lo, hi]
     sa: dict = field(default_factory=dict)  # AnnealingOptions' fields
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self)
         for key in ("bounds", "bound_overrides"):
             pairs = getattr(self, key)
             for name, pair in pairs.items():
@@ -91,23 +84,10 @@ class CalibrationOptions:
             setattr(self, key, {name: tuple(pair) for name, pair in pairs.items()})
         sa = AnnealingOptions(**self.sa)
         self.sa = {key: getattr(sa, key) for key in self.sa}  # numbers for floats as floats
-        if self.method not in CALIBRATION_METHODS:
-            raise ValueError(
-                f"method must be one of {CALIBRATION_METHODS}, got {self.method!r}")
-        if self.assignment_mode not in ASSIGNMENT_MODES:
-            raise ValueError(f"assignment_mode must be one of {ASSIGNMENT_MODES}, "
-                             f"got {self.assignment_mode!r}")
         unknown = [k for k in self.bounds if k not in DEFAULT_BOUNDS]
         if unknown:
             raise ValueError(
                 f"unknown bounds key(s) {unknown}; accepted: {', '.join(DEFAULT_BOUNDS)}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if not self.max_evals >= 1:
-            raise ValueError(f"max_evals must be >= 1, got {self.max_evals!r}")
-        for name in ("xatol", "fatol"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -75,6 +75,57 @@ class Zone:
     attributes: dict[str, float] = field(default_factory=dict)
 
 
+# a settings field's annotation -> the value types it accepts
+_REAL = (float, int, np.floating, np.integer)
+FIELD_TYPES = {"str": (str,), "int": (int, np.integer), "float": _REAL, "bool": (bool,),
+               "float | None": (*_REAL, type(None)), "dict": (dict,)}
+
+# a settings field's range -> its test, which NaN fails
+RANGES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "finite and >= 0": lambda v: 0 <= v < math.inf,
+    "finite and > 0": lambda v: 0 < v < math.inf,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "null or finite and > 0": lambda v: v is None or 0 < v < math.inf,
+}
+
+
+def ranged(rule, default=MISSING):
+    """A settings field that check_fields holds to rule: a RANGES key, or
+    the tuple of the values allowed."""
+    return field(default=default, metadata={"range": rule})
+
+
+def fits_field_type(value, annotation: str) -> bool:
+    """Whether value fits a field annotated annotation, a FIELD_TYPES key; a
+    bool stands for no number."""
+    return isinstance(value, FIELD_TYPES[annotation]) and (
+        annotation == "bool" or not isinstance(value, bool))
+
+
+def check_fields(options) -> None:
+    """Hold the settings dataclass options to its fields, the one type and
+    range check of every settings class. Raise TypeError naming the first
+    field whose value does not fit its annotation (a number for a float
+    field becomes a float), then ValueError naming the first, in field
+    order, outside the range declared on it with ranged: "<field> must be
+    <range>, got <value>"."""
+    declared = fields(options)
+    for f in declared:
+        value = getattr(options, f.name)
+        if not fits_field_type(value, f.type):
+            raise TypeError(f"{f.name}: expected {f.type}, got {value!r}")
+        if type(value) is not float and f.type.startswith("float") and value is not None:
+            object.__setattr__(options, f.name, float(value))  # frozen classes too
+    for f in declared:
+        rule, value = f.metadata.get("range"), getattr(options, f.name)
+        if isinstance(rule, tuple) and value not in rule:
+            raise ValueError(f"{f.name} must be one of {rule}, got {value!r}")
+        if isinstance(rule, str) and not RANGES[rule](value):
+            raise ValueError(f"{f.name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DemandStratum:
     """One trip-generating production/attraction attribute pair.
@@ -86,24 +137,13 @@ class DemandStratum:
     name: str
     production_attr: str
     attraction_attr: str
-    mu: float
-    beta: float
-    deterrence_kind: str = "exponential"
-    occupancy: float = 1.0
+    mu: float = ranged("finite and >= 0")
+    beta: float = ranged("finite and >= 0")
+    deterrence_kind: str = ranged(DETERRENCE_KINDS, "exponential")
+    occupancy: float = ranged("finite and > 0", 1.0)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.deterrence_kind not in DETERRENCE_KINDS:
-            raise ValueError(
-                f"stratum {self.name!r}: unknown deterrence kind "
-                f"{self.deterrence_kind!r} (expected one of {DETERRENCE_KINDS})"
-            )
-        if not 0 <= self.mu < math.inf:
-            raise ValueError(f"stratum {self.name!r}: mu must be finite and >= 0")
-        if not 0 <= self.beta < math.inf:
-            raise ValueError(f"stratum {self.name!r}: beta must be finite and >= 0")
-        if not 0 < self.occupancy < math.inf:
-            raise ValueError(f"stratum {self.name!r}: occupancy must be finite and > 0")
+        check_fields(self)
 
 
 def require_unique_names(strata) -> None:
@@ -113,31 +153,6 @@ def require_unique_names(strata) -> None:
     shared = sorted({n for n in names if names.count(n) > 1})
     if shared:
         raise ValueError(f"strata share a name: {shared}")
-
-
-# a settings field's annotation -> the value types it accepts
-_REAL = (float, int, np.floating, np.integer)
-FIELD_TYPES = {"str": (str,), "int": (int, np.integer), "float": _REAL, "bool": (bool,),
-               "float | None": (*_REAL, type(None)), "dict": (dict,)}
-
-
-def fits_field_type(value, annotation: str) -> bool:
-    """Whether value fits a field annotated annotation, a FIELD_TYPES key; a
-    bool stands for no number."""
-    return isinstance(value, FIELD_TYPES[annotation]) and (
-        annotation == "bool" or not isinstance(value, bool))
-
-
-def check_field_types(options) -> None:
-    """Raise TypeError naming the first field of the settings dataclass
-    options whose value does not fit its annotation; a number for a float
-    field becomes a float. NaN is left to the range checks."""
-    for f in fields(options):
-        value = getattr(options, f.name)
-        if not fits_field_type(value, f.type):
-            raise TypeError(f"{f.name}: expected {f.type}, got {value!r}")
-        if type(value) is not float and f.type.startswith("float") and value is not None:
-            object.__setattr__(options, f.name, float(value))  # frozen classes too
 
 
 @dataclass(frozen=True, eq=False)

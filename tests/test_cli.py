@@ -16,9 +16,10 @@ import flowfit
 from flowfit.assignment import PathSet, assign
 from flowfit.calibrate import calibrate, split_test
 from flowfit.cli import main
-from flowfit.demand import derive_jobs
-from flowfit.metrics import evaluate, split_counts
+from flowfit.demand import DemandStratum, Zone, derive_jobs
+from flowfit.metrics import TrafficCount, evaluate, split_counts
 from flowfit.model_io import AssignmentOptions, CalibrationOptions, load_model, write_model
+from flowfit.network import Link, Network, Node
 from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
 
 from test_calibrate import count_path_sets
@@ -183,7 +184,8 @@ class TestValidateCommand:
         ("strata", "mu", True, "strata[0]: mu: expected float, got True"),
         ("strata", "beta", "0.1", "strata[0]: beta: expected float, got '0.1'"),
         ("strata", "name", 7, "strata[0]: name: expected str, got 7"),
-        ("strata", "deterrence", "bogus", "unknown deterrence kind 'bogus'"),
+        ("strata", "deterrence", "bogus",
+         "deterrence_kind must be one of ('exponential', 'power'), got 'bogus'"),
         ("strata", "colour", "red", "strata[0]: unknown key(s) ['colour']; accepted: name, "
          "production_attr, attraction_attr, mu, beta, deterrence_kind, occupancy"),
         ("calibration", "seed", -1, "calibration: seed must be >= 0, got -1"),
@@ -253,7 +255,7 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("derivation, message", [
         ({"attribute": "jobs", "method": "bogus", "source": "population"},
-         "derivations[0]: unknown method 'bogus'"),
+         "derivations[0]: method must be one of ('jobs_from_population',), got 'bogus'"),
         ({"attribute": "jobs", "method": "jobs_from_population", "source": "population",
           "cutoff": "5000"}, "derivations[0]: cutoff: expected float, got '5000'"),
         ({"attribute": "jobs", "method": "jobs_from_population", "source": "population",
@@ -481,6 +483,22 @@ class TestAssignCommand:
         main(["assign", str(toy_spec), "-o", str(tmp_path / "b")])
         assert (tmp_path / "a/flows.csv").read_bytes() == \
             (tmp_path / "b/flows.csv").read_bytes()
+
+
+    def test_link_times_lost_in_rounding_pass_validate_and_fail_assign(self, tmp_path, capsys):
+        # 1 + 1e-20 == 1, so ab and ba look tight both ways and the tie pass
+        # returns a predecessor cycle, which the path set reports
+        nodes = [Node(n) for n in ("z", "a", "b")]
+        times = {"za": 1.0, "zb": 1.0, "az": 1.0, "bz": 1.0, "ab": 1e-20, "ba": 1e-20}
+        links = [Link(lid, lid[0], lid[1], t0, 1000.0) for lid, t0 in times.items()]
+        net = Network.from_parts(nodes, links, {f"Z{n}": n for n in ("z", "a", "b")})
+        zones = [Zone(f"Z{n}", attributes={"population": 100.0}) for n in ("z", "a", "b")]
+        strata = [DemandStratum("s", "population", "population", 1.0, 0.1)]
+        spec = write_model(tmp_path / "model", zones, net, [TrafficCount("za", 10.0)], strata)
+        assert main(["validate", str(spec)]) == 0
+        capsys.readouterr()
+        assert main(["assign", str(spec), "-o", str(tmp_path / "out")]) == 4
+        assert "error: predecessor cycle: " in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

@@ -12,6 +12,7 @@ from flowfit.assignment import AssignmentOptions, PathSet
 from flowfit.calibrate import DEFAULT_BOUNDS, AnnealingOptions, CalibrationOptions, ModelObjective
 from flowfit.demand import (
     FIELD_TYPES,
+    RANGES,
     DegenerateStratumError,
     DemandStratum,
     FurnessConvergenceError,
@@ -158,6 +159,20 @@ class TestSettingsFieldTypes:
     def test_every_annotation_is_one_the_check_handles(self):
         annotations = {f.type for cls in SETTINGS_CLASSES for f in dataclasses.fields(cls)}
         assert annotations <= set(FIELD_TYPES)
+        # every number declares its range, a RANGES key or a tuple of values,
+        # and every default lies in its own range
+        for cls in SETTINGS_CLASSES:
+            for f in dataclasses.fields(cls):
+                where, rule = f"{cls.__name__}.{f.name}", f.metadata.get("range")
+                if f.type in ("int", "float", "float | None"):
+                    assert rule is not None, f"{where} declares no range"
+                if rule is None:
+                    continue
+                assert isinstance(rule, tuple) or rule in RANGES, f"{where}: {rule!r}"
+                if f.default is not dataclasses.MISSING:
+                    inside = (f.default in rule if isinstance(rule, tuple)
+                              else RANGES[rule](f.default))
+                    assert inside, f"{where} = {f.default!r} is outside {rule!r}"
 
     @pytest.mark.parametrize("cls, values, message", [
         (AssignmentOptions, {"n_outer": math.inf, "gap_tol": 0.0},
