@@ -10,8 +10,10 @@ repeated and reported as the median:
     label rounds (network._frontier_distances) alone, so the tie pass and
     the rest of the build (hop depths, their sort and the split into
     levels) read as differences;
-  * furness_balance of the population -> population gravity seed at
-    mu = 0.8 and beta 0.08, 0.3 and 1.0 (exponential deterrence), with its
+  * seed_matrix, the population -> population gravity seed over the
+    free-flow skim, at mu = 0.8 and beta 0.08 (exponential deterrence);
+  * furness_balance of that gravity seed at mu = 0.8 and beta 0.08, 0.3
+    and 1.0 (exponential deterrence), with its
     outcome, its sweeps, whether it handed the balance to Newton, and the
     relaxation factor omega of its last sweep (1 for a plain sweep);
   * one Newton step (demand._newton_step on the beta 0.3 seed) against one
@@ -191,6 +193,9 @@ def main() -> None:
     stratum = DemandStratum("all", "population", "population", MU, J_BETA)
     ends = generate_trip_ends([by_id[z] for z in costs.zone_ids], stratum)
 
+    rows.append({"layer": "seed_matrix", "mu": MU, "beta": J_BETA,
+                 **timed(lambda: seed_matrix(ends, costs, J_BETA, "exponential"),
+                         args.repeats)})
     for beta in FURNESS_BETAS:
         seed = seed_matrix(ends, costs, beta, "exponential")
         swept, omega, handed = traced(seed, ends)

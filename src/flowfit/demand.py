@@ -227,29 +227,37 @@ def deterrence(cost, beta: float, kind: str):
     """Gravity-model cost penalty f(c); trips between zones scale as 1/f(c).
 
     exponential: f(c) = exp(beta * c); power: f(c) = c ** beta with the
-    cost clamped below by COST_FLOOR. Accepts scalars or arrays.
+    cost clamped below by COST_FLOOR. Accepts scalars or arrays; an array
+    result is one new buffer, computed in place. For both kinds f(c; -beta)
+    is 1 / f(c; beta), the form seed_matrix multiplies by; exp(-beta * c)
+    is a positive subnormal where beta * c lies between about 709.8 and 745,
+    where exp(beta * c) overflows and its reciprocal reads 0.
     """
     c = np.asarray(cost, dtype=float)
-    if (c < 0).any():
+    if c.min(initial=0.0) < 0:
         raise ValueError("deterrence cost must be >= 0")
+    out = np.empty(c.shape)
     if kind == "exponential":
-        out = np.exp(beta * c)
+        np.exp(np.multiply(c, beta, out=out), out=out)
     elif kind == "power":
-        out = np.maximum(c, COST_FLOOR) ** beta
+        np.power(np.maximum(c, COST_FLOOR, out=out), beta, out=out)
     else:
         raise ValueError(f"unknown deterrence kind {kind!r}")
     return float(out) if out.ndim == 0 else out
 
 
 def seed_matrix(ends: TripEnds, costs: CostMatrix, beta: float, kind: str) -> ODMatrix:
-    """Unbalanced gravity seed S_ij = O_i * D_j / f(C_ij), diagonal included."""
+    """Unbalanced gravity seed S_ij = O_i * D_j / f(C_ij), diagonal included,
+    formed in one row-major buffer as O_i * D_j * f(C_ij; -beta)."""
     n = len(costs.zone_ids)
     if ends.origins.shape != (n,) or ends.destinations.shape != (n,):
         raise ValueError(
             f"trip ends ({ends.origins.shape[0]} zones) do not match "
             f"cost matrix ({n} zones)"
         )
-    trips = np.outer(ends.origins, ends.destinations) / deterrence(costs.values, beta, kind)
+    trips = deterrence(costs.values, -beta, kind)
+    trips *= ends.origins[:, None]
+    trips *= ends.destinations
     return ODMatrix(costs.zone_ids, trips)
 
 
@@ -265,10 +273,10 @@ def furness_balance(
     cross-ratio structure is preserved. Only the scale vectors change
     during the sweeps: each costs two matrix-vector products with the
     seed, row = seed @ b and col = a @ seed, and the product is formed
-    once, on convergence. tol bounds the maximum relative deviation of
-    row sums from origins and column sums from destinations. A trip end
-    that is negative or not finite raises FurnessInfeasibleError naming its
-    zone, origins first, before any sweep.
+    once, on convergence, in place in one new buffer. tol bounds the
+    maximum relative deviation of row sums from origins and column sums
+    from destinations. A trip end that is negative or not finite raises
+    FurnessInfeasibleError naming its zone, origins first, before any sweep.
 
     Every FURNESS_RATE_WINDOW sweeps the deviation's contraction rate rho
     over the window projects the sweeps still needed, log(tol / dev) /
@@ -356,7 +364,7 @@ def furness_balance(
                 (np.abs(b * col - D) / d_div).max(),
             )
             if deviation <= tol:
-                return ODMatrix(seed.zone_ids, a[:, None] * K * b)
+                return ODMatrix(seed.zone_ids, _balanced(K, a, b))
             swept += 1
             if newton_tried or swept % FURNESS_RATE_WINDOW:
                 continue
@@ -425,6 +433,13 @@ def _relaxed(previous, plain, omega: float, off):
     return scale
 
 
+def _balanced(K, a, b):
+    """diag(a) @ K @ diag(b), formed in one buffer: bitwise a[:, None] * K * b."""
+    trips = np.multiply(K, a[:, None])
+    trips *= b
+    return trips
+
+
 def _newton_balance(K, O, D, a, b, tol):
     """Balance diag(a) @ K @ diag(b) by Newton's method, or return None.
 
@@ -453,7 +468,7 @@ def _newton_balance(K, O, D, a, b, tol):
         if deviation <= tol:
             scale_a, scale_b = np.zeros(O.size), np.zeros(D.size)
             scale_a[rows], scale_b[cols] = np.exp(u), np.exp(v)
-            trips = scale_a[:, None] * K * scale_b
+            trips = _balanced(K, scale_a, scale_b)
             return trips if np.isfinite(trips).all() else None
         try:
             du, dv = _newton_step(P, r, c, o, d)

@@ -335,9 +335,11 @@ class PathSet:
 
     def cost_matrix(self) -> CostMatrix:
         """Skim matrix over zone_ids, finite, intrazonal diagonal filled; built
-        on the first call, then held (its values are read-only)."""
+        on the first call, then held (its values are read-only). The values
+        are a row-major copy of dist's anchor columns, so the seed's n x n
+        passes run in the memory order of its row-major trip ends."""
         if self._skim is None:
-            values = self.dist[:, self._anchor_pos]  # a copy
+            values = np.take(self.dist, self._anchor_pos, axis=1)
             fill_intrazonal(values)
             values.setflags(write=False)
             self._skim = CostMatrix(self.zone_ids, values)

@@ -225,6 +225,14 @@ class TestDeterrence:
     def test_always_positive(self, cost, beta, kind):
         assert deterrence(cost, beta, kind) > 0.0
 
+    @pytest.mark.parametrize("kind", ["exponential", "power"])
+    def test_negative_beta_is_the_reciprocal_within_two_ulp(self, rng, kind):
+        costs = rng.uniform(0.0, 300.0, (30, 30))
+        costs[rng.random((30, 30)) < 0.1] = 0.0
+        for beta in (0.01, 0.08, 0.3, 1.0):
+            product = deterrence(costs, -beta, kind) * deterrence(costs, beta, kind)
+            assert np.abs(product - 1.0).max() <= 2 * np.finfo(float).eps
+
 
 class TestSeedMatrix:
     def test_beta_zero_gives_pure_product(self):
@@ -246,6 +254,27 @@ class TestSeedMatrix:
         ends = TripEnds(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="do not match"):
             seed_matrix(ends, costs_of([[1.0]]), 0.0, "exponential")
+
+    @pytest.mark.parametrize("kind", ["exponential", "power"])
+    def test_matches_the_product_over_the_deterrence(self, rng, kind):
+        n = 40
+        values = rng.uniform(0.0, 120.0, (n, n))
+        values[rng.random((n, n)) < 0.1] = 0.0
+        ends = TripEnds(rng.uniform(0.0, 5e3, n), rng.uniform(0.0, 5e3, n))
+        for beta in (0.0, 0.05, 0.3, 1.0):
+            trips = seed_matrix(ends, costs_of(values), beta, kind).trips
+            expected = np.outer(ends.origins, ends.destinations) / deterrence(values, beta, kind)
+            assert trips.flags.c_contiguous
+            assert np.all(np.abs(trips - expected) <= 1e-15 * expected)
+
+    def test_entry_past_exp_overflow_is_positive(self):
+        # exp(beta * c) overflows above about 709.8, but exp(-beta * c) stays
+        # a positive subnormal up to about 745
+        ends = TripEnds(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        costs = costs_of([[1.0, 720.0], [740.0, 1.0]])
+        trips = seed_matrix(ends, costs, 1.0, "exponential").trips
+        assert trips[0, 1] > 0.0 and trips[1, 0] > 0.0
+        assert trips[0, 1] < np.finfo(float).tiny
 
 
 class TestFurnessBalance:
@@ -280,10 +309,16 @@ class TestFurnessBalance:
         D *= O.sum() / D.sum()
         out = furness_balance(ODMatrix(tuple(f"z{i}" for i in range(20)), seed_vals),
                               TripEnds(O, D))
+        assert out.trips.flags.c_contiguous
         ratio = out.trips / seed_vals
         a = ratio[:, 0] / ratio[0, 0]
         b = ratio[0, :]
         assert np.allclose(ratio, np.outer(a, b), rtol=1e-6)
+
+    def test_product_in_one_buffer_is_bitwise_the_scaled_seed(self, rng):
+        K = rng.uniform(0.0, 5.0, (30, 40))
+        a, b = rng.uniform(0.0, 1e3, 30), rng.uniform(0.0, 1e-3, 40)
+        assert demand._balanced(K, a, b).tobytes() == (a[:, None] * K * b).tobytes()
 
     def test_preserves_zero_pattern(self, rng):
         seed_vals = rng.uniform(0.5, 2.0, (10, 10))
@@ -726,6 +761,14 @@ class TestDistribute:
         pops = {z.zone_id: z.attributes["population"] for z in zones}
         O = np.array([1.5 * pops[z] for z in costs.zone_ids])
         assert np.abs(out.trips.sum(axis=1) / O - 1.0).max() <= 1e-8
+
+    def test_trips_flatten_without_a_copy(self):
+        zones, net = grid_region(5, 4, seed=0)
+        costs = PathSet(net, free_flow_times(net)).cost_matrix()
+        stratum = DemandStratum("s", "population", "population", 0.8, 0.08)
+        out = distribute(zones, stratum, costs)
+        assert out.trips.flags.c_contiguous
+        assert np.shares_memory(np.ravel(out.trips), out.trips)
 
     def test_mu_zero_returns_zero_matrix(self):
         zones = pop_zones([100, 200])

@@ -351,6 +351,17 @@ class TestSkimMatrix:
             fill_intrazonal(values)
             assert values.tobytes() == expected.tobytes()
 
+    def test_skim_is_a_read_only_row_major_copy_of_the_anchor_columns(self):
+        zones, net = grid_region(5, 4, seed=0)
+        paths = PathSet(net, free_flow_times(net))
+        values = paths.cost_matrix().values
+        assert values.flags.c_contiguous and not values.flags.writeable
+        assert not np.shares_memory(values, paths.dist)
+        anchors = [net.node_index[net.zone_anchors[z]] for z in paths.zone_ids]
+        expected = paths.dist[:, anchors]
+        fill_intrazonal(expected)
+        assert np.array_equal(values, expected)
+
 
 class TestFreeFlowPaths:
     def test_built_on_first_use_and_kept(self):

@@ -57,7 +57,8 @@ def test_time_layers_reports_every_row():
     rows = report["rows"]
     assert [(r["layer"], r["beta"]) for r in rows] == [
         ("PathSet build (free flow)", None), ("shortest_path_tree (free flow)", None),
-        ("_frontier_distances (free flow)", None), ("furness_balance", 0.08),
+        ("_frontier_distances (free flow)", None), ("seed_matrix", 0.08),
+        ("furness_balance", 0.08),
         ("furness_balance", 0.3), ("furness_balance", 1.0),
         ("Newton step / sweep", 0.3), ("Newton hand-off", 0.3), ("Newton hand-off", 1.0),
         ("PathSet.flow_vector (free flow)", 0.08), ("one J eval (one-off)", 0.08),
@@ -67,19 +68,19 @@ def test_time_layers_reports_every_row():
         assert row["outcome"] == "ok"
         assert len(row["runs_s"]) == 1 and row["median_s"] > 0.0
         assert isinstance(row["minor_faults"], int) and row["minor_faults"] >= 0
-    for furness in rows[3:6]:
+    for furness in rows[4:7]:
         assert isinstance(furness["sweeps"], int) and furness["sweeps"] > 0
     # beta 0.08 balances in relaxed sweeps; the others hand off at the
     # second window, before any sweep is relaxed
-    assert (rows[3]["handed_off"], rows[3]["omega"] > 1.0) == (False, True)
-    for furness in rows[4:6]:
+    assert (rows[4]["handed_off"], rows[4]["omega"] > 1.0) == (False, True)
+    for furness in rows[5:7]:
         assert (furness["handed_off"], furness["sweeps"], furness["omega"]) == (True, 20, 1.0)
-    ratio = rows[6]
+    ratio = rows[7]
     assert ratio["ratio"] == ratio["median_s"] / ratio["sweep_s"] > 0.0
-    for handoff in rows[7:9]:
+    for handoff in rows[8:10]:
         assert handoff["sweeps_before"] == 20 and handoff["newton_steps"] >= 1
         assert handoff["cost_in_sweeps"] > 0.0
-    load = rows[9]
+    load = rows[10]
     # one node per zone; a corner's tree reaches the far corner, 9 + 7 hops away
     assert load["entries"] == 80 * 80 and load["levels"] >= 16
     assert rows[-1]["calibrations"] == 70
