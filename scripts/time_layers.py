@@ -7,9 +7,10 @@ repeated and reported as the median:
 
   * the PathSet build at free-flow times (shortest-path trees and their
     loading order), shortest_path_tree alone on the same call, and its
-    label rounds (network._frontier_distances) alone, so the tie pass and
-    the rest of the build (hop depths, their sort and the split into
-    levels) read as differences;
+    label rounds (network._frontier_distances) alone, run in the same
+    origin blocks as the engine runs them (network._row_blocks), so the tie
+    pass and the rest of the build (hop depths, their sort and the split
+    into levels) read as differences;
   * seed_matrix, the population -> population gravity seed over the
     free-flow skim, at mu = 0.8 and beta 0.08 (exponential deterrence);
   * furness_balance of that gravity seed at mu = 0.8 and beta 0.08, 0.3
@@ -47,7 +48,8 @@ build per repeat. A copy also builds its link arrays (Network.bpr and the
 like) again inside the timing, a few milliseconds at 30x30.
 
 Prints one JSON object, with the BLAS thread settings (OPENBLAS_NUM_THREADS
-and OMP_NUM_THREADS, null when unset) and the CPU count. Wall times depend
+and OMP_NUM_THREADS, null when unset), the CPU count and the strands a path
+build runs at once (network.path_workers). Wall times depend
 on the machine; compare two versions of flowfit by running this script
 against each, alternately.
 
@@ -78,7 +80,14 @@ from flowfit.demand import (
     seed_matrix,
 )
 from flowfit.model_io import load_model, write_model
-from flowfit.network import PathSet, _frontier_distances, free_flow_times, shortest_path_tree
+from flowfit.network import (
+    PathSet,
+    _frontier_distances,
+    _row_blocks,
+    free_flow_times,
+    path_workers,
+    shortest_path_tree,
+)
 from flowfit.sample_models import grid_region, synthetic_counts
 
 MU, J_BETA = 0.8, 0.08
@@ -182,10 +191,14 @@ def main() -> None:
                          args.repeats)})
     tail, head = net.link_ends  # every grid link joins two known nodes
     sources = np.array([net.node_index[a] for a in anchors])
+
+    def rounds():
+        times = free_flow_times(net)
+        return _row_blocks(lambda lo, hi: _frontier_distances(
+            len(net.node_ids), tail, head, times, sources[lo:hi]), sources.size, tail.size)
+
     rows.append({"layer": "_frontier_distances (free flow)", "mu": None, "beta": None,
-                 **timed(lambda: _frontier_distances(
-                     len(net.node_ids), tail, head, free_flow_times(net), sources),
-                     args.repeats)})
+                 **timed(rounds, args.repeats)})
 
     paths = PathSet(net, free_flow_times(net))
     costs = paths.cost_matrix()
@@ -278,7 +291,7 @@ def main() -> None:
         "zones": len(zones), "links": len(net.links),
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpu": platform.processor() or platform.machine(),
-                    "cpu_count": os.cpu_count(),
+                    "cpu_count": os.cpu_count(), "path_workers": path_workers(),
                     "blas_threads": {name: os.environ.get(name) for name in
                                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "rows": rows,

@@ -6,21 +6,26 @@ volume_delay takes the per-link BPR arrays that Network.bpr caches.
 shortest_path_tree is the package's one shortest-path engine: distances for
 all origins at once by label-correcting rounds over numpy arrays
 (Bellman-Ford-Moore with a FIFO frontier), followed by one exact array pass
-that applies the (node_id, link_id) tie rule. PathSet holds its trees from
-every zone anchor, decoded into the skim and the loader from trips to link
-flows; Network.free_flow_paths keeps the one at free-flow times.
+that applies the (node_id, link_id) tie rule. Origins are independent, so
+the engine and PathSet's hop depths run in origin blocks on every CPU.
+PathSet holds its trees from every zone anchor, decoded into the skim and
+the loader from trips to link flows; Network.free_flow_paths keeps the one
+at free-flow times.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 # A label-correcting round and the tie pass each form up to origins x links
-# candidates; shortest_path_tree runs the origins in chunks that keep this.
+# candidates; shortest_path_tree runs the origins in row blocks that together
+# keep this across all blocks in flight, whatever the CPU count.
 ROUND_CANDIDATES = 1 << 22
 
 # Rule-of-thumb BPR constants, used when the input does not set its own.
@@ -160,6 +165,46 @@ def free_flow_times(network: Network) -> np.ndarray:
     return network.bpr.t0.copy()
 
 
+def path_workers() -> int:
+    """The CPUs this process may run on: the strands a path build runs at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _row_blocks(fn, rows: int, width: int) -> list:
+    """[fn(lo, hi) for each row block lo:hi of range(rows)], in row order.
+
+    A row holds width candidates (or entries). The rows are split into up
+    to path_workers() contiguous strands that run at once: the first on the
+    calling thread, the others on a pool that lives only for this call
+    (numpy releases the GIL in its array loops). Each strand runs its rows
+    in blocks small enough that the blocks in flight hold ROUND_CANDIDATES
+    together at most, so the memory peak does not grow with the CPU count.
+    A strand needs ROUND_CANDIDATES >> 6 (64Ki) of them to repay its thread,
+    so smaller calls run inline. On 2 vCPUs two strands broke even with one
+    between 52k and 80k entries each for the hop depths (grids 18x18 and
+    20x20) and at about 120k candidates each for the label rounds and tie
+    pass (16x16), and cost under 3% more at 71k (14x14). A block's
+    exception is raised as a serial run raises it: the first one.
+    """
+    width = max(width, 1)
+    workers = max(1, min(path_workers(), rows,
+                         rows * width // max(ROUND_CANDIDATES >> 6, 1)))
+    size = max(1, ROUND_CANDIDATES // (width * workers))
+    cuts = [rows * k // workers for k in range(workers + 1)]
+
+    def strand(lo, hi):
+        return [fn(k, min(k + size, hi)) for k in range(lo, hi, size)]
+
+    if workers == 1:
+        return strand(0, rows)
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(strand, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        return strand(cuts[0], cuts[1]) + [out for f in rest for out in f.result()]
+
+
 def _frontier_distances(n_nodes: int, tail, head, times, sources) -> np.ndarray:
     """Shortest distances from each source over the links tail -> head, one
     row per source: Bellman-Ford-Moore in FIFO rounds, all sources at once.
@@ -208,12 +253,14 @@ def shortest_path_tree(
     node, the position in network.link_ids of the link on which the path
     enters it, and -1 at the origin and at unreachable nodes.
 
-    For each chunk of origins (origins x links within ROUND_CANDIDATES),
-    label-correcting rounds (_frontier_distances) compute distances only,
-    and one flat pass over (origin, link) picks predecessors: a link is
-    tight when dist[tail] + t == dist[head], and each reached node takes the
-    tight link with the smallest (node_id, link_id) pair, so the tree depends
-    only on the network content, never on input ordering. The pass is exact
+    The origins run in row blocks (_row_blocks), one strand per CPU, each
+    block writing only its own rows of dist and pred, so both are bitwise
+    equal for any CPU count. In each block, label-correcting rounds
+    (_frontier_distances) compute distances only, and one flat pass over
+    (origin, link) picks predecessors: a link is tight when dist[tail] + t
+    == dist[head], and each reached node takes the tight link with the
+    smallest (node_id, link_id) pair, so the tree depends only on the
+    network content, never on input ordering. The pass is exact
     because both steps form dist[tail] + t with the same double addition,
     and when the rounds stop each reached node's label is the smallest such
     sum over the links into it.
@@ -240,10 +287,10 @@ def shortest_path_tree(
     n = len(index)
     dist = np.empty((sources.size, n))
     pred = np.full(dist.shape, -1, dtype=np.intp)
-    step = max(1, ROUND_CANDIDATES // max(order.size, 1))
-    for k in range(0, sources.size, step):
-        d = dist[k:k + step]
-        d[:] = _frontier_distances(n, tail, head, times, sources[k:k + step])
+
+    def block(lo, hi):
+        d = dist[lo:hi]
+        d[:] = _frontier_distances(n, tail, head, times, sources[lo:hi])
         # tie pass: flat positions run row-major over (origin, sorted link),
         # so each (origin, head) cell's tight links come in one run, best first
         tight = np.flatnonzero(np.take(d, tail, 1) + times == np.take(d, head, 1))
@@ -251,7 +298,9 @@ def shortest_path_tree(
         cell = o * n + head[j]
         first = np.flatnonzero(np.diff(cell, prepend=-1))
         keep = first[np.isfinite(d.ravel()[cell[first]])]
-        pred[k:k + step].ravel()[cell[keep]] = order[j[keep]]
+        pred[lo:hi].ravel()[cell[keep]] = order[j[keep]]
+
+    _row_blocks(block, sources.size, order.size)
     return dist, pred
 
 
@@ -264,30 +313,32 @@ class CostMatrix:
 
 
 def fill_intrazonal(values: np.ndarray) -> None:
-    """Set each diagonal entry to half the smallest off-diagonal cost in its row.
+    """Set each diagonal entry, in place, to half the smallest off-diagonal cost
+    in its row.
 
     A 1x1 matrix has no off-diagonal information; its intrazonal cost is 0.
     """
-    n = values.shape[0]
-    off = np.where(np.eye(n, dtype=bool), np.inf, values)
-    np.fill_diagonal(values, 0.5 * off.min(axis=1) if n > 1 else 0.0)
+    np.fill_diagonal(values, np.inf)
+    np.fill_diagonal(values, 0.5 * values.min(axis=1) if values.shape[0] > 1 else 0.0)
 
 
 class PathSet:
     """Anchor-to-anchor shortest paths under one fixed set of link times.
 
     One shortest_path_tree call covers all zone anchors; the path set keeps
-    its (dist, pred) and gives every (origin, node) entry a slot in the
-    loader's accumulator. Tree edges come first, grouped by hop depth
-    (pointer jumping to the roots, then one stable sort), deepest level
-    first; the roots (origins and unreached nodes) follow. So each level is
-    one contiguous slice of slots, kept with its parents' slots, and the
-    entering links are kept in slot order. flow_vector adds trips at their
+    its (dist, pred), the skim and, for every (origin, node) entry, a slot
+    in the loader's accumulator. Tree edges come first, grouped by hop depth
+    (pointer jumping to the roots, in origin blocks as in the engine, then
+    one global stable sort), deepest level first; the roots (origins and
+    unreached nodes) follow. So each level is one contiguous slice of
+    slots, kept with its parents' slots, and the entering links are kept in
+    slot order. flow_vector adds trips at their
     destinations' slots, pushes them up the trees a level at a time, all
     origins in step, and sums each link's flow over the slots it enters.
 
     The constructor is the one connectivity check (DisconnectedZonesError,
-    after the cycle check); zone_ids orders the skim and flow_vector's ODs.
+    after the cycle check, on the skim before its diagonal is filled);
+    zone_ids orders the skim and flow_vector's ODs.
     """
 
     def __init__(self, network: Network, link_times: np.ndarray):
@@ -295,31 +346,46 @@ class PathSet:
         self.link_ids = network.link_ids
         anchors = [network.zone_anchors[z] for z in self.zone_ids]
         self.dist, self.pred = shortest_path_tree(network, link_times, anchors)
-        self._anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
+        anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
 
         n_nodes = self.pred.shape[1]
         tail, _ = network.link_ends
-        child = np.flatnonzero(self.pred >= 0)
+        root = self.pred.ravel() < 0
+        child = np.flatnonzero(~root)
         link = self.pred.ravel()[child]
         parent = child - child % n_nodes + tail[link]
-        # hop depth by pointer jumping: pass k reaches 2**k up; trees are < n_nodes deep
-        up, depth = np.arange(self.pred.size), np.zeros(self.pred.size, dtype=np.intp)
-        up[child], depth[child] = parent, 1
-        root, passes = self.pred.ravel() < 0, n_nodes.bit_length()
-        while not root[up].all():
-            if not passes:  # only a cycle stops short of a root
-                raise ArithmeticError("predecessor cycle: link times lost in rounding path lengths")
-            depth, up, passes = depth + depth[up], up[up], passes - 1
-        unreachable = np.flatnonzero(np.isinf(self.dist[:, self._anchor_pos]))
-        if unreachable.size:
-            i, j = divmod(unreachable[0], len(self.zone_ids))
-            raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
+        depth = np.empty(child.size, dtype=np.min_scalar_type(n_nodes))
+
+        def hop_depths(lo, hi):
+            """Write the hop depth of each tree edge of origins lo:hi into depth."""
+            offset, size = lo * n_nodes, (hi - lo) * n_nodes
+            first, last = np.searchsorted(child, (offset, offset + size))
+            edge = child[first:last] - offset
+            # pointer jumping: pass k reaches 2**k up; trees are < n_nodes deep.
+            # Each pass writes into buffers made once: fresh pages cost a
+            # block as much as its gathers, and more on a second thread.
+            at_root, passes = root[offset:offset + size], n_nodes.bit_length()
+            up, hops = np.arange(size), np.zeros(size, dtype=np.intp)
+            gather, done = np.empty_like(up), np.empty_like(at_root)
+            up[edge] = np.subtract(parent[first:last], offset, out=gather[:edge.size])
+            hops[edge] = 1
+            while not np.take(at_root, up, out=done, mode="clip").all():
+                if not passes:  # only a cycle stops short of a root
+                    raise ArithmeticError(
+                        "predecessor cycle: link times lost in rounding path lengths")
+                hops += np.take(hops, up, out=gather, mode="clip")
+                up, gather, passes = np.take(up, up, out=gather, mode="clip"), up, passes - 1
+            del up, gather
+            depth[first:last] = hops[edge]
+
+        # each block's origins x nodes temporaries are its own rows', and the
+        # skim comes last, which keeps the build's memory peak at
+        # shortest_path_tree's own
+        _row_blocks(hop_depths, len(anchors), n_nodes)
         # deepest level first; a stable sort of keys of 16 bits or fewer is a radix sort
         max_depth = depth.max(initial=0)
-        key = (max_depth - depth[child]).astype(np.min_scalar_type(max_depth))
-        # each origins x nodes array released here keeps the build's memory
-        # peak at shortest_path_tree's own
-        del up, depth
+        key = (max_depth - depth).astype(np.min_scalar_type(max_depth))
+        del depth
         order = np.argsort(key, kind="stable")
         child, self._link, parent = child[order], link[order], parent[order]
         slot = np.empty(self.pred.size, dtype=np.intp)
@@ -327,22 +393,25 @@ class PathSet:
         slot[root] = np.arange(child.size, slot.size)
         del child, link
         self._od_slot = slot[(np.arange(len(anchors))[:, None] * n_nodes
-                              + self._anchor_pos).ravel()]
+                              + anchor_pos).ravel()]
         cuts = np.flatnonzero(np.diff(key[order])) + 1
         bounds = [0, *cuts.tolist(), self._link.size]
         self._levels = list(zip(bounds[:-1], bounds[1:], np.split(slot[parent], cuts)))
-        self._skim: CostMatrix | None = None
+        del slot, parent
+        # the skim is a row-major copy of dist's anchor columns, so the seed's
+        # n x n passes run in the memory order of its row-major trip ends
+        values = np.take(self.dist, anchor_pos, axis=1)
+        unreachable = np.isinf(values)
+        if unreachable.any():
+            i, j = divmod(int(unreachable.argmax()), len(self.zone_ids))
+            raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
+        fill_intrazonal(values)
+        values.setflags(write=False)
+        self._skim = CostMatrix(self.zone_ids, values)
 
     def cost_matrix(self) -> CostMatrix:
-        """Skim matrix over zone_ids, finite, intrazonal diagonal filled; built
-        on the first call, then held (its values are read-only). The values
-        are a row-major copy of dist's anchor columns, so the seed's n x n
-        passes run in the memory order of its row-major trip ends."""
-        if self._skim is None:
-            values = np.take(self.dist, self._anchor_pos, axis=1)
-            fill_intrazonal(values)
-            values.setflags(write=False)
-            self._skim = CostMatrix(self.zone_ids, values)
+        """Skim matrix over zone_ids, finite, intrazonal diagonal filled, its
+        values read-only and row-major; built with the path set."""
         return self._skim
 
     def flow_vector(self, od) -> np.ndarray:

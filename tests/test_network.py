@@ -1,7 +1,10 @@
 import ast
+import dataclasses
 import graphlib
 import math
 import sys
+import threading
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -11,6 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowfit import assignment, network
+from flowfit.assignment import assign_iterative
+from flowfit.demand import DemandStratum, ODMatrix
 from flowfit.network import (
     DisconnectedZonesError,
     Link,
@@ -284,6 +289,146 @@ class TestFrontierEngine:
         assert tree_from(net, "z") == ({"a": 1.0, "b": 1.0, "z": 0.0}, {"a": "ba", "b": "ab"})
 
 
+def build_bytes(zones, net, times):
+    """Every array a path build and its loads produce, as bytes: dist, pred,
+    the loader's slots, links and levels, the skim, one load of a fixed OD,
+    and the total flows of MSA-5 on a copy of the network."""
+    paths = PathSet(net, times)
+    od = ODMatrix(paths.zone_ids, np.random.default_rng(0).random((len(paths.zone_ids),) * 2))
+    msa = assign_iterative(dataclasses.replace(net), zones,
+                           [DemandStratum("all", "population", "population", 0.8, 0.08)],
+                           5, gap_tol=0.0)
+    arrays = [paths.dist, paths.pred, paths._link, paths._od_slot,
+              paths.cost_matrix().values, paths.flow_vector(od), msa.total]
+    arrays += [np.array([lo, hi]) for lo, hi, _ in paths._levels]
+    arrays += [parent for *_, parent in paths._levels]
+    return [a.tobytes() for a in arrays]
+
+
+def with_blocks(monkeypatch, workers, limit, fn, *args):
+    """fn(*args) with path_workers() patched to workers and ROUND_CANDIDATES to limit."""
+    with monkeypatch.context() as patched:
+        patched.setattr(network, "path_workers", lambda: workers)
+        patched.setattr(network, "ROUND_CANDIDATES", limit)
+        return fn(*args)
+
+
+class TestOriginBlocks:
+    """Path builds run their origins in row blocks on every CPU
+    (network._row_blocks); no output depends on the CPU count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("limit", [1000, 1 << 15])
+    def test_any_worker_count_gives_the_same_bytes(self, rng, monkeypatch, workers, limit):
+        # 1000: blocks of one or a few origins; 1 << 15: one block per strand.
+        # Scaled times, and every link at 1 min, where most nodes have tied links
+        # Threads switch as often as the interpreter allows, so a block that
+        # wrote outside its own rows would show.
+        zones, net = grid_region(10, 8, seed=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for times in (free_flow_times(net) * rng.uniform(1.0, 4.0, len(net.links)),
+                          np.ones(len(net.links))):
+                serial = with_blocks(monkeypatch, 1, 1 << 22, build_bytes, zones, net, times)
+                assert with_blocks(monkeypatch, workers, limit, build_bytes,
+                                   zones, net, times) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_more_workers_than_origins(self, monkeypatch):
+        net = make_network(["a", "b"], [("ab", "a", "b", 3.0), ("ba", "b", "a", 3.0)],
+                           {"z1": "a"})
+        times = free_flow_times(net)
+        paths = with_blocks(monkeypatch, 3, 1, PathSet, net, times)
+        assert paths.cost_matrix().values.tolist() == [[0.0]]
+        assert paths.dist.tolist() == [[0.0, 3.0]]
+        assert paths.pred.tolist() == [[-1, net.link_index["ab"]]]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows, width, limit", [(10, 1, 1 << 22), (10, 3, 64),
+                                                     (7, 5, 20), (400, 1520, 1 << 22)])
+    def test_blocks_cover_every_row_once_in_order_within_the_limit(
+            self, monkeypatch, workers, rows, width, limit):
+        lock, live, peak = threading.Lock(), [0], [0]
+
+        def block(lo, hi):
+            with lock:
+                live[0] += (hi - lo) * width
+                peak[0] = max(peak[0], live[0])
+            time.sleep(0.002)  # long enough for the strands' blocks to overlap
+            with lock:
+                live[0] -= (hi - lo) * width
+            return lo, hi
+
+        blocks = with_blocks(monkeypatch, workers, limit, network._row_blocks, block, rows, width)
+        assert [lo for lo, _ in blocks] == [0, *(hi for _, hi in blocks[:-1])]
+        assert blocks[-1][1] == rows and all(lo < hi for lo, hi in blocks)
+        # a block of one row may exceed the limit alone, never with others
+        assert peak[0] <= limit or max(hi - lo for lo, hi in blocks) == 1
+
+    def test_the_first_block_error_is_raised(self, monkeypatch):
+        def block(lo, hi):
+            raise ValueError(f"block {lo}")
+
+        for workers in (1, 2, 3):
+            with pytest.raises(ValueError, match="^block 0$"):
+                with_blocks(monkeypatch, workers, 64, network._row_blocks, block, 12, 1)
+
+    def test_labels_still_improving_in_a_worker_block(self, monkeypatch):
+        # a negative cycle, which the positive-time check keeps out of the
+        # engine; the second strand's origin reaches it, the first's does not
+        tail, head, times = np.array([1, 2]), np.array([2, 1]), np.array([1.0, -2.0])
+
+        def rounds(lo, hi):
+            return network._frontier_distances(3, tail, head, times, np.array([0, 1])[lo:hi])
+
+        assert with_blocks(monkeypatch, 2, 64, network._row_blocks, rounds, 1, 2)[0].size == 3
+        with pytest.raises(RuntimeError, match="^labels still improving after 3 rounds$"):
+            with_blocks(monkeypatch, 2, 64, network._row_blocks, rounds, 2, 2)
+
+    def test_predecessor_cycle_in_a_worker_block(self, monkeypatch):
+        # zone z2's tree, the second strand's, holds the cycle a <-> b at 1e-20
+        rows = [("za", "z", "a", 1.0), ("zb", "z", "b", 1.0),
+                ("ab", "a", "b", 1e-20), ("ba", "b", "a", 1e-20)]
+        net = make_network(["z", "a", "b"], rows, {"z1": "a", "z2": "z"})
+        for workers in (1, 2):
+            with pytest.raises(ArithmeticError, match="^predecessor cycle: link times lost "
+                                                      "in rounding path lengths$"):
+                with_blocks(monkeypatch, workers, 64, PathSet, net, free_flow_times(net))
+
+    def test_disconnected_zones_after_blocks(self, monkeypatch):
+        # zone z3's anchor c has no out-link: its whole row is unreachable;
+        # the check reads the skim on the calling thread once the blocks end
+        rows = [("ab", "a", "b", 1.0), ("ba", "b", "a", 1.0), ("ac", "a", "c", 1.0)]
+        net = make_network(["a", "b", "c"], rows, {"z1": "a", "z2": "b", "z3": "c"})
+        for workers in (1, 2, 3):
+            with pytest.raises(DisconnectedZonesError,
+                               match="^no path from zone 'z3' to zone 'z1'$"):
+                with_blocks(monkeypatch, workers, 64, PathSet, net, free_flow_times(net))
+
+    def test_a_traced_engine_runs_once_on_the_calling_thread(self, monkeypatch):
+        # perfbench/spans.py keeps one span stack, so a function it wraps must
+        # never run on a worker thread; the blocks themselves do
+        _, net = grid_region(10, 8, seed=0)
+        engine, rounds = network.shortest_path_tree, network._frontier_distances
+        calls, block_threads = [], set()
+
+        def traced(*args):
+            calls.append(threading.get_ident())
+            return engine(*args)
+
+        def spied(*args):
+            block_threads.add(threading.get_ident())
+            return rounds(*args)
+
+        monkeypatch.setattr(network, "shortest_path_tree", traced)
+        monkeypatch.setattr(network, "_frontier_distances", spied)
+        with_blocks(monkeypatch, 2, 1 << 15, PathSet, net, free_flow_times(net))
+        assert calls == [threading.get_ident()]
+        assert len(block_threads) == 2 and threading.get_ident() in block_threads
+
+
 class TestSkimMatrix:
     def test_single_zone_intrazonal(self):
         net = make_network(["a", "b"], [("ab", "a", "b", 3.0), ("ba", "b", "a", 3.0)],
@@ -311,6 +456,14 @@ class TestSkimMatrix:
     def test_disconnected_pair_names_both_zones(self):
         net = make_network(["a", "b"], [("ab", "a", "b", 1.0)], {"z1": "a", "z2": "b"})
         with pytest.raises(DisconnectedZonesError, match="'z2'.*'z1'"):
+            skim(net)
+
+    def test_a_whole_unreachable_row_names_its_first_pair(self):
+        # z1's anchor b has no out-link, so its row is unreachable but for the
+        # diagonal, which is tested before it is filled (with 0.5 * inf)
+        rows = [("ab", "a", "b", 1.0), ("ac", "a", "c", 1.0), ("ca", "c", "a", 1.0)]
+        net = make_network(["a", "b", "c"], rows, {"z1": "b", "z2": "a", "z3": "c"})
+        with pytest.raises(DisconnectedZonesError, match="^no path from zone 'z1' to zone 'z2'$"):
             skim(net)
 
     def test_triangle_inequality(self, rng):

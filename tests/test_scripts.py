@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import flowfit
+from flowfit import network
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -54,6 +55,7 @@ def test_time_layers_reports_every_row():
     assert report["machine"]["blas_threads"] == {
         name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     assert report["machine"]["cpu_count"] == os.cpu_count()
+    assert report["machine"]["path_workers"] == network.path_workers() >= 1
     rows = report["rows"]
     assert [(r["layer"], r["beta"]) for r in rows] == [
         ("PathSet build (free flow)", None), ("shortest_path_tree (free flow)", None),
