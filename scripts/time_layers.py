@@ -6,7 +6,8 @@ Builds grid_region(NX, NY, seed=0), then times with time.perf_counter, each
 repeated and reported as the median:
 
   * the PathSet build at free-flow times (shortest-path trees and their
-    loading order), shortest_path_tree alone on the same call, and its
+    loading order), with held_bytes, the summed nbytes of the arrays the
+    built path set holds; shortest_path_tree alone on the same call, and its
     label rounds (network._frontier_distances) alone, run in the same
     origin blocks as the engine runs them (network._row_blocks), so the tie
     pass and the rest of the build (hop depths, their sort and the split
@@ -24,8 +25,8 @@ repeated and reported as the median:
     the sweeps before it, its Newton steps, and demand._newton_balance
     timed from the scales it was handed, also counted in sweeps;
   * one PathSet.flow_vector load of the beta 0.08 balanced OD on the
-    free-flow path set, with its tree levels and its accumulator entries
-    (origins x nodes);
+    free-flow path set, with its tree levels and its loader's accumulator
+    entries (origins x nodes);
   * one one-off ModelObjective evaluation at (mu, beta) = (0.8, 0.08)
     against 250 counts generated there with GEH noise 1 (every
     positive-flow link, if the grid has fewer);
@@ -125,6 +126,16 @@ def timed(fn, repeats):
             "minor_faults": statistics.median(faults)}
 
 
+def held_bytes(obj):
+    """The summed nbytes of the numpy arrays obj holds: itself, or through
+    its lists, tuples and attributes."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (list, tuple)):
+        return sum(held_bytes(item) for item in obj)
+    return sum(held_bytes(value) for value in getattr(obj, "__dict__", {}).values())
+
+
 def copies(network, n):
     """n copies of network, each without its cached free-flow path set."""
     return [dataclasses.replace(network) for _ in range(n)]
@@ -183,8 +194,10 @@ def main() -> None:
     nx, ny = (int(v) for v in args.grid.lower().split("x"))
 
     zones, net = grid_region(nx, ny, seed=GRID_SEED)
+    paths = PathSet(net, free_flow_times(net))
     rows = [{"layer": "PathSet build (free flow)", "mu": None, "beta": None,
-             **timed(lambda: PathSet(net, free_flow_times(net)), args.repeats)}]
+             **timed(lambda: PathSet(net, free_flow_times(net)), args.repeats),
+             "held_bytes": held_bytes(paths)}]
     anchors = [net.zone_anchors[z] for z in sorted(net.zone_anchors)]
     rows.append({"layer": "shortest_path_tree (free flow)", "mu": None, "beta": None,
                  **timed(lambda: shortest_path_tree(net, free_flow_times(net), anchors),
@@ -200,8 +213,7 @@ def main() -> None:
     rows.append({"layer": "_frontier_distances (free flow)", "mu": None, "beta": None,
                  **timed(rounds, args.repeats)})
 
-    paths = PathSet(net, free_flow_times(net))
-    costs = paths.cost_matrix()
+    costs = paths.skim
     by_id = {z.zone_id: z for z in zones}
     stratum = DemandStratum("all", "population", "population", MU, J_BETA)
     ends = generate_trip_ends([by_id[z] for z in costs.zone_ids], stratum)
@@ -247,7 +259,7 @@ def main() -> None:
     od = furness_balance(seed_matrix(ends, costs, J_BETA, "exponential"), ends)
     rows.append({"layer": "PathSet.flow_vector (free flow)", "mu": MU, "beta": J_BETA,
                  **timed(lambda: paths.flow_vector(od), args.repeats),
-                 "levels": len(paths._levels), "entries": paths.pred.size})
+                 "levels": len(paths._levels), "entries": paths._entries})
 
     flows = assign_iterative(net, zones, [stratum], 1).flows
     n_counts = min(N_COUNTS, sum(q > 0 for q in flows.values()))

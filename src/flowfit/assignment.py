@@ -37,10 +37,9 @@ def load_strata(paths: PathSet, zones, strata) -> list[np.ndarray]:
     Each stratum is distributed over the skim the path set computes once and
     holds, then loaded by its flow_vector; one with mu == 0 makes no trips and
     gets zeros without a distribution."""
-    costs = paths.cost_matrix()
     return [
         np.zeros(len(paths.link_ids)) if s.mu == 0.0
-        else paths.flow_vector(distribute(zones, s, costs))
+        else paths.flow_vector(distribute(zones, s, paths.skim))
         for s in strata
     ]
 

@@ -19,7 +19,7 @@ from .demand import (
     require_unique_names,
     stratum_attributes,
 )
-from .metrics import SplitExperimentResult, evaluate, geh_objective, split_counts
+from .metrics import SplitExperimentResult, geh_objective, split_counts
 from .network import Network
 
 # Brackets every plausible mobility / deterrence weight; calibration never
@@ -495,22 +495,25 @@ def split_test(
 
     settings are CalibrationOptions' fields but seed: each cell calibrates
     with its own seed. Results are ordered by (fraction, seed). A cell's
-    train score is its calibrated J; its test side is scored under the same
-    assignment (mode, n_outer, gap_tol) that calibrated it.
+    train score is its calibrated J, its test score the J of a
+    ModelObjective over its test counts at the calibrated weights, under the
+    same assignment (mode, n_outer, gap_tol); a cell whose best J is +inf
+    reports a test J of +inf, without raising.
     """
-    mode = CalibrationOptions(**settings).assignment_mode
+    opts = CalibrationOptions(**settings)
     results = []
     for fraction in fractions:
         for seed in seeds:
             train, test = split_counts(counts, fraction, seed)
             res = calibrate(zones, network, strata, train, seed=seed,
                             n_outer=n_outer, gap_tol=gap_tol, **settings)
-            flows = assign(network, zones, res.best_weights.apply(strata), mode=mode,
-                           n_outer=n_outer, gap_tol=gap_tol).flows
+            test_j = ModelObjective(zones, network, strata, test, n_outer=n_outer,
+                                    gap_tol=gap_tol, assignment_mode=opts.assignment_mode,
+                                    bounds=opts.bounds, bound_overrides=opts.bound_overrides)
             results.append(SplitExperimentResult(
                 split_fraction=fraction,
                 seed=seed,
                 train_geh=res.best_objective,
-                test_geh=evaluate(flows, test).objective_j,
+                test_geh=test_j(res.best_weights.values()),
             ))
     return results

@@ -8,9 +8,9 @@ all origins at once by label-correcting rounds over numpy arrays
 (Bellman-Ford-Moore with a FIFO frontier), followed by one exact array pass
 that applies the (node_id, link_id) tie rule. Origins are independent, so
 the engine and PathSet's hop depths run in origin blocks on every CPU.
-PathSet holds its trees from every zone anchor, decoded into the skim and
-the loader from trips to link flows; Network.free_flow_paths keeps the one
-at free-flow times.
+PathSet decodes the trees from every zone anchor into the skim and the
+loader from trips to link flows, and keeps only those two;
+Network.free_flow_paths keeps the one at free-flow times.
 """
 
 from __future__ import annotations
@@ -325,16 +325,17 @@ def fill_intrazonal(values: np.ndarray) -> None:
 class PathSet:
     """Anchor-to-anchor shortest paths under one fixed set of link times.
 
-    One shortest_path_tree call covers all zone anchors; the path set keeps
-    its (dist, pred), the skim and, for every (origin, node) entry, a slot
-    in the loader's accumulator. Tree edges come first, grouped by hop depth
-    (pointer jumping to the roots, in origin blocks as in the engine, then
-    one global stable sort), deepest level first; the roots (origins and
-    unreached nodes) follow. So each level is one contiguous slice of
-    slots, kept with its parents' slots, and the entering links are kept in
-    slot order. flow_vector adds trips at their
-    destinations' slots, pushes them up the trees a level at a time, all
-    origins in step, and sums each link's flow over the slots it enters.
+    One shortest_path_tree call covers all zone anchors. The path set reads
+    its (dist, pred) once and keeps only the skim, a finite, read-only,
+    row-major CostMatrix with the intrazonal diagonal filled, and the
+    loader: a slot in its accumulator for every (origin, node) entry. Tree
+    edges come first, grouped by hop depth (pointer jumping to the roots, in
+    origin blocks as in the engine, then one global stable sort), deepest
+    level first; the roots (origins and unreached nodes) follow. So each
+    level is one contiguous slice of slots, kept with its parents' slots,
+    and the entering links are kept in slot order. flow_vector adds trips at
+    their destinations' slots, pushes them up the trees a level at a time,
+    all origins in step, and sums each link's flow over the slots it enters.
 
     The constructor is the one connectivity check (DisconnectedZonesError,
     after the cycle check, on the skim before its diagonal is filled);
@@ -345,14 +346,17 @@ class PathSet:
         self.zone_ids = tuple(sorted(network.zone_anchors))
         self.link_ids = network.link_ids
         anchors = [network.zone_anchors[z] for z in self.zone_ids]
-        self.dist, self.pred = shortest_path_tree(network, link_times, anchors)
+        dist, pred = shortest_path_tree(network, link_times, anchors)
         anchor_pos = np.array([network.node_index[a] for a in anchors], dtype=np.intp)
-
-        n_nodes = self.pred.shape[1]
+        # the skim is a row-major copy of dist's anchor columns, so the seed's
+        # n x n passes run in the memory order of its row-major trip ends
+        values = np.take(dist, anchor_pos, axis=1)
+        n_nodes, self._entries = pred.shape[1], pred.size
         tail, _ = network.link_ends
-        root = self.pred.ravel() < 0
+        root = pred.ravel() < 0
         child = np.flatnonzero(~root)
-        link = self.pred.ravel()[child]
+        link = pred.ravel()[child]
+        del dist, pred
         parent = child - child % n_nodes + tail[link]
         depth = np.empty(child.size, dtype=np.min_scalar_type(n_nodes))
 
@@ -378,9 +382,7 @@ class PathSet:
             del up, gather
             depth[first:last] = hops[edge]
 
-        # each block's origins x nodes temporaries are its own rows', and the
-        # skim comes last, which keeps the build's memory peak at
-        # shortest_path_tree's own
+        # each block's origins x nodes temporaries are its own rows'
         _row_blocks(hop_depths, len(anchors), n_nodes)
         # deepest level first; a stable sort of keys of 16 bits or fewer is a radix sort
         max_depth = depth.max(initial=0)
@@ -388,7 +390,7 @@ class PathSet:
         del depth
         order = np.argsort(key, kind="stable")
         child, self._link, parent = child[order], link[order], parent[order]
-        slot = np.empty(self.pred.size, dtype=np.intp)
+        slot = np.empty(self._entries, dtype=np.intp)
         slot[child] = np.arange(child.size)
         slot[root] = np.arange(child.size, slot.size)
         del child, link
@@ -398,21 +400,13 @@ class PathSet:
         bounds = [0, *cuts.tolist(), self._link.size]
         self._levels = list(zip(bounds[:-1], bounds[1:], np.split(slot[parent], cuts)))
         del slot, parent
-        # the skim is a row-major copy of dist's anchor columns, so the seed's
-        # n x n passes run in the memory order of its row-major trip ends
-        values = np.take(self.dist, anchor_pos, axis=1)
         unreachable = np.isinf(values)
         if unreachable.any():
             i, j = divmod(int(unreachable.argmax()), len(self.zone_ids))
             raise DisconnectedZonesError(self.zone_ids[i], self.zone_ids[j])
         fill_intrazonal(values)
         values.setflags(write=False)
-        self._skim = CostMatrix(self.zone_ids, values)
-
-    def cost_matrix(self) -> CostMatrix:
-        """Skim matrix over zone_ids, finite, intrazonal diagonal filled, its
-        values read-only and row-major; built with the path set."""
-        return self._skim
+        self.skim = CostMatrix(self.zone_ids, values)
 
     def flow_vector(self, od) -> np.ndarray:
         """Link flows (ordered by link_ids) from loading every OD pair's path.
@@ -429,7 +423,7 @@ class PathSet:
         if np.shape(od.trips) != (n, n):
             raise ValueError(f"OD trips have shape {np.shape(od.trips)}, expected ({n}, {n})")
         # bincount sums zones that share an anchor; intrazonal trips stay at roots
-        acc = np.bincount(self._od_slot, np.ravel(od.trips), self.pred.size)
+        acc = np.bincount(self._od_slot, np.ravel(od.trips), self._entries)
         for lo, hi, parent in self._levels:
             np.add.at(acc, parent, acc[lo:hi].copy())
         return np.bincount(self._link, acc[:self._link.size], len(self.link_ids))

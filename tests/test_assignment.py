@@ -301,12 +301,18 @@ class TestTreeLoader:
                 PathSet(net, free_flow_times(net))
 
 
-def pointer_jumping_levels(network, paths):
-    """Reference level split: the hop depth of every tree edge by all
-    bit_length(nodes) passes of pointer jumping, then the edges in a stable
-    argsort of -depth, cut where the depth changes. Returns (child, parent)
-    flat (origin, node) indices per level."""
-    pred = paths.pred
+def anchor_pred(network, times):
+    """shortest_path_tree's pred from the zone anchors in zone id order,
+    the trees a PathSet at these times decodes."""
+    anchors = [network.zone_anchors[z] for z in sorted(network.zone_anchors)]
+    return shortest_path_tree(network, times, anchors)[1]
+
+
+def pointer_jumping_levels(network, pred):
+    """Reference level split: the hop depth of every tree edge of pred by
+    all bit_length(nodes) passes of pointer jumping, then the edges in a
+    stable argsort of -depth, cut where the depth changes. Returns (child,
+    parent) flat (origin, node) indices per level."""
     n_nodes = pred.shape[1]
     tail, _ = network.link_ends
     child = np.flatnonzero(pred >= 0)
@@ -322,29 +328,32 @@ def pointer_jumping_levels(network, paths):
     return list(zip(np.split(child, cuts), np.split(parent, cuts)))
 
 
-def flat_index_flow_vector(network, paths, od):
-    """Reference loader over flat (origin, node) indices: trips added at
-    their destinations, each level's children gathered and added to their
-    parents, deepest first, then each link summed over the entries it
-    enters."""
-    levels = pointer_jumping_levels(network, paths)
-    n_nodes = paths.pred.shape[1]
+def flat_index_flow_vector(network, times, od):
+    """Reference loader over flat (origin, node) indices of the trees at
+    times: trips added at their destinations, each level's children
+    gathered and added to their parents, deepest first, then each link
+    summed over the entries it enters."""
+    pred = anchor_pred(network, times)
+    levels = pointer_jumping_levels(network, pred)
+    n_nodes = pred.shape[1]
     anchor_pos = np.array([network.node_index[network.zone_anchors[z]]
-                           for z in paths.zone_ids], dtype=np.intp)
+                           for z in sorted(network.zone_anchors)], dtype=np.intp)
     od_cell = (np.arange(anchor_pos.size)[:, None] * n_nodes + anchor_pos).ravel()
-    acc = np.bincount(od_cell, np.ravel(od.trips), paths.pred.size)
+    acc = np.bincount(od_cell, np.ravel(od.trips), pred.size)
     for child, parent in levels:
         np.add.at(acc, parent, acc[child])
     child = np.concatenate([child for child, _ in levels])
-    return np.bincount(paths.pred.ravel()[child], acc[child], len(network.link_ids))
+    return np.bincount(pred.ravel()[child], acc[child], len(network.link_ids))
 
 
-def assert_same_levels(network, paths):
-    """The path set's slot layout: the reference levels' edges take slots
-    0, 1, ... in order, the roots (pred -1) the rest in flat order; each
-    level is a (lo, hi) slice with its edges' parents' slots."""
-    expected = pointer_jumping_levels(network, paths)
-    flat_pred = paths.pred.ravel()
+def assert_same_levels(network, times, paths):
+    """The slot layout of paths, built at times: the reference levels'
+    edges take slots 0, 1, ... in order, the roots (pred -1) the rest in
+    flat order; each level is a (lo, hi) slice with its edges' parents'
+    slots."""
+    pred = anchor_pred(network, times)
+    expected = pointer_jumping_levels(network, pred)
+    flat_pred = pred.ravel()
     edges = np.concatenate([child for child, _ in expected])
     slot = np.empty(flat_pred.size, dtype=np.intp)
     slot[edges] = np.arange(edges.size)
@@ -385,11 +394,11 @@ class TestLevels:
     @pytest.mark.parametrize("grid", [(10, 8), (20, 20)])
     def test_grid_with_scaled_times(self, rng, grid):
         net, times = scaled_grid(rng, *grid)
-        assert_same_levels(net, PathSet(net, times))
+        assert_same_levels(net, times, PathSet(net, times))
 
     def test_star_with_equal_link_times(self):
         star, times = equal_time_star()
-        assert_same_levels(star, PathSet(star, times))
+        assert_same_levels(star, times, PathSet(star, times))
 
     def test_chain_deeper_than_255_levels_carries_the_end_to_end_trips(self):
         # 299 levels, so the sort key needs 16 bits
@@ -399,7 +408,7 @@ class TestLevels:
         net = make_network(nodes, rows, {"z1": nodes[0], "z2": nodes[-1]})
         paths = PathSet(net, free_flow_times(net))
         assert len(paths._levels) == 299
-        assert_same_levels(net, paths)
+        assert_same_levels(net, free_flow_times(net), paths)
         flows = paths.flow_vector(od_of(["z1", "z2"], [[0, 5], [7, 0]]))
         assert dict(zip(paths.link_ids, flows.tolist())) == {
             lid: 5.0 if lid[0] == "f" else 7.0 for lid, *_ in rows}
@@ -435,7 +444,7 @@ class TestLevelMajorLoader:
         paths = PathSet(net, times)
         n = len(paths.zone_ids)
         od = od_of(paths.zone_ids, rng.uniform(0.0, 100.0, (n, n)))
-        assert np.array_equal(paths.flow_vector(od), flat_index_flow_vector(net, paths, od))
+        assert np.array_equal(paths.flow_vector(od), flat_index_flow_vector(net, times, od))
 
 
 class TestPathSetChecks:
@@ -481,7 +490,7 @@ class TestLoad:
         loaded = load_strata(paths, zones, strata)
         assert len(loaded) == 2
         for s, vec in zip(strata, loaded):
-            od = distribute(zones, s, paths.cost_matrix())
+            od = distribute(zones, s, paths.skim)
             assert np.array_equal(vec, paths.flow_vector(od))
 
     def test_mu_zero_stratum_loads_zeros_without_distributing(self, monkeypatch):
@@ -499,8 +508,8 @@ class TestLoad:
     def test_skim_is_computed_once_and_read_only(self):
         zones, net = eight_zone_star()
         paths = PathSet(net, free_flow_times(net))
-        skim = paths.cost_matrix()
-        assert paths.cost_matrix() is skim
+        skim = paths.skim
+        assert paths.skim is skim
         assert not skim.values.flags.writeable
 
 
@@ -517,7 +526,7 @@ class TestIterativeAssignment:
         result = assign_iterative(net, zones, strata, n_outer=1)
         assert result.iterations == 1
         assert not result.converged
-        costs = PathSet(net, free_flow_times(net)).cost_matrix()
+        costs = PathSet(net, free_flow_times(net)).skim
         od = distribute(zones, strata[0], costs)
         expected = assign_all_or_nothing(net, free_flow_times(net), od)
         assert result.flows == pytest.approx(expected, rel=1e-12)
@@ -557,7 +566,7 @@ class TestIterativeAssignment:
         avg = None
         for k in range(1, 16):
             paths = PathSet(net, times)
-            od = distribute(zones, strata[0], paths.cost_matrix())
+            od = distribute(zones, strata[0], paths.skim)
             fresh = paths.flow_vector(od)
             raw.append(fresh)
             avg = fresh if avg is None else avg + (fresh - avg) / k

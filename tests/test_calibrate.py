@@ -352,7 +352,7 @@ class TestObjective:
         obj = ModelObjective(zones, net, [stratum], [TrafficCount("ab", 50.0)])
         with np.errstate(over="ignore"):
             with pytest.raises(FurnessInfeasibleError):
-                distribute(zones, stratum, PathSet(net, free_flow_times(net)).cost_matrix())
+                distribute(zones, stratum, PathSet(net, free_flow_times(net)).skim)
             assert obj(np.array([1.0, 1.0])) == math.inf
             assert math.isfinite(obj(np.array([1.0, 0.0])))
             assert obj(np.array([2.0, 1.0])) == math.inf
@@ -538,6 +538,25 @@ class TestSplitTest:
                        n_outer=8, gap_tol=0.05).flows
         assert res.train_geh == evaluate(flows, train).objective_j
         assert res.test_geh == evaluate(flows, test).objective_j
+
+    def test_a_cell_that_never_balances_scores_inf_on_both_sides(self, toy_setup,
+                                                                 monkeypatch):
+        zones, net, counts = toy_setup
+
+        def never_balances(*args, **kwargs):
+            raise FurnessConvergenceError(1.0, 0)
+
+        monkeypatch.setattr(demand, "furness_balance", never_balances)
+        (res,) = split_test(zones, net, toy_strata(1.0, 0.09), counts,
+                            fractions=[0.5], seeds=[0], max_evals=8)
+        assert (res.train_geh, res.test_geh) == (math.inf, math.inf)
+
+    def test_cells_scored_inside_the_configured_bounds(self, toy_setup):
+        # mu 7 lies outside the default box: the test side takes the cell's bounds
+        zones, net, counts = toy_setup
+        (res,) = split_test(zones, net, toy_strata(7.0, 0.09), counts, fractions=[0.5],
+                            seeds=[0], max_evals=8, bounds={"mu": [0.0, 10.0]})
+        assert math.isfinite(res.train_geh) and math.isfinite(res.test_geh)
 
     def test_noise_free_counts_fit_both_sides(self, toy_setup):
         zones, net, counts = toy_setup

@@ -571,7 +571,7 @@ class TestNewton:
     @staticmethod
     def grid_case(grid, beta):
         zones, net = grid
-        costs = net.free_flow_paths.cost_matrix()
+        costs = net.free_flow_paths.skim
         by_id = {z.zone_id: z for z in zones}
         stratum = DemandStratum("all", "population", "population", 0.8, beta)
         ends = generate_trip_ends([by_id[z] for z in costs.zone_ids], stratum)
@@ -755,7 +755,7 @@ class TestDistribute:
 
     def test_toy_margins_match_targets(self):
         zones, net = eight_zone_star()
-        costs = PathSet(net, free_flow_times(net)).cost_matrix()
+        costs = PathSet(net, free_flow_times(net)).skim
         stratum = toy_strata(1.5, 0.1)[0]
         out = distribute(zones, stratum, costs)
         pops = {z.zone_id: z.attributes["population"] for z in zones}
@@ -764,7 +764,7 @@ class TestDistribute:
 
     def test_trips_flatten_without_a_copy(self):
         zones, net = grid_region(5, 4, seed=0)
-        costs = PathSet(net, free_flow_times(net)).cost_matrix()
+        costs = PathSet(net, free_flow_times(net)).skim
         stratum = DemandStratum("s", "population", "population", 0.8, 0.08)
         out = distribute(zones, stratum, costs)
         assert out.trips.flags.c_contiguous

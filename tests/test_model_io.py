@@ -398,9 +398,9 @@ class TestScenario:
                 "t0_min": 3.0, "capacity_veh24h": 30000.0,
             }),
         ]
-        before = model.network.free_flow_paths.cost_matrix()
+        before = model.network.free_flow_paths.skim
         edited = apply_scenario(model.network, Scenario("bypass", edits))
-        after = edited.free_flow_paths.cost_matrix()  # its own, not the base's
+        after = edited.free_flow_paths.skim  # its own, not the base's
         off = ~np.eye(len(before.zone_ids), dtype=bool)
         assert (after.values[off] <= before.values[off] + 1e-12).all()
         assert after.values[1, 4] == 3.0 < before.values[1, 4]  # Z2 -> Z5

@@ -110,7 +110,7 @@ def path_to(net, pred, origin, node):
 
 
 def skim(net):
-    return PathSet(net, free_flow_times(net)).cost_matrix()
+    return PathSet(net, free_flow_times(net)).skim
 
 
 class TestShortestPathTree:
@@ -290,16 +290,18 @@ class TestFrontierEngine:
 
 
 def build_bytes(zones, net, times):
-    """Every array a path build and its loads produce, as bytes: dist, pred,
-    the loader's slots, links and levels, the skim, one load of a fixed OD,
-    and the total flows of MSA-5 on a copy of the network."""
+    """Every array a path build and its loads produce, as bytes: the
+    engine's dist and pred from the zone anchors, the loader's slots, links
+    and levels, the skim, one load of a fixed OD, and the total flows of
+    MSA-5 on a copy of the network."""
     paths = PathSet(net, times)
+    dist, pred = shortest_path_tree(net, times, [net.zone_anchors[z] for z in paths.zone_ids])
     od = ODMatrix(paths.zone_ids, np.random.default_rng(0).random((len(paths.zone_ids),) * 2))
     msa = assign_iterative(dataclasses.replace(net), zones,
                            [DemandStratum("all", "population", "population", 0.8, 0.08)],
                            5, gap_tol=0.0)
-    arrays = [paths.dist, paths.pred, paths._link, paths._od_slot,
-              paths.cost_matrix().values, paths.flow_vector(od), msa.total]
+    arrays = [dist, pred, paths._link, paths._od_slot,
+              paths.skim.values, paths.flow_vector(od), msa.total]
     arrays += [np.array([lo, hi]) for lo, hi, _ in paths._levels]
     arrays += [parent for *_, parent in paths._levels]
     return [a.tobytes() for a in arrays]
@@ -341,9 +343,10 @@ class TestOriginBlocks:
                            {"z1": "a"})
         times = free_flow_times(net)
         paths = with_blocks(monkeypatch, 3, 1, PathSet, net, times)
-        assert paths.cost_matrix().values.tolist() == [[0.0]]
-        assert paths.dist.tolist() == [[0.0, 3.0]]
-        assert paths.pred.tolist() == [[-1, net.link_index["ab"]]]
+        dist, pred = with_blocks(monkeypatch, 3, 1, shortest_path_tree, net, times, ["a"])
+        assert paths.skim.values.tolist() == [[0.0]]
+        assert dist.tolist() == [[0.0, 3.0]]
+        assert pred.tolist() == [[-1, net.link_index["ab"]]]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("rows, width, limit", [(10, 1, 1 << 22), (10, 3, 64),
@@ -507,11 +510,13 @@ class TestSkimMatrix:
     def test_skim_is_a_read_only_row_major_copy_of_the_anchor_columns(self):
         zones, net = grid_region(5, 4, seed=0)
         paths = PathSet(net, free_flow_times(net))
-        values = paths.cost_matrix().values
+        values = paths.skim.values
+        dist, _ = shortest_path_tree(net, free_flow_times(net),
+                                     [net.zone_anchors[z] for z in paths.zone_ids])
         assert values.flags.c_contiguous and not values.flags.writeable
-        assert not np.shares_memory(values, paths.dist)
+        assert not np.shares_memory(values, dist)
         anchors = [net.node_index[net.zone_anchors[z]] for z in paths.zone_ids]
-        expected = paths.dist[:, anchors]
+        expected = dist[:, anchors]
         fill_intrazonal(expected)
         assert np.array_equal(values, expected)
 
@@ -522,7 +527,7 @@ class TestFreeFlowPaths:
                            {"z1": "a", "z2": "b"})
         paths = net.free_flow_paths
         assert paths is net.free_flow_paths
-        assert np.array_equal(paths.cost_matrix().values, skim(net).values)
+        assert np.array_equal(paths.skim.values, skim(net).values)
 
     def test_a_failed_build_keeps_nothing(self):
         net = make_network(["a", "b"], [("ab", "a", "b", 1.0)], {"z1": "a", "z2": "b"})
@@ -534,6 +539,36 @@ class TestFreeFlowPaths:
     def test_link_index_is_the_position_in_link_ids(self, rng):
         net = random_strongly_connected(rng)
         assert [net.link_index[lid] for lid in net.link_ids] == list(range(len(net.links)))
+
+
+def held_arrays(obj):
+    """Every numpy array obj holds: itself, or through its lists, tuples and
+    attributes."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in held_arrays(item)]
+    return [a for value in getattr(obj, "__dict__", {}).values() for a in held_arrays(value)]
+
+
+class TestPathSetHolds:
+    """A path set keeps its skim and its loader; shortest_path_tree gives
+    dist and pred."""
+
+    def test_only_its_skim_and_its_loader(self):
+        # two zone anchors on a five-node ring: origins x nodes is 2 x 5, the skim 2 x 2
+        ring = ["a", "b", "c", "d", "e"]
+        rows = [(u + v, u, v, 1.0) for u, v in zip(ring, ring[1:] + ring[:1])]
+        net = make_network(ring, rows, {"z1": "a", "z2": "c"})
+        paths = PathSet(net, free_flow_times(net))
+        assert [name for name in dir(paths) if not name.startswith("_")] == [
+            "flow_vector", "link_ids", "skim", "zone_ids"]
+        for name in ("dist", "pred", "cost_matrix"):
+            assert not hasattr(paths, name), name
+        shapes = [a.shape for a in held_arrays(paths)]
+        assert (2, 2) in shapes
+        assert (2, 5) not in shapes and (10,) not in shapes, shapes
+        assert paths.skim.values.tolist() == [[1.0, 2.0], [3.0, 1.5]]
 
 
 def package_imports(path: Path):

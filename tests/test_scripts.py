@@ -66,6 +66,9 @@ def test_time_layers_reports_every_row():
         ("PathSet.flow_vector (free flow)", 0.08), ("one J eval (one-off)", 0.08),
         ("MSA-5 assign_iterative", 0.08), ("load_model", None),
         ("criterion-7 split grid", None)]
+    # one node per zone, all reached: the skim and the OD slots hold 80 x 80
+    # entries, the entering links and the level parents one per tree edge
+    assert rows[0]["held_bytes"] == 8 * (2 * 80 * 80 + 2 * 80 * 79)
     for row in rows:
         assert row["outcome"] == "ok"
         assert len(row["runs_s"]) == 1 and row["median_s"] > 0.0
