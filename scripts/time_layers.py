@@ -30,6 +30,11 @@ repeated and reported as the median:
   * one one-off ModelObjective evaluation at (mu, beta) = (0.8, 0.08)
     against 250 counts generated there with GEH noise 1 (every
     positive-flow link, if the grid has fewer);
+  * the same on grid_region(10, 8, seed=0) whatever NXxNY is, against the
+    criterion-7 grid's counts, at (0.8, 0.08) and at (0.8, 1.0), where the
+    balance hands off to Newton: each row also gives that balance's sweeps,
+    omega and hand-off, and the median seconds of the seed_matrix,
+    furness_balance and PathSet.flow_vector calls the evaluation makes;
   * assign_iterative of that one stratum with n_outer = 5 and gap_tol = 0,
     so all five MSA iterations run;
   * load_model of the instance, its counts and that stratum, written once
@@ -103,6 +108,9 @@ SPLIT_NOISE = 0.10
 SPLIT_START = (1.0, 0.1)
 SPLIT_FRACTIONS = tuple(round(0.3 + 0.1 * k, 1) for k in range(7))
 SPLIT_SEEDS = range(10)
+# one-off J on the criterion-7 instance: the benchmark's generating weights
+# and a point whose balance hands off to Newton
+SMALL_J_BETAS = (J_BETA, 1.0)
 
 
 def minor_faults():
@@ -154,11 +162,12 @@ def sweeps(seed, ends):
             pass
 
 
-def traced(seed, ends):
-    """(its sweeps, its last sweep's relaxation factor, its hand-off) for one
-    furness_balance run. The hand-off to Newton, made at most once, is
-    (sweeps before it, its Newton steps, whether it balanced, its
-    arguments), or None when there is none. A sweep is two _scale calls."""
+def traced(run):
+    """(its sweeps, its last sweep's relaxation factor, its hand-off) for the
+    one furness_balance that run() makes. The hand-off to Newton, made at
+    most once, is (sweeps before it, its Newton steps, whether it balanced,
+    a copy of its arguments), or None when there is none. A sweep is two
+    _scale calls."""
     originals = {name: getattr(demand, name)
                  for name in ("_scale", "_relaxed", "_newton_step", "_newton_balance")}
     calls, handed, omega = dict.fromkeys(originals, 0), [], [1.0]
@@ -171,18 +180,48 @@ def traced(seed, ends):
             swept = calls["_scale"] // 2
             out = originals[name](*args)
             if name == "_newton_balance":
-                handed.append((swept, calls["_newton_step"], out is not None, args))
+                # the sweeps that resume after a failed hand-off write into
+                # the scales they handed over
+                kept = tuple(np.copy(a) if isinstance(a, np.ndarray) else a for a in args)
+                handed.append((swept, calls["_newton_step"], out is not None, kept))
             return out
         return counted
 
     for name in originals:
         setattr(demand, name, spy(name))
     try:
-        furness_balance(seed, ends)
+        run()
     finally:
         for name, original in originals.items():
             setattr(demand, name, original)
     return calls["_scale"] // 2, omega[0], handed[0] if handed else None
+
+
+def small_objective_rows(zones, net, counts, repeats):
+    """The one-off J eval rows on the criterion-7 instance at each of
+    SMALL_J_BETAS, with the sweeps, omega and hand-off of its balance and
+    the median seconds of the seed, balance and load it makes."""
+    objective = ModelObjective(zones, net, [DemandStratum(
+        "all", "population", "population", MU, J_BETA)], counts, assignment_mode="oneoff")
+    paths = net.free_flow_paths
+    by_id = {z.zone_id: z for z in zones}
+    rows = []
+    for beta in SMALL_J_BETAS:
+        weights = np.array([MU, beta])
+        stratum = DemandStratum("all", "population", "population", MU, beta)
+        ends = generate_trip_ends([by_id[z] for z in paths.zone_ids], stratum)
+        seed = seed_matrix(ends, paths.skim, beta, "exponential")
+        od = furness_balance(seed, ends)
+        swept, omega, handed = traced(lambda: objective(weights))
+        rows.append({
+            "layer": "one J eval (one-off, 10x8)", "mu": MU, "beta": beta,
+            **timed(lambda: objective(weights), repeats), "j": float(objective(weights)),
+            "sweeps": swept, "handed_off": handed is not None, "omega": omega,
+            "seed_matrix_s": timed(
+                lambda: seed_matrix(ends, paths.skim, beta, "exponential"), repeats)["median_s"],
+            "furness_balance_s": timed(lambda: furness_balance(seed, ends), repeats)["median_s"],
+            "flow_vector_s": timed(lambda: paths.flow_vector(od), repeats)["median_s"]})
+    return rows
 
 
 def main() -> None:
@@ -223,7 +262,7 @@ def main() -> None:
                          args.repeats)})
     for beta in FURNESS_BETAS:
         seed = seed_matrix(ends, costs, beta, "exponential")
-        swept, omega, handed = traced(seed, ends)
+        swept, omega, handed = traced(lambda: furness_balance(seed, ends))
         rows.append({"layer": "furness_balance", "mu": MU, "beta": beta,
                      **timed(lambda: furness_balance(seed, ends), args.repeats),
                      "sweeps": swept, "handed_off": handed is not None, "omega": omega})
@@ -247,7 +286,7 @@ def main() -> None:
         row = {"layer": "Newton hand-off", "mu": MU, "beta": beta, "sweeps_before": None,
                "newton_steps": 0, "median_s": None, "runs_s": [], "outcome": "no hand-off",
                "minor_faults": None}
-        handed = traced(seed, ends)[2]
+        handed = traced(lambda: furness_balance(seed, ends))[2]
         if handed is not None:
             swept, steps, balanced, newton_args = handed
             row.update(timed(lambda: demand._newton_balance(*newton_args), args.repeats))
@@ -272,6 +311,12 @@ def main() -> None:
                  **timed(lambda: objective(weights), args.repeats),
                  "j": float(objective(weights))})
 
+    split_zones, split_net = grid_region(*SPLIT_GRID, seed=GRID_SEED)
+    split_truth = [DemandStratum("all", "population", "population", MU, J_BETA)]
+    split_counts = synthetic_counts(split_zones, split_net, split_truth, n_counts=N_COUNTS,
+                                    noise=SPLIT_NOISE, seed=GRID_SEED + 1)
+    rows.extend(small_objective_rows(split_zones, split_net, split_counts, args.repeats))
+
     nets = copies(net, args.repeats)
     rows.append({"layer": "MSA-5 assign_iterative", "mu": MU, "beta": J_BETA,
                  **timed(lambda: assign_iterative(nets.pop(), zones, [stratum], 5, gap_tol=0.0),
@@ -282,10 +327,6 @@ def main() -> None:
         load = timed(lambda: load_model(spec), args.repeats)
     rows.append({"layer": "load_model", "mu": None, "beta": None, **load})
 
-    split_zones, split_net = grid_region(*SPLIT_GRID, seed=GRID_SEED)
-    split_truth = [DemandStratum("all", "population", "population", MU, J_BETA)]
-    split_counts = synthetic_counts(split_zones, split_net, split_truth, n_counts=N_COUNTS,
-                                    noise=SPLIT_NOISE, seed=GRID_SEED + 1)
     split_start = [DemandStratum("all", "population", "population", *SPLIT_START)]
     results, nets = [], copies(split_net, args.repeats)
     split = timed(lambda: results.append(split_test(

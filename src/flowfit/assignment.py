@@ -11,7 +11,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .demand import ODMatrix, check_fields, distribute, ranged, require_unique_names
+from .demand import (
+    ODMatrix,
+    check_fields,
+    distribute,
+    ranged,
+    require_unique_names,
+    zone_attributes,
+)
 from .network import FlowMap, Network, PathSet, volume_delay
 
 ASSIGNMENT_MODES = ("oneoff", "iterative")
@@ -34,9 +41,10 @@ class AssignmentOptions:
 def load_strata(paths: PathSet, zones, strata) -> list[np.ndarray]:
     """Link flow vector of each stratum, in strata order: the one step from
     strata to link flows, which assign_iterative takes once per MSA iteration.
-    Each stratum is distributed over the skim the path set computes once and
-    holds, then loaded by its flow_vector; one with mu == 0 makes no trips and
-    gets zeros without a distribution."""
+    zones is a list of Zone or a demand.ZoneAttributes in the path set's zone
+    order. Each stratum is distributed over the skim the path set computes
+    once and holds, then loaded by its flow_vector; one with mu == 0 makes no
+    trips and gets zeros without a distribution."""
     return [
         np.zeros(len(paths.link_ids)) if s.mu == 0.0
         else paths.flow_vector(distribute(zones, s, paths.skim))
@@ -89,12 +97,16 @@ def assign_iterative(
     iterations (n_outer=1 is the one-off mode), or earlier, converged, once
     the relative L1 change of total link flows drops below gap_tol. n_outer
     and gap_tol take AssignmentOptions' defaults and ranges. Per-stratum
-    flows are keyed by stratum name, so names must be distinct.
+    flows are keyed by stratum name, so names must be distinct. zones is a
+    list of Zone or a demand.ZoneAttributes in the path sets' zone order;
+    each stratum's attribute vectors are read once per call.
     """
     AssignmentOptions(n_outer=n_outer, gap_tol=gap_tol)  # the ranges
     require_unique_names(strata)
 
-    first = load_strata(network.free_flow_paths, zones, strata)
+    paths = network.free_flow_paths
+    zones = zone_attributes(zones, paths.zone_ids)
+    first = load_strata(paths, zones, strata)
     avg = {s.name: vec for s, vec in zip(strata, first)}
     total = sum(avg.values(), np.zeros(len(network.link_ids)))
     gap = math.inf

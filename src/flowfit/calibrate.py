@@ -13,11 +13,11 @@ from .demand import (
     DemandStratum,
     FurnessConvergenceError,
     FurnessInfeasibleError,
+    ZoneAttributes,
     check_fields,
     fits_field_type,
     ranged,
     require_unique_names,
-    stratum_attributes,
 )
 from .metrics import SplitExperimentResult, geh_objective, split_counts
 from .network import Network
@@ -378,9 +378,13 @@ class ModelObjective:
     trees per stratum), and iterative mode builds a path set only for
     iterations 2 and on. The total flows at the counted links are scored
     with metrics.geh_objective, as evaluate does. Construction touches
-    network.free_flow_paths, so disconnected zones fail there, and reads
-    each stratum's attributes, so a stratum whose production or attraction
-    is zero on every zone raises DegenerateStratumError there.
+    network.free_flow_paths, so disconnected zones fail there, then reads
+    each stratum's production and attraction vectors once, in its zone
+    order, into the demand.ZoneAttributes every evaluation passes to assign
+    in place of the zones: a zone set that differs from the network's, or a
+    stratum whose production or attraction is zero on every zone
+    (DegenerateStratumError), fails there, and no evaluation reads a zone's
+    attributes again.
 
     A Furness balance that fails (FurnessConvergenceError or
     FurnessInfeasibleError) scores J = +inf, which the optimizers rank
@@ -410,20 +414,21 @@ class ModelObjective:
         opts = AssignmentOptions(mode=assignment_mode, n_outer=n_outer, gap_tol=gap_tol)
         self._settings = dataclasses.asdict(opts)  # assign's keywords
         self.template = WeightVector.from_strata(self.strata, bounds, bound_overrides)
-        for s in self.strata:
-            stratum_attributes(zones, s)
         for c in self.counts:
             if c.link_id not in network.links:
                 raise ValueError(f"count references unknown link {c.link_id!r}")
         self._observed = np.array([c.observed for c in self.counts])
         self.furness_failures = 0
-        network.free_flow_paths  # built here: where disconnected zones fail
+        # network.free_flow_paths is built here: where disconnected zones fail
+        self._zones = ZoneAttributes(zones, network.free_flow_paths.zone_ids)
+        for s in self.strata:
+            self._zones.vectors(s)
         self._count_idx = np.array([network.link_index[c.link_id] for c in self.counts])
 
     def __call__(self, x) -> float:
         weights = self.template.with_values(x)
         try:
-            result = assign(self.network, self.zones, weights.apply(self.strata), **self._settings)
+            result = assign(self.network, self._zones, weights.apply(self.strata), **self._settings)
             return geh_objective(result.total[self._count_idx], self._observed)[0]
         except (FurnessConvergenceError, FurnessInfeasibleError):
             self.furness_failures += 1

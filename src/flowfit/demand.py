@@ -214,13 +214,56 @@ def generate_trip_ends(zones, stratum: DemandStratum) -> TripEnds:
     rescaled so that destinations sum to the same total as origins, both
     read by stratum_attributes.
     """
-    prod, attr = stratum_attributes(zones, stratum)
+    return _trip_ends(*stratum_attributes(zones, stratum), stratum)
+
+
+def _trip_ends(prod, attr, stratum: DemandStratum) -> TripEnds:
+    """The trip ends of stratum from its production and attraction vectors:
+    origins mu * prod / occupancy, destinations attr * (total / sum(attr)),
+    or attr / sum(attr) * total where that factor is not finite (a
+    subnormal attraction sum)."""
     origins = stratum.mu * prod / stratum.occupancy
     total = origins.sum()
     if total == 0.0:
         logger.warning("stratum %r generates no trips (mu = %g)", stratum.name, stratum.mu)
-    destinations = attr * (total / attr.sum())
-    return TripEnds(origins, destinations)
+    factor = float(total) / float(attr.sum())  # a float overflows to inf quietly
+    if math.isfinite(factor):
+        return TripEnds(origins, attr * factor)
+    return TripEnds(origins, attr / attr.sum() * total)
+
+
+class ZoneAttributes:
+    """Zones in one zone order, with each stratum's production and attraction
+    vectors read by stratum_attributes on first use and kept: what
+    distribute reads trip ends from. assign_iterative makes one per call and
+    a ModelObjective one at construction, so an evaluation reads no zone's
+    attribute dict. The vectors are keyed by the attribute pair, since
+    calibration changes only a stratum's mu and beta."""
+
+    def __init__(self, zones, zone_ids):
+        by_id = {z.zone_id: z for z in zones}
+        if set(by_id) != set(zone_ids):
+            raise ValueError("zone set does not match the cost matrix")
+        self.zone_ids = tuple(zone_ids)
+        self._zones = [by_id[z] for z in self.zone_ids]
+        self._vectors = {}
+
+    def vectors(self, stratum: DemandStratum) -> tuple[np.ndarray, np.ndarray]:
+        """stratum_attributes of stratum over these zones, in their order."""
+        key = stratum.production_attr, stratum.attraction_attr
+        if key not in self._vectors:
+            self._vectors[key] = stratum_attributes(self._zones, stratum)
+        return self._vectors[key]
+
+
+def zone_attributes(zones, zone_ids) -> ZoneAttributes:
+    """zones as a ZoneAttributes in the order zone_ids: zones itself when it
+    already is one in that order."""
+    if not isinstance(zones, ZoneAttributes):
+        return ZoneAttributes(zones, zone_ids)
+    if zones.zone_ids != tuple(zone_ids):
+        raise ValueError("zone order does not match the cost matrix")
+    return zones
 
 
 def deterrence(cost, beta: float, kind: str):
@@ -273,7 +316,12 @@ def furness_balance(
     cross-ratio structure is preserved. Only the scale vectors change
     during the sweeps: each costs two matrix-vector products with the
     seed, row = seed @ b and col = a @ seed, and the product is formed
-    once, on convergence, in place in one new buffer. tol bounds the
+    once, on convergence, in place in one new buffer. The buffers are made
+    once per balance: a and b are views of one stacked vector, row and col
+    of two more taken in turn, and each half-sweep, relaxed scale and
+    margin deviation is written into them. A sweep checks its scales once,
+    through its deviation, and diagnoses one that is not finite only then.
+    tol bounds the
     maximum relative deviation of row sums from origins and column sums
     from destinations. A trip end that is negative or not finite raises
     FurnessInfeasibleError naming its zone, origins first, before any sweep.
@@ -332,37 +380,55 @@ def furness_balance(
     if tot_o == 0.0:
         return ODMatrix(seed.zone_ids, np.zeros_like(K))
 
-    o_div, d_div = np.where(O > 0, O, 1.0), np.where(D > 0, D, 1.0)
+    m = O.size
+    OD = np.concatenate((O, D))
+    div = np.where(OD > 0, OD, 1.0)
     # a row (column) without a positive target scales by 0 / (sum + 1) = 0,
     # so the divisor is never 0 there, even where the seed's sum is
-    o_num, d_num = np.where(O > 0, O, 0.0), np.where(D > 0, D, 0.0)
-    o_off, d_off = 1.0 * (O <= 0), 1.0 * (D <= 0)
-    a, b = np.ones(O.size), np.ones(D.size)
-    row = K @ b  # row sums of diag(a) @ K @ diag(b) are a * row
+    num, off = np.where(OD > 0, OD, 0.0), 1.0 * (OD <= 0)
+    o_num, d_num, o_off, d_off = num[:m], num[m:], off[:m], off[m:]
+    # the scales [a, b] and two sums buffers [row, col], where a * row and
+    # b * col are the margins of diag(a) @ K @ diag(b): sweep k scales the
+    # rows by the row sums in sums[(k - 1) % 2] and writes its own into
+    # sums[k % 2], so a scale that is not finite, which the deviation
+    # shows, is diagnosed from the sums that gave it. work holds a relaxed
+    # sweep's plain scales, then the deviation.
+    scales, work = np.ones(OD.size), np.empty(OD.size)
+    a, b = scales[:m], scales[m:]
+    sums = [(both, both[:m], both[m:]) for both in np.empty((2, OD.size))]
+    np.matmul(K, b, out=sums[0][1])
     deviation = window_start = np.inf
     newton_cost = NEWTON_SWITCH_STEPS * newton_step_sweeps(*K.shape)
     newton_tried = False
     omega, relax, swept, saved = 1.0, True, 0, None
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
-            try:
-                a = _relaxed(a, _scale(o_num, row, o_off, seed.zone_ids, "row", "origin"),
-                             omega, o_off)
-                col = a @ K
-                b = _relaxed(b, _scale(d_num, col, d_off, seed.zone_ids, "column", "destination"),
-                             omega, d_off)
-            except FurnessInfeasibleError:
-                if omega == 1.0:
-                    raise
+            row, (both, next_row, col) = sums[(k - 1) % 2][1], sums[k % 2]
+            _relaxed(a, _scale(o_num, row, o_off, a if omega == 1.0 else work[:m]),
+                     omega, o_off)
+            np.matmul(a, K, out=col)
+            _relaxed(b, _scale(d_num, col, d_off, b if omega == 1.0 else work[m:]),
+                     omega, d_off)
+            # a relaxed scale that fell to 0 on a row or column with a target
+            dropped = omega != 1.0 and not np.add(scales, off, out=work).min() > 0.0
+            np.matmul(K, b, out=next_row)
+            np.multiply(scales, both, out=work)
+            work -= OD
+            np.abs(work, out=work)
+            work /= div
+            deviation = np.maximum.reduce(work)
+            if not deviation < math.inf:  # a scale, or a margin, left float range
+                error = (_infeasible(a, row, o_off, seed.zone_ids, "row", "origin")
+                         or _infeasible(b, col, d_off, seed.zone_ids, "column", "destination"))
+                if error is not None and omega == 1.0:
+                    raise error
+                dropped = dropped or error is not None
+                deviation = max(work[:m].max(), work[m:].max())
+            if dropped:
                 # a relaxed scale left float range, or a sum under it fell
                 # too small to scale: back to the saved window
-                (a, b, row, deviation), omega, relax, swept = saved, 1.0, False, 0
+                (scales[:], next_row[:], deviation), omega, relax, swept = saved, 1.0, False, 0
                 continue
-            row = K @ b
-            deviation = max(
-                (np.abs(a * row - O) / o_div).max(),
-                (np.abs(b * col - D) / d_div).max(),
-            )
             if deviation <= tol:
                 return ODMatrix(seed.zone_ids, _balanced(K, a, b))
             swept += 1
@@ -371,7 +437,7 @@ def furness_balance(
             if omega > 1.0 and not deviation < window_start:
                 # the relaxed window did not lower the deviation: restore its
                 # start and sweep plainly, so the next window's rate is plain
-                (a, b, row, deviation), omega, relax, swept = saved, 1.0, False, 0
+                (scales[:], next_row[:], deviation), omega, relax, swept = saved, 1.0, False, 0
                 continue
             needed = _sweeps_needed(window_start, deviation, tol)
             if needed > min(max_iter - k, newton_cost):
@@ -382,7 +448,7 @@ def furness_balance(
                 continue
             if relax and window_start < np.inf:
                 omega = _over_relaxation(window_start, deviation, omega)
-            window_start, saved = deviation, (a, b, row, deviation)
+            window_start, saved = deviation, (scales.copy(), next_row.copy(), deviation)
     raise FurnessConvergenceError(float(deviation), max_iter)
 
 
@@ -420,17 +486,19 @@ def _over_relaxation(previous, deviation: float, omega: float) -> float:
 
 
 def _relaxed(previous, plain, omega: float, off):
-    """The over-relaxed scale previous * (plain / previous) ** omega, plain
-    itself at omega = 1; a row or column without a positive target (off)
-    keeps scale 0. Raises FurnessInfeasibleError when a live entry leaves
-    float range (is 0 or not finite), which furness_balance answers by
-    restoring its saved window."""
+    """Write the over-relaxed scale previous * (plain / previous) ** omega
+    into previous and return it, plain itself at omega = 1; a row or column
+    without a positive target (off) keeps scale 0. plain is overwritten.
+    furness_balance checks once a sweep, for both scales, that no entry left
+    float range (is 0 where a target is positive, or not finite)."""
     if omega == 1.0:
-        return plain
-    scale = previous * (plain / (previous + off)) ** omega
-    if not (scale.max() < math.inf and (scale + off).min() > 0.0):
-        raise FurnessInfeasibleError("an over-relaxed scale left float range")
-    return scale
+        if plain is not previous:
+            previous[:] = plain
+        return previous
+    np.divide(plain, previous + off, out=plain)
+    plain **= omega
+    previous *= plain
+    return previous
 
 
 def _balanced(K, a, b):
@@ -455,11 +523,14 @@ def _newton_balance(K, O, D, a, b, tol):
     rows, cols = O > 0, D > 0
     o, d = O[rows], D[cols]
     with np.errstate(divide="ignore"):
-        log_k = np.log(K[np.ix_(rows, cols)])
+        # in C order, as the sums' rounding depends on the layout
+        log_k = np.log(K.compress(rows, axis=0).compress(cols, axis=1))
     u, v = np.log(a[rows]), np.log(b[cols])
 
     def margins(u, v):
-        P = np.exp(u[:, None] + log_k + v)
+        P = np.add(u[:, None], log_k)
+        P += v
+        np.exp(P, out=P)
         r, c = P.sum(axis=1), P.sum(axis=0)
         return P, r, c, max((np.abs(r - o) / o).max(), (np.abs(c - d) / d).max())
 
@@ -478,13 +549,14 @@ def _newton_balance(K, O, D, a, b, tol):
             return None
         step = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            trial = margins(u + step * du, v + step * dv)
+            trial_u, trial_v = u + step * du, v + step * dv
+            trial = margins(trial_u, trial_v)
             if trial[3] < deviation:
                 break
             step /= 2.0
         else:
             return None
-        u, v = u + step * du, v + step * dv
+        u, v = trial_u, trial_v
         P, r, c, deviation = trial
     return None
 
@@ -500,37 +572,41 @@ def _newton_step(P, r, c, o, d):
     """
     g_u, g_v = r - o, c - d
     Q = P / np.sqrt(r)[:, None]
-    S = np.diag(c) - Q.T @ Q
+    S = np.diag(c)
+    S -= Q.T @ Q
     dv = np.append(np.linalg.solve(S[:-1, :-1], (P.T @ (g_u / r) - g_v)[:-1]), 0.0)
     return -(g_u + P @ dv) / r, dv
 
 
-def _scale(target, sums, off, zone_ids, axis: str, margin: str) -> np.ndarray:
-    """Scale factors target / (sums + off). Raises FurnessInfeasibleError
-    naming the first zone whose factor is undefined (zero sum, positive
-    target) or else not finite (a sum below about 1e-308 of its target)."""
-    scale = target / (sums + off)
-    if not math.isfinite(scale.max()):
-        zero = (off == 0) & (sums <= 0)
-        if zero.any():
-            raise FurnessInfeasibleError(
-                f"zero seed {axis} for zone {zone_ids[int(np.argmax(zero))]!r} "
-                f"with positive {margin} target"
-            )
-        raise FurnessInfeasibleError(
-            f"{axis} scale for zone {zone_ids[int(np.argmax(~np.isfinite(scale)))]!r} "
-            f"is not finite: the seed {axis} is too small for its {margin} target"
+def _scale(target, sums, off, out) -> np.ndarray:
+    """Scale factors target / (sums + off), written into out."""
+    return np.divide(target, np.add(sums, off, out=out), out=out)
+
+
+def _infeasible(scale, sums, off, zone_ids, axis: str, margin: str):
+    """None when every factor of scale, from sums, is finite; else the
+    FurnessInfeasibleError naming the first zone whose factor is undefined
+    (zero sum, positive target) or else not finite (a sum below about
+    1e-308 of its target)."""
+    if math.isfinite(scale.max()):
+        return None
+    zero = (off == 0) & (sums <= 0)
+    if zero.any():
+        return FurnessInfeasibleError(
+            f"zero seed {axis} for zone {zone_ids[int(np.argmax(zero))]!r} "
+            f"with positive {margin} target"
         )
-    return scale
+    return FurnessInfeasibleError(
+        f"{axis} scale for zone {zone_ids[int(np.argmax(~np.isfinite(scale)))]!r} "
+        f"is not finite: the seed {axis} is too small for its {margin} target"
+    )
 
 
 def distribute(zones, stratum: DemandStratum, costs: CostMatrix) -> ODMatrix:
     """Per-stratum OD matrix: trip ends -> gravity seed -> Furness balancing,
-    in the zone order of costs (a PathSet's skim gives its flow_vector's)."""
-    by_id = {z.zone_id: z for z in zones}
-    if set(by_id) != set(costs.zone_ids):
-        raise ValueError("zone set does not match the cost matrix")
-    ordered = [by_id[z] for z in costs.zone_ids]
-    ends = generate_trip_ends(ordered, stratum)
+    in the zone order of costs (a PathSet's skim gives its flow_vector's).
+    zones is a list of Zone or a ZoneAttributes in that order, whose
+    attribute vectors are then not read again."""
+    ends = _trip_ends(*zone_attributes(zones, costs.zone_ids).vectors(stratum), stratum)
     seed = seed_matrix(ends, costs, stratum.beta, stratum.deterrence_kind)
     return furness_balance(seed, ends)

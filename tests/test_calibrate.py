@@ -24,7 +24,7 @@ from flowfit.demand import (
     Zone,
     distribute,
 )
-from flowfit.metrics import TrafficCount, evaluate, geh_from_daily, split_counts
+from flowfit.metrics import TrafficCount, evaluate, geh_from_daily, geh_objective, split_counts
 from flowfit.network import DisconnectedZonesError, free_flow_times
 from flowfit.sample_models import (
     TOY_TRUE_BETA,
@@ -305,6 +305,35 @@ class TestObjective:
             trial = obj.template.with_values(x).apply(strata)
             flows = assign(net, zones, trial, mode=mode).flows
             assert obj(np.array(x)) == evaluate(flows, counts).objective_j
+
+    @pytest.mark.parametrize("mode", ["oneoff", "iterative"])
+    @pytest.mark.parametrize("n_strata", [1, 2])
+    def test_scores_assign_bit_for_bit_across_the_box(self, mode, n_strata):
+        # the trip-end vectors read at construction give the J that assign
+        # gives from the zones at ten points of the default box
+        zones, net = eight_zone_star(jobs_cutoff=20000.0)
+        strata = [DemandStratum("home", "population", "population", 0.7, 0.07),
+                  DemandStratum("work", "population", "jobs", 0.3, 0.1)][:n_strata]
+        counts = synthetic_counts(zones, net, strata, noise=0.1, seed=2)
+        obj = ModelObjective(zones, net, strata, counts, assignment_mode=mode)
+        idx = [net.link_index[c.link_id] for c in counts]
+        observed = np.array([c.observed for c in counts])
+        lo, hi = obj.template.lower(), obj.template.upper()
+        for x in lo + np.random.default_rng(7).uniform(size=(10, lo.size)) * (hi - lo):
+            trial = obj.template.with_values(x).apply(strata)
+            total = assign(net, zones, trial, mode=mode).total
+            assert obj(x) == geh_objective(total[idx], observed)[0]
+        assert obj.furness_failures == 0
+
+    @pytest.mark.parametrize("x, message", [
+        ([-1.0, 0.1], "mu must be finite and >= 0, got -1.0"),
+        ([1.0, math.nan], "beta must be finite and >= 0, got nan"),
+    ])
+    def test_weight_outside_its_range_raises(self, toy_setup, x, message):
+        zones, net, counts = toy_setup
+        obj = ModelObjective(zones, net, toy_strata(), counts)
+        with pytest.raises(ObjectiveError, match=re.escape(message)):
+            obj(np.array(x))
 
     def test_pipeline_errors_carry_the_weights(self, toy_setup, monkeypatch):
         zones, net, counts = toy_setup

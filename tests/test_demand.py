@@ -108,6 +108,23 @@ class TestGenerateTripEnds:
         assert ends.destinations.tolist() == [0.0, 0.0]
         assert any("no trips" in r.message for r in caplog.records)
 
+    def test_attraction_summing_to_a_subnormal_balances(self):
+        # 100 / 1e-308 overflows: the attraction scales through its shares
+        zones, net = eight_zone_star()
+        zones = [dataclasses.replace(z, attributes={**z.attributes, "jobs": 0.0})
+                 for z in zones]
+        zones[0].attributes["jobs"] = 1e-308
+        stratum = DemandStratum("s", "population", "jobs", 1.0, 0.1)
+        ends = generate_trip_ends(zones, stratum)
+        assert ends.destinations.tolist() == [ends.origins.sum()] + [0.0] * 7
+        trips = distribute(zones, stratum, net.free_flow_paths.skim).trips
+        assert trips[:, 0].sum() == pytest.approx(ends.origins.sum(), rel=1e-12)
+        assert trips[:, 1:].sum() == 0.0
+        counts = synthetic_counts(zones, net, [stratum])
+        objective = ModelObjective(zones, net, [stratum], counts)
+        assert math.isfinite(objective(np.array([1.0, 0.1])))
+        assert objective.furness_failures == 0
+
     def test_all_zero_production_is_degenerate(self):
         stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
         with pytest.raises(DegenerateStratumError, match="production"):
@@ -444,6 +461,144 @@ def furness_in_place(seed, ends, tol=1e-8, max_iter=1000):
     raise FurnessConvergenceError(float(deviation), max_iter)
 
 
+def furness_vectors(seed, ends, tol=1e-8, max_iter=1000, scale=None):
+    """Reference scale-vector loop: furness_balance as it stood before its
+    sweeps wrote into buffers, each half-sweep, relaxed scale and deviation
+    a fresh array, and each relaxed half checked on its own. scale stands in
+    for its _scale (reference_scale) to inject a fault. furness_balance must
+    give bitwise the same trips, or the same exception."""
+    scale = scale or reference_scale
+    K = np.asarray(seed.trips, dtype=float)
+    O = np.asarray(ends.origins, dtype=float)
+    D = np.asarray(ends.destinations, dtype=float)
+    for margin, target in (("origin", O), ("destination", D)):
+        bad = np.flatnonzero(~((target >= 0) & (target < math.inf)))
+        if bad.size:
+            raise FurnessInfeasibleError(
+                f"{margin} of zone {seed.zone_ids[bad[0]]!r} must be finite and >= 0, "
+                f"got {float(target[bad[0]])!r}")
+    if O.sum() == 0.0:
+        return ODMatrix(seed.zone_ids, np.zeros_like(K))
+    o_div, d_div = np.where(O > 0, O, 1.0), np.where(D > 0, D, 1.0)
+    o_num, d_num = np.where(O > 0, O, 0.0), np.where(D > 0, D, 0.0)
+    o_off, d_off = 1.0 * (O <= 0), 1.0 * (D <= 0)
+    a, b = np.ones(O.size), np.ones(D.size)
+    row = K @ b
+    deviation = window_start = np.inf
+    newton_cost = demand.NEWTON_SWITCH_STEPS * demand.newton_step_sweeps(*K.shape)
+    newton_tried = False
+    omega, relax, swept, saved = 1.0, True, 0, None
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(1, max_iter + 1):
+            try:
+                a = reference_relaxed(a, scale(o_num, row, o_off, seed.zone_ids, "row", "origin"),
+                                      omega, o_off)
+                col = a @ K
+                b = reference_relaxed(
+                    b, scale(d_num, col, d_off, seed.zone_ids, "column", "destination"),
+                    omega, d_off)
+            except FurnessInfeasibleError:
+                if omega == 1.0:
+                    raise
+                (a, b, row, deviation), omega, relax, swept = saved, 1.0, False, 0
+                continue
+            row = K @ b
+            deviation = max(
+                (np.abs(a * row - O) / o_div).max(),
+                (np.abs(b * col - D) / d_div).max(),
+            )
+            if deviation <= tol:
+                return ODMatrix(seed.zone_ids, demand._balanced(K, a, b))
+            swept += 1
+            if newton_tried or swept % demand.FURNESS_RATE_WINDOW:
+                continue
+            if omega > 1.0 and not deviation < window_start:
+                (a, b, row, deviation), omega, relax, swept = saved, 1.0, False, 0
+                continue
+            needed = demand._sweeps_needed(window_start, deviation, tol)
+            if needed > min(max_iter - k, newton_cost):
+                newton_tried, omega = True, 1.0
+                trips = reference_newton_balance(K, O, D, a, b, tol)
+                if trips is not None:
+                    return ODMatrix(seed.zone_ids, trips)
+                continue
+            if relax and window_start < np.inf:
+                omega = demand._over_relaxation(window_start, deviation, omega)
+            window_start, saved = deviation, (a, b, row, deviation)
+    raise FurnessConvergenceError(float(deviation), max_iter)
+
+
+def reference_scale(target, sums, off, zone_ids, axis, margin):
+    scale = target / (sums + off)
+    if not math.isfinite(scale.max()):
+        zero = (off == 0) & (sums <= 0)
+        if zero.any():
+            raise FurnessInfeasibleError(
+                f"zero seed {axis} for zone {zone_ids[int(np.argmax(zero))]!r} "
+                f"with positive {margin} target"
+            )
+        raise FurnessInfeasibleError(
+            f"{axis} scale for zone {zone_ids[int(np.argmax(~np.isfinite(scale)))]!r} "
+            f"is not finite: the seed {axis} is too small for its {margin} target"
+        )
+    return scale
+
+
+def reference_relaxed(previous, plain, omega, off):
+    if omega == 1.0:
+        return plain
+    scale = previous * (plain / (previous + off)) ** omega
+    if not (scale.max() < math.inf and (scale + off).min() > 0.0):
+        raise FurnessInfeasibleError("an over-relaxed scale left float range")
+    return scale
+
+
+def reference_newton_balance(K, O, D, a, b, tol):
+    rows, cols = O > 0, D > 0
+    o, d = O[rows], D[cols]
+    with np.errstate(divide="ignore"):
+        log_k = np.log(K[np.ix_(rows, cols)])
+    u, v = np.log(a[rows]), np.log(b[cols])
+
+    def margins(u, v):
+        P = np.exp(u[:, None] + log_k + v)
+        r, c = P.sum(axis=1), P.sum(axis=0)
+        return P, r, c, max((np.abs(r - o) / o).max(), (np.abs(c - d) / d).max())
+
+    P, r, c, deviation = margins(u, v)
+    for _ in range(demand.NEWTON_MAX_STEPS):
+        if deviation <= tol:
+            scale_a, scale_b = np.zeros(O.size), np.zeros(D.size)
+            scale_a[rows], scale_b[cols] = np.exp(u), np.exp(v)
+            trips = demand._balanced(K, scale_a, scale_b)
+            return trips if np.isfinite(trips).all() else None
+        try:
+            du, dv = reference_newton_step(P, r, c, o, d)
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.isfinite(du).all() and np.isfinite(dv).all()):
+            return None
+        step = 1.0
+        for _ in range(demand.NEWTON_MAX_HALVINGS):
+            trial = margins(u + step * du, v + step * dv)
+            if trial[3] < deviation:
+                break
+            step /= 2.0
+        else:
+            return None
+        u, v = u + step * du, v + step * dv
+        P, r, c, deviation = trial
+    return None
+
+
+def reference_newton_step(P, r, c, o, d):
+    g_u, g_v = r - o, c - d
+    Q = P / np.sqrt(r)[:, None]
+    S = np.diag(c) - Q.T @ Q
+    dv = np.append(np.linalg.solve(S[:-1, :-1], (P.T @ (g_u / r) - g_v)[:-1]), 0.0)
+    return -(g_u + P @ dv) / r, dv
+
+
 class TestFurnessParity:
     """furness_balance against the in-place reference loop: the same outcome,
     and matrices equal to within rounding."""
@@ -699,24 +854,27 @@ class TestOverRelaxation:
         furness_balance(seed, ends)
         assert set(omegas) == {1.0} and relaxed_sweeps < len(omegas) // 2
 
-    def test_overflowing_relaxed_sweep_restores_the_saved_window(self, grid, monkeypatch, omegas):
-        # sweep 25's row scale is blown up, so its relaxed scale overflows:
-        # the balance goes back to the scales saved at sweep 20 and sweeps
-        # on plainly from there
-        seed, ends = TestNewton.grid_case(grid(20, 20), 0.15)
-        sums, scale = [], demand._scale
-
-        def faulty(*args):
-            sums.append(args[1])
+    @staticmethod
+    def faulty(scale, sums):
+        """scale, recording the sums of each call, with sweep 25's column
+        scale blown up so that its relaxed scale overflows."""
+        def blown(*args):
+            sums.append(args[1].copy())
             out = scale(*args)
-            return out * 1e300 if len(sums) == 49 else out
+            return out * 1e300 if len(sums) == 50 else out
+        return blown
 
-        monkeypatch.setattr(demand, "_scale", faulty)
+    def test_overflowing_relaxed_sweep_restores_the_saved_window(self, grid, monkeypatch, omegas):
+        # sweep 25's relaxed column scale overflows: the balance goes back to
+        # the scales saved at sweep 20 and sweeps on plainly from there
+        seed, ends = TestNewton.grid_case(grid(20, 20), 0.15)
+        sums = []
+        monkeypatch.setattr(demand, "_scale", self.faulty(demand._scale, sums))
         trips = furness_balance(seed, ends).trips
-        assert min(omegas[40:49]) > 1.0 and set(omegas[49:]) == {1.0}
-        # sweep 25 stops at its rows; sweep 26 scales them from the row sums
-        # saved at sweep 20, as sweep 21 did
-        assert np.array_equal(sums[49], sums[40])
+        assert min(omegas[40:50]) > 1.0 and set(omegas[50:]) == {1.0}
+        # sweep 25 stops at its columns; sweep 26 scales the rows from the
+        # row sums saved at sweep 20, as sweep 21 did
+        assert np.array_equal(sums[50], sums[40])
         reference = furness_in_place(seed, ends, max_iter=100_000).trips
         assert np.abs(trips - reference).max() <= 1e-8 * reference.max()
         assert_margins(trips, ends)
@@ -734,6 +892,69 @@ class TestOverRelaxation:
         reference = furness_in_place(seed, ends, max_iter=100_000).trips
         assert np.abs(trips - reference).max() <= 1e-6 * reference.max()
         assert_margins(trips, ends)
+
+
+class TestFurnessBitwise:
+    """furness_balance against furness_vectors, the scale-vector loop before
+    its sweeps wrote into buffers: bitwise the same trips, or the same
+    exception with the same message, iterations and deviation."""
+
+    @staticmethod
+    def outcome(balance, seed, ends, **kw):
+        try:
+            return balance(seed, ends, **kw).trips
+        except (FurnessConvergenceError, FurnessInfeasibleError) as exc:
+            return (type(exc), str(exc), getattr(exc, "iterations", None),
+                    getattr(exc, "deviation", None))
+
+    def same(self, seed, ends, **kw):
+        got = self.outcome(furness_balance, seed, ends, **kw)
+        ref = self.outcome(furness_vectors, seed, ends, **kw)
+        if isinstance(ref, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+        else:
+            assert got == ref
+        return got
+
+    @pytest.mark.parametrize("size, beta, relaxed, handed_off", [
+        ((10, 8), 0.0, False, False), ((10, 8), 0.08, True, False),
+        ((10, 8), 0.3, False, True), ((10, 8), 1.0, False, True),
+        ((20, 20), 0.0, False, False), ((20, 20), 0.08, True, False),
+        ((20, 20), 0.3, True, False), ((20, 20), 1.0, True, True),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_grid_balances(self, grid, omegas, newton_sweeps, size, beta, relaxed,
+                           handed_off):
+        seed, ends = TestNewton.grid_case(grid(*size), beta)
+        assert isinstance(self.same(seed, ends), np.ndarray)
+        assert (max(omegas) > 1.0, bool(newton_sweeps)) == (relaxed, handed_off)
+
+    def test_restored_relaxed_window(self, grid, monkeypatch):
+        seed, ends = TestNewton.grid_case(grid(20, 20), 0.15)
+        monkeypatch.setattr(demand, "_scale", TestOverRelaxation.faulty(demand._scale, []))
+        trips = furness_balance(seed, ends).trips
+        faulty = TestOverRelaxation.faulty(reference_scale, [])
+        assert np.array_equal(trips, furness_vectors(seed, ends, scale=faulty).trips)
+
+    def test_failed_newton_resumes_the_sweeps(self, newton_results):
+        seed = ODMatrix(("a", "b"), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        ends = TripEnds(np.array([3.0, 1.0]), np.array([1.0, 3.0]))
+        assert self.same(seed, ends, tol=1e-12, max_iter=50)[0] is FurnessConvergenceError
+        assert newton_results == [None]
+
+    def test_zero_row_with_positive_target(self):
+        seed = ODMatrix(("a", "b", "c"), np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0],
+                                                   [1.0, 1.0, 3.0]]))
+        ends = TripEnds(np.array([2.0, 2.0, 2.0]), np.array([3.0, 2.0, 1.0]))
+        assert self.same(seed, ends)[:2] == (
+            FurnessInfeasibleError, "zero seed row for zone 'b' with positive origin target")
+
+    def test_unconverged_after_relaxed_sweeps_and_newton(self, grid, omegas, newton_results):
+        # a tol below rounding: the sweeps relax, Newton's line search stalls
+        # and the sweeps run out
+        seed, ends = TestNewton.grid_case(grid(10, 8), 0.08)
+        got = self.same(seed, ends, tol=1e-17, max_iter=60)
+        assert got[0] is FurnessConvergenceError and got[2] == 60
+        assert max(omegas) > 1.0 and newton_results == [None]
 
 
 class TestDistribute:

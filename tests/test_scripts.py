@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts in scripts/."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +65,7 @@ def test_time_layers_reports_every_row():
         ("furness_balance", 0.3), ("furness_balance", 1.0),
         ("Newton step / sweep", 0.3), ("Newton hand-off", 0.3), ("Newton hand-off", 1.0),
         ("PathSet.flow_vector (free flow)", 0.08), ("one J eval (one-off)", 0.08),
+        ("one J eval (one-off, 10x8)", 0.08), ("one J eval (one-off, 10x8)", 1.0),
         ("MSA-5 assign_iterative", 0.08), ("load_model", None),
         ("criterion-7 split grid", None)]
     # one node per zone, all reached: the skim and the OD slots hold 80 x 80
@@ -88,4 +90,14 @@ def test_time_layers_reports_every_row():
     load = rows[10]
     # one node per zone; a corner's tree reaches the far corner, 9 + 7 hops away
     assert load["entries"] == 80 * 80 and load["levels"] >= 16
+    # the criterion-7 instance's J: relaxed sweeps at beta 0.08, a hand-off
+    # to Newton at the second window at beta 1.0, as furness_balance alone
+    small = rows[12:14]
+    assert [(r["handed_off"], r["sweeps"] > 20, r["omega"] > 1.0) for r in small] == [
+        (False, True, True), (True, False, False)]
+    assert small[1]["sweeps"] == 20
+    for row in small:
+        assert math.isfinite(row["j"]) and row["j"] > 0.0
+        for layer in ("seed_matrix_s", "furness_balance_s", "flow_vector_s"):
+            assert row[layer] > 0.0
     assert rows[-1]["calibrations"] == 70
