@@ -38,7 +38,12 @@ repeated and reported as the median:
   * assign_iterative of that one stratum with n_outer = 5 and gap_tol = 0,
     so all five MSA iterations run;
   * load_model of the instance, its counts and that stratum, written once
-    with write_model to a temporary directory;
+    with write_model to a temporary directory, split into its parts as
+    timed inside the same loads: the spec parse (model_io._parse_spec),
+    each of the four table readers, the network check (network.findings,
+    its generator drained) and the rest, load_model less those parts. The
+    load_model row and each table's give the data rows read and rows read
+    per second;
   * split_test over the criterion-7 grid, 7 fractions x 10 seeds, on
     grid_region(10, 8, seed=0) whatever NXxNY is.
 
@@ -74,7 +79,7 @@ import time
 
 import numpy as np
 
-from flowfit import demand
+from flowfit import demand, model_io
 from flowfit.assignment import assign_iterative
 from flowfit.calibrate import ModelObjective, split_test
 from flowfit.demand import (
@@ -85,7 +90,7 @@ from flowfit.demand import (
     generate_trip_ends,
     seed_matrix,
 )
-from flowfit.model_io import load_model, write_model
+from flowfit.model_io import write_model
 from flowfit.network import (
     PathSet,
     _frontier_distances,
@@ -111,6 +116,13 @@ SPLIT_SEEDS = range(10)
 # one-off J on the criterion-7 instance: the benchmark's generating weights
 # and a point whose balance hands off to Newton
 SMALL_J_BETAS = (J_BETA, 1.0)
+# load_model's parts: each its model_io name, and the table it reads
+LOAD_PARTS = {"spec parse": ("_parse_spec", None),
+              "zones.csv": ("load_zone_rows", "zones.csv"),
+              "nodes.csv": ("load_node_rows", "nodes.csv"),
+              "links.csv": ("load_link_rows", "links.csv"),
+              "counts.csv": ("load_count_rows", "counts.csv"),
+              "network check": ("findings", None)}
 
 
 def minor_faults():
@@ -195,6 +207,63 @@ def traced(run):
         for name, original in originals.items():
             setattr(demand, name, original)
     return calls["_scale"] // 2, omega[0], handed[0] if handed else None
+
+
+def sampled(samples):
+    """A row's timing fields from each run's (seconds, minor faults)."""
+    runs = [s for s, _ in samples]
+    return {"median_s": statistics.median(runs), "runs_s": runs, "outcome": "ok",
+            "minor_faults": statistics.median(f for _, f in samples)}
+
+
+def load_model_rows(directory, spec, repeats):
+    """The load_model row and one row per part of it (LOAD_PARTS), each part
+    timed by a spy inside the loads that the load_model row times, and the
+    rest: each load less its parts. A table's row also gives its data rows
+    and rows read per second, and so does the load_model row for all four."""
+    spied = {"load_model": ("load_model", None), **LOAD_PARTS}
+    spent = {part: [] for part in spied}  # each call's (seconds, minor faults)
+    originals = {name: getattr(model_io, name) for name, _ in spied.values()}
+
+    def spy(part, fn):
+        def counted(*args):
+            f0, t0 = minor_faults(), time.perf_counter()
+            out = fn(*args)
+            if part == "network check":  # findings is a generator
+                out = iter(list(out))
+            spent[part].append((time.perf_counter() - t0, minor_faults() - f0))
+            return out
+        return counted
+
+    for part, (name, _) in spied.items():
+        setattr(model_io, name, spy(part, originals[name]))
+    try:
+        for _ in range(repeats):
+            model_io.load_model(spec)
+    finally:
+        for name, original in originals.items():
+            setattr(model_io, name, original)
+
+    def table_rows(table):
+        with open(os.path.join(directory, table)) as fh:
+            return sum(1 for line in fh if line.strip()) - 1
+
+    rows = {table: table_rows(table) for _, table in LOAD_PARTS.values() if table}
+    total = sampled(spent["load_model"])
+    out = [{"layer": "load_model", "mu": None, "beta": None, **total,
+            "rows": sum(rows.values()), "rows_per_s": sum(rows.values()) / total["median_s"]}]
+    for part, (_, table) in LOAD_PARTS.items():
+        row = {"layer": f"load_model: {part}", "mu": None, "beta": None,
+               **sampled(spent[part])}
+        if table:
+            row.update(rows=rows[table], rows_per_s=rows[table] / row["median_s"])
+        out.append(row)
+    rest = []
+    for k, (seconds, faults) in enumerate(spent["load_model"]):
+        parts = [spent[part][k] for part in LOAD_PARTS]
+        rest.append((seconds - sum(s for s, _ in parts), faults - sum(f for _, f in parts)))
+    out.append({"layer": "load_model: rest", "mu": None, "beta": None, **sampled(rest)})
+    return out
 
 
 def small_objective_rows(zones, net, counts, repeats):
@@ -323,9 +392,8 @@ def main() -> None:
                          args.repeats)})
 
     with tempfile.TemporaryDirectory() as tmp:
-        spec = write_model(tmp, zones, net, counts, [stratum])
-        load = timed(lambda: load_model(spec), args.repeats)
-    rows.append({"layer": "load_model", "mu": None, "beta": None, **load})
+        rows.extend(load_model_rows(tmp, write_model(tmp, zones, net, counts, [stratum]),
+                                    args.repeats))
 
     split_start = [DemandStratum("all", "population", "population", *SPLIT_START)]
     results, nets = [], copies(split_net, args.repeats)

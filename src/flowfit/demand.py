@@ -323,15 +323,17 @@ def furness_balance(
     through its deviation, and diagnoses one that is not finite only then.
     tol bounds the
     maximum relative deviation of row sums from origins and column sums
-    from destinations. A trip end that is negative or not finite raises
-    FurnessInfeasibleError naming its zone, origins first, before any sweep.
+    from destinations; a negative or NaN tol raises ValueError. A trip end
+    that is negative or not finite raises FurnessInfeasibleError naming its
+    zone, origins first, before any sweep.
 
     Every FURNESS_RATE_WINDOW sweeps the deviation's contraction rate rho
     over the window projects the sweeps still needed, log(tol / dev) /
-    log(rho), or infinitely many when rho >= 1. Once that exceeds the
-    sweeps left, or the price of NEWTON_SWITCH_STEPS = 2 Newton steps, the
-    balance switches to Newton's method on the log scale vectors (Knight &
-    Ruiz 2013), which stops at the same tol test. A step is priced by its
+    log(rho), or infinitely many when rho >= 1 or tol is 0. Once that
+    exceeds the sweeps left, or the price of NEWTON_SWITCH_STEPS = 2 Newton
+    steps, the balance switches to Newton's method on the log scale
+    vectors (Knight & Ruiz 2013), which stops at the same tol test. A step
+    is priced by its
     flops at (2mn^2 + n^3/3) / 4mn sweeps, from the seed's shape alone and
     never by a clock, so the result does not depend on the machine's speed;
     the two steps come to 93 sweeps at 80 zones and 467 at 400, two to
@@ -359,6 +361,8 @@ def furness_balance(
     switched and Newton is not tried again, so a system that does not
     balance raises FurnessConvergenceError after max_iter sweeps as before.
     """
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     K = np.asarray(seed.trips, dtype=float)
     if (K < 0).any():
         raise ValueError("seed matrix must be nonnegative")
@@ -469,6 +473,8 @@ def _sweeps_needed(previous: float, deviation: float, tol: float) -> float:
         return math.inf
     if rate == 0.0:  # the first window, which began at an infinite deviation
         return 0.0
+    if tol == 0.0:  # no rate below 1 reaches a deviation of exactly 0
+        return math.inf
     return math.log(tol / deviation) / math.log(rate)
 
 

@@ -61,8 +61,15 @@ def geh_hourly(predicted, measured):
     m = np.asarray(measured, dtype=float)
     if (p < 0).any() or (m < 0).any():
         raise ValueError("flows must be >= 0")
-    s = p + m
-    out = np.where(s > 0, np.sqrt(2.0 * (p - m) ** 2 / np.where(s > 0, s, 1.0)), 0.0)
+    s = np.add(p, m)
+    positive = s > 0
+    # sqrt(2 (p - m)^2 / s) in one buffer, left at 0 where s is not > 0
+    out = np.zeros(positive.shape)
+    np.subtract(p, m, out=out, where=positive)
+    np.square(out, out=out)
+    out *= 2.0
+    np.divide(out, s, out=out, where=positive)
+    np.sqrt(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -27,6 +27,8 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import yaml
@@ -75,6 +77,8 @@ _NODE_COLUMNS = ("node_id", "x", "y")
 _COUNT_COLUMNS = ("link_id", "observed_veh24h")
 # Each table's columns after its id -> (field, conversion), read by _convert
 # with the defaults beside them; a zone's attr: columns join at read time.
+# The fields come in their class's order: the loaders build objects
+# positionally.
 _ZONE_FIELDS = {"name": ("name", str), "x": ("x", float), "y": ("y", float),
                 "anchor_node": ("anchor", str)}
 _ZONE_DEFAULTS = {**_defaults(Zone), "anchor": ""}  # validate reports a blank anchor
@@ -181,85 +185,129 @@ def _fmt(value) -> str:
 class _RowReader:
     """CSV reader that records per-row diagnostics instead of raising.
 
-    records() yields (lineno, id, values) for rows with the header's column
-    count, a non-empty id (the first required column) and cells that all
-    convert; unique=True also skips repeated ids. linenos maps each id to
-    its first line.
+    Reads the header and every row that is not empty; as csv.DictReader
+    does, a blank line is skipped and takes no line number. Each row is
+    checked once: it must have the header's column count and a non-empty id
+    (the first required column), and unique=True also rejects a repeated id.
+    linenos maps each id to its first line. records() converts the rows that
+    pass, a column at a time.
     """
 
     def __init__(self, path: Path, required: tuple, diagnostics: list[str], unique: bool = True):
         self.path = path
-        self.id_column = required[0]
-        self.unique = unique
         self.diagnostics = diagnostics
         self.fieldnames: list[str] = []
-        self.rows: list[dict] = []
         self.linenos: dict[str, int] = {}
+        # the rows that pass the row checks, with their lines and ids, and
+        # the (line, message) of each row that does not
+        self.rows: list[list[str]] = []
+        self.lines: list[int] = []
+        self.ids: list[str] = []
+        self.errors: list[tuple[int, str]] = []
         if not path.is_file():
             diagnostics.append(f"{path}: file not found")
             return
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            self.fieldnames = reader.fieldnames or []
+            reader = csv.reader(fh)
+            self.fieldnames = next(reader, [])
             missing = [c for c in required if c not in self.fieldnames]
             if missing:
                 diagnostics.append(f"{path}: missing column(s) {missing}")
-            else:
-                self.rows = list(reader)
-
-    def records(self, columns: dict, defaults: dict):
-        """Each row's id and its cells converted by _convert; a row with any
-        problem is reported with its line and skipped."""
+                return
+            rows = [row for row in reader if row]
+        id_column, width = required[0], len(self.fieldnames)
+        at = self.index[id_column]
         # header is line 1, first data row line 2
-        for lineno, row in enumerate(self.rows, start=2):
-            if row.get(None) or None in row.values():
-                self.error(lineno, f"expected {len(self.fieldnames)} columns")
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                self.errors.append((lineno, f"expected {width} columns"))
                 continue
-            rid = row[self.id_column].strip()
+            rid = row[at].strip()
             if not rid:
-                self.error(lineno, f"empty {self.id_column}")
+                self.errors.append((lineno, f"empty {id_column}"))
                 continue
             if rid not in self.linenos:
                 self.linenos[rid] = lineno
-            elif self.unique:
-                self.error(lineno, f"duplicate {self.id_column} {rid!r}")
+            elif unique:
+                self.errors.append((lineno, f"duplicate {id_column} {rid!r}"))
                 continue
-            problems: list[str] = []
-            values = _convert(row, columns, defaults, problems)
-            for problem in problems:
-                self.error(lineno, problem)
-            if not problems:
-                yield lineno, rid, values
+            self.rows.append(row)
+            self.lines.append(lineno)
+            self.ids.append(rid)
 
-    def error(self, lineno: int, message: str):
-        self.diagnostics.append(f"{self.path}:{lineno}: {message}")
+    @property
+    def index(self) -> dict[str, int]:
+        """Each column's position; a name the header repeats reads its last."""
+        return {column: i for i, column in enumerate(self.fieldnames)}
+
+    def records(self, columns: dict, defaults: dict):
+        """(lines, ids, values) of the rows whose cells all convert, where
+        values maps each field of columns to its converted cells, in row
+        order; a column the header lacks reads as blank. Writes each row
+        check's error and each cell's problem to the diagnostics, by line and
+        then by column."""
+        index = self.index
+        table = list(zip(*self.rows)) or [()] * len(self.fieldnames)
+        blank = ("",) * len(self.rows)
+        problems: list[tuple[int, str]] = []
+        values = _convert({c: table[index[c]] if c in index else blank for c in columns},
+                          columns, defaults, problems)
+        lines, ids = self.lines, self.ids
+        if problems:
+            failed = {row for row, _ in problems}
+            keep = [row not in failed for row in range(len(ids))]
+            lines, ids = list(compress(lines, keep)), list(compress(ids, keep))
+            values = {name: list(compress(column, keep)) for name, column in values.items()}
+        # a row fails its checks or its cells, never both; the sort is stable
+        reported = self.errors + [(self.lines[row], message) for row, message in problems]
+        for lineno, message in sorted(reported, key=itemgetter(0)):
+            self.diagnostics.append(f"{self.path}:{lineno}: {message}")
+        return lines, ids, values
 
 
-def _convert(cells: dict, columns: dict, defaults: dict, problems: list[str]) -> dict:
-    """Field values by name from a CSV row or a scenario edit's fields, for
-    each column -> (field, conversion) in columns. A blank or absent cell
-    takes its field's value from defaults; one without a default, or one that
-    does not convert, is appended to problems with its column, what the
-    conversion expected and the value."""
+def _convert(cells: dict, columns: dict, defaults: dict, problems: list) -> dict:
+    """Field values by name, one list per field, from a table's columns or a
+    scenario edit's fields: cells[column] holds the column's raw cells, one
+    per row, for each column -> (field, conversion) in columns.
+
+    A column of non-blank strings converts in one pass, and a column blank
+    on every row takes its field's value from defaults. Any other column
+    converts cell by cell: a blank cell takes its field's default; one
+    without a default, or one that does not convert, is appended to problems
+    as (row, message), the message naming its column, what the conversion
+    expected and the value, and reads as None."""
     values = {}
     for column, (name, convert) in columns.items():
-        raw = cells.get(column, "")
-        if isinstance(raw, str):
-            raw = raw.strip()
-            if not raw:
-                if name in defaults:
-                    values[name] = defaults[name]
-                else:
-                    problems.append(f"column {column!r} is empty")
-                continue
+        raw = cells[column]
         try:
-            if convert is float and not (isinstance(raw, str) or fits_field_type(raw, "float")):
-                raise TypeError  # a YAML bool is no number
-            values[name] = convert(raw)
-        except (TypeError, ValueError) as exc:
-            # float's own message repeats the value; _flag says what it expects
-            problem = "not a number" if convert is float else exc
-            problems.append(f"column {column!r}: {problem}: {raw!r}")
+            stripped = list(map(str.strip, raw))  # TypeError: a cell that is no string
+            if all(stripped):
+                values[name] = list(map(convert, stripped))  # ValueError: one that does not convert
+                continue
+            if name in defaults and not any(stripped):
+                values[name] = [defaults[name]] * len(stripped)
+                continue
+        except (TypeError, ValueError):
+            pass
+        out = values[name] = []
+        for row, cell in enumerate(raw):
+            value = None
+            if isinstance(cell, str) and not (cell := cell.strip()):
+                if name in defaults:
+                    value = defaults[name]
+                else:
+                    problems.append((row, f"column {column!r} is empty"))
+            else:
+                try:
+                    if convert is float and not (isinstance(cell, str)
+                                                 or fits_field_type(cell, "float")):
+                        raise TypeError  # a YAML bool is no number
+                    value = convert(cell)
+                except (TypeError, ValueError) as exc:
+                    # float's own message repeats the value; _flag says what it expects
+                    problem = "not a number" if convert is float else exc
+                    problems.append((row, f"column {column!r}: {problem}: {cell!r}"))
+            out.append(value)
     return values
 
 
@@ -267,66 +315,68 @@ def load_zone_rows(path: Path, diagnostics: list[str]):
     """Returns (zones, anchors, linenos, declared) parsed from zones.csv;
     declared names the attributes of its attr: columns."""
     reader = _RowReader(path, _ZONE_COLUMNS, diagnostics)
-    zones: list[Zone] = []
-    anchors: dict[str, str] = {}
     # an attr: column's field is the column itself, so it cannot clash with
     # name, x or y; its None default marks a blank cell
     attrs = [(c, c[len(ATTR_PREFIX):]) for c in reader.fieldnames if c.startswith(ATTR_PREFIX)]
     columns = {**_ZONE_FIELDS, **{c: (c, float) for c, _ in attrs}}
     defaults = {**_ZONE_DEFAULTS, **{c: None for c, _ in attrs}}
-    for _, zid, values in reader.records(columns, defaults):
-        anchors[zid] = values.pop("anchor")
-        attributes = {a: v for c, a in attrs if (v := values.pop(c)) is not None}
-        zones.append(Zone(zid, **values, attributes=attributes))
-    return zones, anchors, reader.linenos, {a for _, a in attrs}
+    _, ids, values = reader.records(columns, defaults)
+    anchors = dict(zip(ids, values.pop("anchor")))
+    names = [a for _, a in attrs]
+    cells = zip(*(values.pop(c) for c, _ in attrs)) if attrs else [()] * len(ids)
+    zones = [Zone(zid, name, x, y, {a: v for a, v in zip(names, row) if v is not None})
+             for zid, name, x, y, row in zip(ids, *values.values(), cells)]
+    return zones, anchors, reader.linenos, set(names)
 
 
 def load_node_rows(path: Path, diagnostics: list[str]) -> list[Node]:
-    reader = _RowReader(path, _NODE_COLUMNS, diagnostics)
-    return [Node(nid, **values) for _, nid, values in reader.records(_NODE_FIELDS, _NODE_DEFAULTS)]
+    _, ids, values = _RowReader(path, _NODE_COLUMNS, diagnostics).records(
+        _NODE_FIELDS, _NODE_DEFAULTS)
+    return list(map(Node, ids, *values.values()))
 
 
 def load_link_rows(path: Path, diagnostics: list[str]):
     """Returns (links, linenos) parsed from links.csv."""
     reader = _RowReader(path, _LINK_REQUIRED, diagnostics)
-    links = [Link(lid, **values) for _, lid, values in reader.records(_LINK_FIELDS, _LINK_DEFAULTS)]
-    return links, reader.linenos
+    _, ids, values = reader.records(_LINK_FIELDS, _LINK_DEFAULTS)
+    return list(map(Link, ids, *values.values())), reader.linenos
 
 
-def load_count_rows(path: Path, diagnostics: list[str]) -> list[dict]:
-    # one link may be counted on several rows
+def load_count_rows(path: Path, diagnostics: list[str]) -> list[tuple]:
+    """Each counts.csv row that reads as (lineno, link_id, observed,
+    bidirectional); one link may be counted on several rows."""
     reader = _RowReader(path, _COUNT_COLUMNS, diagnostics, unique=False)
-    return [{"lineno": lineno, "link_id": lid, **values}
-            for lineno, lid, values in reader.records(_COUNT_FIELDS, _COUNT_DEFAULTS)]
+    lines, ids, values = reader.records(_COUNT_FIELDS, _COUNT_DEFAULTS)
+    return list(zip(lines, ids, *values.values()))
 
 
 def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]):
     """Directional counts; bidirectional rows split 50/50 with the reverse link."""
-    reverse_of = {(link.from_node, link.to_node): lid for lid, link in network.links.items()}
+    reverse_of = ({(link.from_node, link.to_node): lid for lid, link in network.links.items()}
+                  if any(row[3] for row in rows) else {})
     counts: list[TrafficCount] = []
-    for row in rows:
-        lid = row["link_id"]
+    for lineno, lid, observed, bidirectional in rows:
         link = network.links.get(lid)
         if link is None:
-            diagnostics.append(f"{source}:{row['lineno']}: unknown link {lid!r}")
+            diagnostics.append(f"{source}:{lineno}: unknown link {lid!r}")
             continue
         try:
-            count = TrafficCount(lid, row["observed"])
+            count = TrafficCount(lid, observed)
         except ValueError as exc:
-            diagnostics.append(f"{source}:{row['lineno']}: {exc}")
+            diagnostics.append(f"{source}:{lineno}: {exc}")
             continue
-        if not row["bidirectional"]:
+        if not bidirectional:
             counts.append(count)
             continue
         rev = reverse_of.get((link.to_node, link.from_node))
         if rev is None or rev == lid:
             diagnostics.append(
-                f"{source}:{row['lineno']}: bidirectional count on {lid!r} "
+                f"{source}:{lineno}: bidirectional count on {lid!r} "
                 "but no reverse link exists"
             )
             continue
-        counts.append(TrafficCount(lid, row["observed"] / 2.0))
-        counts.append(TrafficCount(rev, row["observed"] / 2.0))
+        counts.append(TrafficCount(lid, observed / 2.0))
+        counts.append(TrafficCount(rev, observed / 2.0))
     return counts
 
 
@@ -623,11 +673,15 @@ def apply_scenario(network: Network, scenario: Scenario) -> Network:
                 continue
             base = dataclasses.asdict(links[edit.link_id])
         problems = [f"unknown field {key!r}" for key in edit.fields if key not in _LINK_FIELDS]
-        values = _convert(edit.fields, _LINK_FIELDS, base, problems)
+        cell_problems: list[tuple[int, str]] = []
+        # each field a one-cell column; a field the edit leaves out reads as blank
+        values = _convert({c: [edit.fields.get(c, "")] for c in _LINK_FIELDS}, _LINK_FIELDS,
+                          base, cell_problems)
+        problems += [p for _, p in cell_problems]
         if problems:
             diagnostics.extend(f"{edit.action} {edit.link_id!r}: {p}" for p in problems)
         else:
-            links[edit.link_id] = Link(edit.link_id, **values)
+            links[edit.link_id] = Link(edit.link_id, *(column[0] for column in values.values()))
     if diagnostics:
         raise ModelLoadError("validation", diagnostics)
     edited = Network(dict(network.nodes), links, dict(network.zone_anchors))

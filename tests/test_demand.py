@@ -762,6 +762,24 @@ class TestNewton:
         reference = furness_in_place(seed, ends, max_iter=100_000).trips
         assert np.abs(trips - reference).max() <= 1e-8 * reference.max()
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_a_negative_or_nan_tol_is_rejected_before_any_sweep(self, grid, newton_sweeps,
+                                                                  tol):
+        seed, ends = self.grid_case(grid(10, 8), 0.3)
+        with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
+            furness_balance(seed, ends, tol=tol)
+        assert newton_sweeps == []
+
+    def test_zero_tol_projects_endless_sweeps_and_hands_off_once(self, grid, newton_sweeps):
+        # no deviation of this balance reaches exactly 0, so Newton fails and
+        # the plain sweeps run out
+        seed, ends = self.grid_case(grid(10, 8), 0.3)
+        with pytest.raises(FurnessConvergenceError) as err:
+            furness_balance(seed, ends, tol=0.0)
+        assert newton_sweeps == [2 * demand.FURNESS_RATE_WINDOW]
+        assert err.value.iterations == demand.DEFAULT_FURNESS_MAX_ITER
+        assert 0.0 < err.value.deviation < 1e-12
+
     def test_fast_400_zone_balance_never_hands_off(self, grid, newton_sweeps):
         # grid 20x20 at the benchmark's generating weights converges in 33
         # relaxed sweeps (61 plain ones); at a price of zero it would hand

@@ -89,6 +89,32 @@ class TestGehFromDaily:
         )
 
 
+def reference_geh_hourly(p, m):
+    """geh_hourly's arithmetic before it wrote into one buffer."""
+    s = p + m
+    return np.where(s > 0, np.sqrt(2.0 * (p - m) ** 2 / np.where(s > 0, s, 1.0)), 0.0)
+
+
+class TestGehObjective:
+    @pytest.mark.parametrize("n", [1, 7, 250, 1000])
+    def test_bitwise_the_reference_expression(self, rng, n):
+        for _ in range(20):
+            predicted, observed = rng.uniform(0.0, 2e5, (2, n))
+            predicted[rng.random(n) < 0.3] = 0.0
+            observed[rng.random(n) < 0.3] = 0.0
+            expected = reference_geh_hourly(predicted / 10.0, observed / 10.0)
+            j, gehs = geh_objective(predicted, observed)
+            assert gehs.tobytes() == expected.tobytes()
+            assert j == float(np.mean(expected))
+
+    def test_scalars_broadcasts_and_not_a_number_as_the_reference(self):
+        assert geh_hourly(0.0, 0.0) == 0.0 and isinstance(geh_hourly(3.0, 1.0), float)
+        p = np.array([math.nan, 4.0, 0.0, -0.0, 9.0])
+        m = np.array([1.0, math.nan, 0.0, 0.0, 0.0])
+        assert geh_hourly(p, m).tobytes() == reference_geh_hourly(p, m).tobytes()
+        assert geh_hourly(p, 2.0).tobytes() == reference_geh_hourly(p, 2.0).tobytes()
+
+
 class TestEvaluate:
     def test_perfect_match(self):
         flows = {"l1": 1000.0, "l2": 500.0}

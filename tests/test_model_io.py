@@ -1,13 +1,34 @@
+import csv
 import dataclasses
 import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from flowfit import model_io
 from flowfit.calibrate import AnnealingOptions, simulated_annealing
-from flowfit.demand import derive_jobs
+from flowfit.demand import DemandStratum, Zone, derive_jobs, fits_field_type
+from flowfit.metrics import TrafficCount
 from flowfit.model_io import (
+    _COUNT_COLUMNS,
+    _COUNT_DEFAULTS,
+    _COUNT_FIELDS,
+    _LINK_DEFAULTS,
+    _LINK_FIELDS,
+    _LINK_REQUIRED,
+    _NODE_COLUMNS,
+    _NODE_DEFAULTS,
+    _NODE_FIELDS,
+    _ZONE_COLUMNS,
+    _ZONE_DEFAULTS,
+    _ZONE_FIELDS,
+    ATTR_PREFIX,
     AssignmentOptions,
     CalibrationOptions,
     LinkEdit,
@@ -20,7 +41,9 @@ from flowfit.model_io import (
     write_model,
 )
 from flowfit.network import Link, Network, Node, validate
-from flowfit.sample_models import eight_zone_star, synthetic_counts, toy_strata
+from flowfit.sample_models import eight_zone_star, grid_region, synthetic_counts, toy_strata
+
+TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
 
 
 @pytest.fixture
@@ -483,3 +506,294 @@ class TestScenario:
         with pytest.raises(ModelLoadError, match=r"edits\[0\]: expected a mapping") as err:
             load_scenario(path)
         assert err.value.stage == "parse"
+
+
+# ---------------------------------------------------------------------------
+# The table readers before they converted a column at a time: csv.DictReader
+# rows, each cell converted on its own. load_model must give the same model
+# with them, or the same diagnostics in the same order.
+
+class RefRowReader:
+    """CSV reader that records per-row diagnostics instead of raising.
+
+    records() yields (lineno, id, values) for rows with the header's column
+    count, a non-empty id (the first required column) and cells that all
+    convert; unique=True also skips repeated ids. linenos maps each id to
+    its first line.
+    """
+
+    def __init__(self, path: Path, required: tuple, diagnostics: list[str], unique: bool = True):
+        self.path = path
+        self.id_column = required[0]
+        self.unique = unique
+        self.diagnostics = diagnostics
+        self.fieldnames: list[str] = []
+        self.rows: list[dict] = []
+        self.linenos: dict[str, int] = {}
+        if not path.is_file():
+            diagnostics.append(f"{path}: file not found")
+            return
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            self.fieldnames = reader.fieldnames or []
+            missing = [c for c in required if c not in self.fieldnames]
+            if missing:
+                diagnostics.append(f"{path}: missing column(s) {missing}")
+            else:
+                self.rows = list(reader)
+
+    def records(self, columns: dict, defaults: dict):
+        """Each row's id and its cells converted by _convert; a row with any
+        problem is reported with its line and skipped."""
+        # header is line 1, first data row line 2
+        for lineno, row in enumerate(self.rows, start=2):
+            if row.get(None) or None in row.values():
+                self.error(lineno, f"expected {len(self.fieldnames)} columns")
+                continue
+            rid = row[self.id_column].strip()
+            if not rid:
+                self.error(lineno, f"empty {self.id_column}")
+                continue
+            if rid not in self.linenos:
+                self.linenos[rid] = lineno
+            elif self.unique:
+                self.error(lineno, f"duplicate {self.id_column} {rid!r}")
+                continue
+            problems: list[str] = []
+            values = ref_convert(row, columns, defaults, problems)
+            for problem in problems:
+                self.error(lineno, problem)
+            if not problems:
+                yield lineno, rid, values
+
+    def error(self, lineno: int, message: str):
+        self.diagnostics.append(f"{self.path}:{lineno}: {message}")
+
+
+def ref_convert(cells: dict, columns: dict, defaults: dict, problems: list[str]) -> dict:
+    """Field values by name from a CSV row or a scenario edit's fields, for
+    each column -> (field, conversion) in columns. A blank or absent cell
+    takes its field's value from defaults; one without a default, or one that
+    does not convert, is appended to problems with its column, what the
+    conversion expected and the value."""
+    values = {}
+    for column, (name, convert) in columns.items():
+        raw = cells.get(column, "")
+        if isinstance(raw, str):
+            raw = raw.strip()
+            if not raw:
+                if name in defaults:
+                    values[name] = defaults[name]
+                else:
+                    problems.append(f"column {column!r} is empty")
+                continue
+        try:
+            if convert is float and not (isinstance(raw, str) or fits_field_type(raw, "float")):
+                raise TypeError  # a YAML bool is no number
+            values[name] = convert(raw)
+        except (TypeError, ValueError) as exc:
+            # float's own message repeats the value; _flag says what it expects
+            problem = "not a number" if convert is float else exc
+            problems.append(f"column {column!r}: {problem}: {raw!r}")
+    return values
+
+
+def ref_load_zone_rows(path: Path, diagnostics: list[str]):
+    """Returns (zones, anchors, linenos, declared) parsed from zones.csv;
+    declared names the attributes of its attr: columns."""
+    reader = RefRowReader(path, _ZONE_COLUMNS, diagnostics)
+    zones: list[Zone] = []
+    anchors: dict[str, str] = {}
+    # an attr: column's field is the column itself, so it cannot clash with
+    # name, x or y; its None default marks a blank cell
+    attrs = [(c, c[len(ATTR_PREFIX):]) for c in reader.fieldnames if c.startswith(ATTR_PREFIX)]
+    columns = {**_ZONE_FIELDS, **{c: (c, float) for c, _ in attrs}}
+    defaults = {**_ZONE_DEFAULTS, **{c: None for c, _ in attrs}}
+    for _, zid, values in reader.records(columns, defaults):
+        anchors[zid] = values.pop("anchor")
+        attributes = {a: v for c, a in attrs if (v := values.pop(c)) is not None}
+        zones.append(Zone(zid, **values, attributes=attributes))
+    return zones, anchors, reader.linenos, {a for _, a in attrs}
+
+
+def ref_load_node_rows(path: Path, diagnostics: list[str]) -> list[Node]:
+    reader = RefRowReader(path, _NODE_COLUMNS, diagnostics)
+    return [Node(nid, **values) for _, nid, values in reader.records(_NODE_FIELDS, _NODE_DEFAULTS)]
+
+
+def ref_load_link_rows(path: Path, diagnostics: list[str]):
+    """Returns (links, linenos) parsed from links.csv."""
+    reader = RefRowReader(path, _LINK_REQUIRED, diagnostics)
+    links = [Link(lid, **values) for _, lid, values in reader.records(_LINK_FIELDS, _LINK_DEFAULTS)]
+    return links, reader.linenos
+
+
+def ref_load_count_rows(path: Path, diagnostics: list[str]) -> list[dict]:
+    # one link may be counted on several rows
+    reader = RefRowReader(path, _COUNT_COLUMNS, diagnostics, unique=False)
+    return [{"lineno": lineno, "link_id": lid, **values}
+            for lineno, lid, values in reader.records(_COUNT_FIELDS, _COUNT_DEFAULTS)]
+
+
+def ref_resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]):
+    """Directional counts; bidirectional rows split 50/50 with the reverse link."""
+    reverse_of = {(link.from_node, link.to_node): lid for lid, link in network.links.items()}
+    counts: list[TrafficCount] = []
+    for row in rows:
+        lid = row["link_id"]
+        link = network.links.get(lid)
+        if link is None:
+            diagnostics.append(f"{source}:{row['lineno']}: unknown link {lid!r}")
+            continue
+        try:
+            count = TrafficCount(lid, row["observed"])
+        except ValueError as exc:
+            diagnostics.append(f"{source}:{row['lineno']}: {exc}")
+            continue
+        if not row["bidirectional"]:
+            counts.append(count)
+            continue
+        rev = reverse_of.get((link.to_node, link.from_node))
+        if rev is None or rev == lid:
+            diagnostics.append(
+                f"{source}:{row['lineno']}: bidirectional count on {lid!r} "
+                "but no reverse link exists"
+            )
+            continue
+        counts.append(TrafficCount(lid, row["observed"] / 2.0))
+        counts.append(TrafficCount(rev, row["observed"] / 2.0))
+    return counts
+
+
+REFERENCE_READERS = {"load_zone_rows": ref_load_zone_rows, "load_node_rows": ref_load_node_rows,
+                     "load_link_rows": ref_load_link_rows, "load_count_rows": ref_load_count_rows,
+                     "_resolve_counts": ref_resolve_counts}
+
+
+def load_outcome(spec, reference: bool):
+    """load_model(spec), or its ModelLoadError's stage and diagnostics; with
+    reference=True through the reference readers."""
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            for name, reader in REFERENCE_READERS.items():
+                mp.setattr(model_io, name, reader)
+        try:
+            return load_model(spec)
+        except ModelLoadError as exc:
+            return exc.stage, exc.diagnostics
+
+
+def assert_same_as_reference(spec):
+    got = load_outcome(spec, reference=False)
+    assert got == load_outcome(spec, reference=True)
+    return got
+
+
+def toy_table(name: str) -> list[list[str]]:
+    with open(TOY / name, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def toy_tables() -> dict[str, list[list[str]]]:
+    """data/toy's tables, zones with a second attr: column and counts with a
+    bidirectional column, for the reader test to break."""
+    tables = {name: toy_table(name) for name in ("zones.csv", "nodes.csv", "links.csv",
+                                                 "counts.csv")}
+    for k, row in enumerate(tables["zones.csv"]):
+        row.append("attr:jobs" if k == 0 else str(1000 * k))
+    for k, row in enumerate(tables["counts.csv"]):
+        row.append("bidirectional" if k == 0 else ("", "0", "1")[k % 3])
+    return tables
+
+
+# the columns a drawn table may leave out
+OPTIONAL_COLUMNS = {"zones.csv": ("attr:jobs",), "links.csv": ("alpha1", "alpha2", "length_km"),
+                    "counts.csv": ("bidirectional",)}
+CELLS = ("", "  ", " 12.5 ", "3", "-1", "nan", "1e3", "abc", "true", "yes", "maybe", "No",
+         "TRUE", "n1", " n2 ", "ghost", "Z1")
+EDITS = ("cell", "cell", "short", "long", "blank line", "empty id", "duplicate id")
+
+
+@st.composite
+def broken_tables(draw):
+    """data/toy's tables as text, each with its optional columns drawn in or
+    out and up to three edits: a cell replaced (blank, padded, not a number,
+    a flag), a row cut short or made long, a blank line, an empty id or an
+    id repeated from another row."""
+    texts = {}
+    for name, (header, *rows) in toy_tables().items():
+        keep = [i for i, column in enumerate(header)
+                if column not in OPTIONAL_COLUMNS.get(name, ()) or draw(st.booleans())]
+        header = [header[i] for i in keep]
+        rows = [[row[i] for i in keep] for row in rows]
+        edit = st.tuples(st.sampled_from(EDITS), st.integers(0, 60), st.integers(0, 9),
+                         st.sampled_from(CELLS))
+        edits = draw(st.one_of(st.just([]), st.lists(edit, max_size=3)))
+        for edit, k, column, cell in edits:
+            row = rows[k % len(rows)]
+            if edit == "blank line":
+                rows.insert(k % (len(rows) + 1), [])
+            elif not row:
+                continue
+            elif edit == "cell":
+                row[column % len(row)] = cell
+            elif edit == "short":
+                del row[-1]
+            elif edit == "long":
+                row.append(cell)
+            elif edit == "empty id":
+                row[0] = cell.strip() and " "
+            else:
+                row[0] = next((r[0] for r in rows[k % len(rows) + 1:] if r), row[0])
+        texts[name] = "".join(",".join(row) + "\n" for row in [header, *rows])
+    return texts
+
+
+class TestReferenceReaders:
+    """The column-wise table readers against the row-wise ones they replaced."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(broken_tables())
+    def test_drawn_tables_load_or_fail_as_the_reference(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copy(TOY / "model.yaml", tmp)
+            for name, text in texts.items():
+                (Path(tmp) / name).write_text(text)
+            assert_same_as_reference(Path(tmp) / "model.yaml")
+
+    def test_toy_instance(self):
+        assert isinstance(assert_same_as_reference(TOY / "model.yaml"), LoadedModel)
+
+    @pytest.mark.parametrize("size", [(10, 8), (20, 20)], ids=["10x8", "20x20"])
+    def test_written_grids(self, tmp_path, size):
+        zones, net = grid_region(*size, seed=0)
+        strata = [DemandStratum("all", "population", "population", 0.8, 0.08)]
+        counts = synthetic_counts(zones, net, strata, n_counts=250)
+        spec = write_model(tmp_path, zones, net, counts, strata)
+        model = assert_same_as_reference(spec)
+        assert model.zones == zones and model.network == net and model.counts == counts
+
+    def test_row_errors_and_cell_problems_interleave_by_line(self, toy_dir):
+        links = toy_dir / "links.csv"
+        rows = links.read_text().splitlines()
+        first_id = rows[1].split(",")[0]
+        rows[2] = rows[2].replace(",12.0,", ",fast,", 1)
+        rows[3] = first_id + "," + rows[3].split(",", 1)[1]
+        rows[4] = rows[4].rsplit(",", 1)[0]
+        cells = rows[5].split(",")
+        cells[4], cells[6] = "", "steep"
+        rows[5] = ",".join(cells)
+        rows.insert(6, "")
+        rows[7] = "," + rows[7].split(",", 1)[1]
+        links.write_text("\n".join(rows) + "\n")
+        stage, diagnostics = assert_same_as_reference(toy_dir / "model.yaml")
+        assert stage == "parse"
+        assert diagnostics == [
+            f"{links}:3: column 't0_min': not a number: 'fast'",
+            f"{links}:4: duplicate link_id {first_id!r}",
+            f"{links}:5: expected 8 columns",
+            f"{links}:6: column 'capacity_veh24h' is empty",
+            f"{links}:6: column 'alpha2': not a number: 'steep'",
+            f"{links}:7: empty link_id",
+        ]

@@ -67,6 +67,9 @@ def test_time_layers_reports_every_row():
         ("PathSet.flow_vector (free flow)", 0.08), ("one J eval (one-off)", 0.08),
         ("one J eval (one-off, 10x8)", 0.08), ("one J eval (one-off, 10x8)", 1.0),
         ("MSA-5 assign_iterative", 0.08), ("load_model", None),
+        *((f"load_model: {part}", None) for part in (
+            "spec parse", "zones.csv", "nodes.csv", "links.csv", "counts.csv",
+            "network check", "rest")),
         ("criterion-7 split grid", None)]
     # one node per zone, all reached: the skim and the OD slots hold 80 x 80
     # entries, the entering links and the level parents one per tree edge
@@ -100,4 +103,16 @@ def test_time_layers_reports_every_row():
         assert math.isfinite(row["j"]) and row["j"] > 0.0
         for layer in ("seed_matrix_s", "furness_balance_s", "flow_vector_s"):
             assert row[layer] > 0.0
+    # load_model and its parts: each table's data rows, read per second
+    loads = {r["layer"]: r for r in rows if r["layer"].startswith("load_model")}
+    tables = {"zones.csv": 80, "nodes.csv": 80, "links.csv": report["links"],
+              "counts.csv": min(250, loads["load_model: counts.csv"]["rows"])}
+    for table, n in tables.items():
+        part = loads[f"load_model: {table}"]
+        assert part["rows"] == n > 0 and part["rows_per_s"] == n / part["median_s"]
+    assert loads["load_model"]["rows"] == sum(tables.values())
+    parts = sum(r["runs_s"][0] for layer, r in loads.items()
+                if layer not in ("load_model", "load_model: rest"))
+    assert loads["load_model: rest"]["runs_s"][0] == pytest.approx(
+        loads["load_model"]["runs_s"][0] - parts)
     assert rows[-1]["calibrations"] == 70
