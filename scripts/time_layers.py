@@ -86,8 +86,8 @@ from flowfit.demand import (
     FURNESS_RATE_WINDOW,
     DemandStratum,
     FurnessConvergenceError,
+    ZoneAttributes,
     furness_balance,
-    generate_trip_ends,
     seed_matrix,
 )
 from flowfit.model_io import write_model
@@ -273,12 +273,12 @@ def small_objective_rows(zones, net, counts, repeats):
     objective = ModelObjective(zones, net, [DemandStratum(
         "all", "population", "population", MU, J_BETA)], counts, assignment_mode="oneoff")
     paths = net.free_flow_paths
-    by_id = {z.zone_id: z for z in zones}
+    attributes = ZoneAttributes(zones, paths.zone_ids)
     rows = []
     for beta in SMALL_J_BETAS:
         weights = np.array([MU, beta])
         stratum = DemandStratum("all", "population", "population", MU, beta)
-        ends = generate_trip_ends([by_id[z] for z in paths.zone_ids], stratum)
+        ends = attributes.trip_ends(stratum)
         seed = seed_matrix(ends, paths.skim, beta, "exponential")
         od = furness_balance(seed, ends)
         swept, omega, handed = traced(lambda: objective(weights))
@@ -322,9 +322,8 @@ def main() -> None:
                  **timed(rounds, args.repeats)})
 
     costs = paths.skim
-    by_id = {z.zone_id: z for z in zones}
     stratum = DemandStratum("all", "population", "population", MU, J_BETA)
-    ends = generate_trip_ends([by_id[z] for z in costs.zone_ids], stratum)
+    ends = ZoneAttributes(zones, costs.zone_ids).trip_ends(stratum)
 
     rows.append({"layer": "seed_matrix", "mu": MU, "beta": J_BETA,
                  **timed(lambda: seed_matrix(ends, costs, J_BETA, "exponential"),

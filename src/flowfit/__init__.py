@@ -26,11 +26,11 @@ from .demand import (
     ODMatrix,
     TripEnds,
     Zone,
+    ZoneAttributes,
     derive_jobs,
     deterrence,
     distribute,
     furness_balance,
-    generate_trip_ends,
     seed_matrix,
 )
 from .metrics import (

@@ -13,11 +13,12 @@ import numpy as np
 
 from .demand import (
     ODMatrix,
+    ZoneAttributes,
     check_fields,
     distribute,
     ranged,
     require_unique_names,
-    zone_attributes,
+    require_zone_order,
 )
 from .network import FlowMap, Network, PathSet, volume_delay
 
@@ -38,13 +39,14 @@ class AssignmentOptions:
         check_fields(self)
 
 
-def load_strata(paths: PathSet, zones, strata) -> list[np.ndarray]:
+def load_strata(paths: PathSet, zones: ZoneAttributes, strata) -> list[np.ndarray]:
     """Link flow vector of each stratum, in strata order: the one step from
     strata to link flows, which assign_iterative takes once per MSA iteration.
-    zones is a list of Zone or a demand.ZoneAttributes in the path set's zone
-    order. Each stratum is distributed over the skim the path set computes
-    once and holds, then loaded by its flow_vector; one with mu == 0 makes no
-    trips and gets zeros without a distribution."""
+    zones is a demand.ZoneAttributes in the path set's zone order. Each
+    stratum is distributed over the skim the path set computes once and
+    holds, then loaded by its flow_vector; one with mu == 0 makes no trips
+    and gets zeros without a distribution."""
+    require_zone_order(zones, paths.zone_ids)
     return [
         np.zeros(len(paths.link_ids)) if s.mu == 0.0
         else paths.flow_vector(distribute(zones, s, paths.skim))
@@ -105,7 +107,7 @@ def assign_iterative(
     require_unique_names(strata)
 
     paths = network.free_flow_paths
-    zones = zone_attributes(zones, paths.zone_ids)
+    zones = zones if isinstance(zones, ZoneAttributes) else ZoneAttributes(zones, paths.zone_ids)
     first = load_strata(paths, zones, strata)
     avg = {s.name: vec for s, vec in zip(strata, first)}
     total = sum(avg.values(), np.zeros(len(network.link_ids)))

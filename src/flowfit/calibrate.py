@@ -10,6 +10,7 @@ import numpy as np
 
 from .assignment import ASSIGNMENT_MODES, AssignmentOptions, assign
 from .demand import (
+    RANGES,
     DemandStratum,
     FurnessConvergenceError,
     FurnessInfeasibleError,
@@ -109,17 +110,21 @@ class WeightVector:
     def from_strata(cls, strata, bounds=None, overrides=None) -> "WeightVector":
         """Pack stratum weights; bounds by parameter name, overridable per
         "<stratum>.<param>" key, which must name a stratum's parameter.
-        Strata must have distinct names."""
+        Strata must have distinct names. Each bound must lie in the range
+        declared on DemandStratum's field, so that no point of the box
+        fails as a weight, and the weight in its bounds, so lo <= hi."""
         require_unique_names(strata)
         bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
         overrides = overrides or {}
+        rules = {f.name: f.metadata.get("range") for f in dataclasses.fields(DemandStratum)}
         entries = []
         for s in strata:
             for param in ("mu", "beta"):
                 lo, hi = overrides.get(f"{s.name}.{param}", bounds[param])
                 value = getattr(s, param)
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise ValueError(f"{s.name}.{param}: bounds must be finite")
+                rule = rules[param]
+                if not (RANGES[rule](lo) and RANGES[rule](hi)):
+                    raise ValueError(f"{s.name}.{param}: bounds must be {rule}, got [{lo}, {hi}]")
                 if not lo <= value <= hi:
                     raise ValueError(
                         f"{s.name}.{param} = {value!r} outside bounds [{lo}, {hi}]"

@@ -183,87 +183,64 @@ def derive_jobs(population: float, cutoff: float = DEFAULT_JOBS_CUTOFF) -> float
     return 1.0
 
 
-def _attribute_vector(zones, attr: str) -> np.ndarray:
-    vec = np.array([z.attributes.get(attr, 0.0) for z in zones], dtype=float)
-    ok = (vec >= 0) & (vec < math.inf)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise ValueError(f"attribute {attr!r} on zone {zones[k].zone_id!r} "
-                         f"must be finite and >= 0, got {float(vec[k])!r}")
-    return vec
-
-
-def stratum_attributes(zones, stratum: DemandStratum) -> tuple[np.ndarray, np.ndarray]:
-    """A stratum's production and attraction attribute vectors over zones; a
-    zone without an attribute counts 0 for it. Raises DegenerateStratumError
-    when either is zero on every zone: the stratum has no trips to spread."""
-    prod = _attribute_vector(zones, stratum.production_attr)
-    attr = _attribute_vector(zones, stratum.attraction_attr)
-    for role, name, vec in (("production", stratum.production_attr, prod),
-                            ("attraction", stratum.attraction_attr, attr)):
-        if vec.sum() == 0:
-            raise DegenerateStratumError(
-                f"stratum {stratum.name!r}: {role} attribute {name!r} is zero on every zone")
-    return prod, attr
-
-
-def generate_trip_ends(zones, stratum: DemandStratum) -> TripEnds:
-    """Vehicle-trip origins and destinations per zone for one stratum.
-
-    O_i = mu * production_attr(i) / occupancy; the attraction attribute is
-    rescaled so that destinations sum to the same total as origins, both
-    read by stratum_attributes.
-    """
-    return _trip_ends(*stratum_attributes(zones, stratum), stratum)
-
-
-def _trip_ends(prod, attr, stratum: DemandStratum) -> TripEnds:
-    """The trip ends of stratum from its production and attraction vectors:
-    origins mu * prod / occupancy, destinations attr * (total / sum(attr)),
-    or attr / sum(attr) * total where that factor is not finite (a
-    subnormal attraction sum)."""
-    origins = stratum.mu * prod / stratum.occupancy
-    total = origins.sum()
-    if total == 0.0:
-        logger.warning("stratum %r generates no trips (mu = %g)", stratum.name, stratum.mu)
-    factor = float(total) / float(attr.sum())  # a float overflows to inf quietly
-    if math.isfinite(factor):
-        return TripEnds(origins, attr * factor)
-    return TripEnds(origins, attr / attr.sum() * total)
-
-
 class ZoneAttributes:
-    """Zones in one zone order, with each stratum's production and attraction
-    vectors read by stratum_attributes on first use and kept: what
-    distribute reads trip ends from. assign_iterative makes one per call and
-    a ModelObjective one at construction, so an evaluation reads no zone's
-    attribute dict. The vectors are keyed by the attribute pair, since
-    calibration changes only a stratum's mu and beta."""
+    """Zones in the order zone_ids, or their own, and the one reader of their
+    attributes: each stratum's production and attraction vectors are read
+    once and kept by attribute pair (calibration changes only mu and beta).
+    distribute and load_strata take one in their skim's zone order, which
+    assign_iterative and ModelObjective make from a list of Zone."""
 
-    def __init__(self, zones, zone_ids):
+    def __init__(self, zones, zone_ids=None):
         by_id = {z.zone_id: z for z in zones}
-        if set(by_id) != set(zone_ids):
+        if zone_ids is not None and set(by_id) != set(zone_ids):
             raise ValueError("zone set does not match the cost matrix")
-        self.zone_ids = tuple(zone_ids)
+        self.zone_ids = tuple(by_id if zone_ids is None else zone_ids)
         self._zones = [by_id[z] for z in self.zone_ids]
         self._vectors = {}
 
     def vectors(self, stratum: DemandStratum) -> tuple[np.ndarray, np.ndarray]:
-        """stratum_attributes of stratum over these zones, in their order."""
+        """stratum's production and attraction vectors, a missing attribute
+        counting 0. Raises ValueError naming the first zone whose attribute
+        is not finite and >= 0, production first, then DegenerateStratumError
+        when either is zero on every zone: no trips to spread."""
         key = stratum.production_attr, stratum.attraction_attr
         if key not in self._vectors:
-            self._vectors[key] = stratum_attributes(self._zones, stratum)
+            vecs = tuple(np.array([z.attributes.get(name, 0.0) for z in self._zones], dtype=float)
+                         for name in key)
+            for name, vec in zip(key, vecs):
+                ok = (vec >= 0) & (vec < math.inf)
+                if not ok.all():
+                    k = int(np.argmin(ok))
+                    raise ValueError(f"attribute {name!r} on zone {self.zone_ids[k]!r} "
+                                     f"must be finite and >= 0, got {float(vec[k])!r}")
+            for role, name, vec in zip(("production", "attraction"), key, vecs):
+                if vec.sum() == 0:
+                    raise DegenerateStratumError(
+                        f"stratum {stratum.name!r}: {role} attribute {name!r} is zero on every zone")
+            self._vectors[key] = vecs
         return self._vectors[key]
 
+    def trip_ends(self, stratum: DemandStratum) -> TripEnds:
+        """stratum's vehicle trip ends: origins mu * prod / occupancy,
+        destinations attr * (total / sum(attr)), or attr / sum(attr) * total
+        where that factor is not finite (a subnormal attraction sum)."""
+        prod, attr = self.vectors(stratum)
+        origins = stratum.mu * prod / stratum.occupancy
+        total = origins.sum()
+        if total == 0.0:
+            logger.warning("stratum %r generates no trips (mu = %g)", stratum.name, stratum.mu)
+        factor = float(total) / float(attr.sum())  # a float overflows to inf quietly
+        if math.isfinite(factor):
+            return TripEnds(origins, attr * factor)
+        return TripEnds(origins, attr / attr.sum() * total)
 
-def zone_attributes(zones, zone_ids) -> ZoneAttributes:
-    """zones as a ZoneAttributes in the order zone_ids: zones itself when it
-    already is one in that order."""
+
+def require_zone_order(zones, zone_ids) -> None:
+    """TypeError unless zones is a ZoneAttributes, ValueError unless in the order zone_ids."""
     if not isinstance(zones, ZoneAttributes):
-        return ZoneAttributes(zones, zone_ids)
+        raise TypeError(f"zones: expected a ZoneAttributes, got {type(zones).__name__}")
     if zones.zone_ids != tuple(zone_ids):
         raise ValueError("zone order does not match the cost matrix")
-    return zones
 
 
 def deterrence(cost, beta: float, kind: str):
@@ -428,19 +405,16 @@ def furness_balance(
                     raise error
                 dropped = dropped or error is not None
                 deviation = max(work[:m].max(), work[m:].max())
-            if dropped:
-                # a relaxed scale left float range, or a sum under it fell
-                # too small to scale: back to the saved window
-                (scales[:], next_row[:], deviation), omega, relax, swept = saved, 1.0, False, 0
-                continue
-            if deviation <= tol:
+            if deviation <= tol and not dropped:
                 return ODMatrix(seed.zone_ids, _balanced(K, a, b))
             swept += 1
-            if newton_tried or swept % FURNESS_RATE_WINDOW:
+            if not dropped and (newton_tried or swept % FURNESS_RATE_WINDOW):
                 continue
-            if omega > 1.0 and not deviation < window_start:
-                # the relaxed window did not lower the deviation: restore its
-                # start and sweep plainly, so the next window's rate is plain
+            if dropped or omega > 1.0 and not deviation < window_start:
+                # a relaxed scale left float range, a sum under it fell too
+                # small to scale, or the relaxed window did not lower the
+                # deviation: back to the saved window, sweeping plainly, so
+                # the next window's rate is plain
                 (scales[:], next_row[:], deviation), omega, relax, swept = saved, 1.0, False, 0
                 continue
             needed = _sweeps_needed(window_start, deviation, tol)
@@ -608,11 +582,11 @@ def _infeasible(scale, sums, off, zone_ids, axis: str, margin: str):
     )
 
 
-def distribute(zones, stratum: DemandStratum, costs: CostMatrix) -> ODMatrix:
+def distribute(zones: ZoneAttributes, stratum: DemandStratum, costs: CostMatrix) -> ODMatrix:
     """Per-stratum OD matrix: trip ends -> gravity seed -> Furness balancing,
-    in the zone order of costs (a PathSet's skim gives its flow_vector's).
-    zones is a list of Zone or a ZoneAttributes in that order, whose
-    attribute vectors are then not read again."""
-    ends = _trip_ends(*zone_attributes(zones, costs.zone_ids).vectors(stratum), stratum)
+    in the zone order of costs (a PathSet's skim gives its flow_vector's),
+    which zones must share."""
+    require_zone_order(zones, costs.zone_ids)
+    ends = zones.trip_ends(stratum)
     seed = seed_matrix(ends, costs, stratum.beta, stratum.deterrence_kind)
     return furness_balance(seed, ends)

@@ -8,9 +8,10 @@ road appears as two rows):
     links.csv:  link_id,from_node,to_node,t0_min,capacity_veh24h[,alpha1,alpha2,length_km]
     counts.csv: link_id,observed_veh24h[,bidirectional]
 
-Ids are non-empty, and unique except in counts.csv. One converter reads
-every other cell and every scenario edit field: a blank optional cell takes
-its field's default, a blank attr: cell leaves that attribute off the zone.
+A header names each column once; ids are non-empty, and unique except in
+counts.csv. One converter reads every other cell and every scenario edit
+field: a blank optional cell takes its field's default, a blank attr: cell
+leaves that attribute off the zone.
 A count's bidirectional cell reads 1/true/yes or 0/false/no in any case (blank
 is no); a bidirectional count is split 50/50 onto the named link and its reverse.
 The model spec and scenarios are single YAML mappings; see data/toy/. An
@@ -40,12 +41,12 @@ from .demand import (
     DegenerateStratumError,
     DemandStratum,
     Zone,
+    ZoneAttributes,
     check_fields,
     derive_jobs,
     fits_field_type,
     ranged,
     require_unique_names,
-    stratum_attributes,
 )
 from .metrics import EvaluationReport, SplitExperimentResult, TrafficCount
 from .network import Link, Network, Node, findings, validate
@@ -185,8 +186,9 @@ def _fmt(value) -> str:
 class _RowReader:
     """CSV reader that records per-row diagnostics instead of raising.
 
-    Reads the header and every row that is not empty; as csv.DictReader
-    does, a blank line is skipped and takes no line number. Each row is
+    Reads the header, whose columns must be distinct, and every row that is
+    not empty; as csv.DictReader does, a blank line is skipped and takes no
+    line number. index maps each column to its position. Each row is
     checked once: it must have the header's column count and a non-empty id
     (the first required column), and unique=True also rejects a repeated id.
     linenos maps each id to its first line. records() converts the rows that
@@ -197,6 +199,7 @@ class _RowReader:
         self.path = path
         self.diagnostics = diagnostics
         self.fieldnames: list[str] = []
+        self.index: dict[str, int] = {}
         self.linenos: dict[str, int] = {}
         # the rows that pass the row checks, with their lines and ids, and
         # the (line, message) of each row that does not
@@ -210,9 +213,14 @@ class _RowReader:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             self.fieldnames = next(reader, [])
-            missing = [c for c in required if c not in self.fieldnames]
+            self.index = {column: i for i, column in enumerate(self.fieldnames)}
+            missing = [c for c in required if c not in self.index]
             if missing:
                 diagnostics.append(f"{path}: missing column(s) {missing}")
+            repeated = [c for c, i in self.index.items() if self.fieldnames.index(c) != i]
+            if repeated:
+                diagnostics.append(f"{path}: repeated column(s) {repeated}")
+            if missing or repeated:
                 return
             rows = [row for row in reader if row]
         id_column, width = required[0], len(self.fieldnames)
@@ -234,11 +242,6 @@ class _RowReader:
             self.rows.append(row)
             self.lines.append(lineno)
             self.ids.append(rid)
-
-    @property
-    def index(self) -> dict[str, int]:
-        """Each column's position; a name the header repeats reads its last."""
-        return {column: i for i, column in enumerate(self.fieldnames)}
 
     def records(self, columns: dict, defaults: dict):
         """(lines, ids, values) of the rows whose cells all convert, where
@@ -317,7 +320,7 @@ def load_zone_rows(path: Path, diagnostics: list[str]):
     reader = _RowReader(path, _ZONE_COLUMNS, diagnostics)
     # an attr: column's field is the column itself, so it cannot clash with
     # name, x or y; its None default marks a blank cell
-    attrs = [(c, c[len(ATTR_PREFIX):]) for c in reader.fieldnames if c.startswith(ATTR_PREFIX)]
+    attrs = [(c, c[len(ATTR_PREFIX):]) for c in reader.index if c.startswith(ATTR_PREFIX)]
     columns = {**_ZONE_FIELDS, **{c: (c, float) for c, _ in attrs}}
     defaults = {**_ZONE_DEFAULTS, **{c: None for c, _ in attrs}}
     _, ids, values = reader.records(columns, defaults)
@@ -595,7 +598,7 @@ def load_model(path) -> LoadedModel:
     if not diagnostics:  # each stratum's attributes are known and valid
         for stratum in spec.strata:
             try:
-                stratum_attributes(zones, stratum)
+                ZoneAttributes(zones).vectors(stratum)
             except DegenerateStratumError as exc:
                 diagnostics.append(f"{spec.zones_path}: {exc}")
     if diagnostics:

@@ -18,7 +18,14 @@ from flowfit.assignment import (
     assign_iterative,
     load_strata,
 )
-from flowfit.demand import DemandStratum, ODMatrix, Zone, derive_jobs, distribute
+from flowfit.demand import (
+    DemandStratum,
+    ODMatrix,
+    Zone,
+    ZoneAttributes,
+    derive_jobs,
+    distribute,
+)
 from flowfit.model_io import load_model
 from flowfit.network import (
     DisconnectedZonesError,
@@ -487,6 +494,7 @@ class TestLoad:
         strata = [DemandStratum("home", "population", "population", 0.6, 0.06),
                   DemandStratum("work", "population", "jobs", 0.4, 0.11)]
         paths = PathSet(net, free_flow_times(net))
+        zones = ZoneAttributes(zones, paths.zone_ids)
         loaded = load_strata(paths, zones, strata)
         assert len(loaded) == 2
         for s, vec in zip(strata, loaded):
@@ -501,9 +509,19 @@ class TestLoad:
         calls = []
         monkeypatch.setattr(assignment, "distribute",
                             lambda z, s, c: calls.append(s.name) or distribute(z, s, c))
-        idle, busy = load_strata(PathSet(net, free_flow_times(net)), zones, strata)
+        paths = PathSet(net, free_flow_times(net))
+        idle, busy = load_strata(paths, ZoneAttributes(zones, paths.zone_ids), strata)
         assert calls == ["busy"]
         assert not idle.any() and busy.sum() > 0
+
+    def test_zones_must_be_zone_attributes_in_the_path_set_order(self):
+        zones, net = eight_zone_star()
+        strata = [DemandStratum("idle", "population", "population", 0.0, 0.1)]
+        paths = PathSet(net, free_flow_times(net))
+        with pytest.raises(TypeError, match="expected a ZoneAttributes, got list"):
+            load_strata(paths, zones, strata)
+        with pytest.raises(ValueError, match="zone order does not match the cost matrix"):
+            load_strata(paths, ZoneAttributes(zones, paths.zone_ids[::-1]), strata)
 
     def test_skim_is_computed_once_and_read_only(self):
         zones, net = eight_zone_star()
@@ -527,7 +545,7 @@ class TestIterativeAssignment:
         assert result.iterations == 1
         assert not result.converged
         costs = PathSet(net, free_flow_times(net)).skim
-        od = distribute(zones, strata[0], costs)
+        od = distribute(ZoneAttributes(zones, costs.zone_ids), strata[0], costs)
         expected = assign_all_or_nothing(net, free_flow_times(net), od)
         assert result.flows == pytest.approx(expected, rel=1e-12)
 
@@ -566,7 +584,7 @@ class TestIterativeAssignment:
         avg = None
         for k in range(1, 16):
             paths = PathSet(net, times)
-            od = distribute(zones, strata[0], paths.skim)
+            od = distribute(ZoneAttributes(zones, paths.zone_ids), strata[0], paths.skim)
             fresh = paths.flow_vector(od)
             raw.append(fresh)
             avg = fresh if avg is None else avg + (fresh - avg) / k

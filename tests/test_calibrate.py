@@ -22,6 +22,7 @@ from flowfit.demand import (
     FurnessConvergenceError,
     FurnessInfeasibleError,
     Zone,
+    ZoneAttributes,
     distribute,
 )
 from flowfit.metrics import TrafficCount, evaluate, geh_from_daily, geh_objective, split_counts
@@ -58,6 +59,17 @@ class TestWeightVector:
         strata = [DemandStratum("a", "population", "population", 9.0, 0.1)]
         with pytest.raises(ValueError, match="outside bounds"):
             WeightVector.from_strata(strata)
+
+    @pytest.mark.parametrize("bounds, overrides, message", [
+        ({"mu": (-1.0, 5.0)}, None, r"a.mu: bounds must be finite and >= 0, got \[-1.0, 5.0\]"),
+        ({"beta": (0.0, math.nan)}, None, r"a.beta: bounds must be finite and >= 0, got \[0.0, nan\]"),
+        (None, {"a.beta": (-0.5, 0.5)},
+         r"a.beta: bounds must be finite and >= 0, got \[-0.5, 0.5\]"),
+    ])
+    def test_box_outside_a_weight_range_rejected(self, bounds, overrides, message):
+        strata = [DemandStratum("a", "population", "population", 1.0, 0.1)]
+        with pytest.raises(ValueError, match=message):
+            WeightVector.from_strata(strata, bounds, overrides)
 
     def test_strata_sharing_a_name_rejected(self):
         strata = [DemandStratum("a", "population", "population", 0.7, 0.1),
@@ -380,8 +392,9 @@ class TestObjective:
         zones, net, stratum = self.far_apart_pair()
         obj = ModelObjective(zones, net, [stratum], [TrafficCount("ab", 50.0)])
         with np.errstate(over="ignore"):
+            skim = PathSet(net, free_flow_times(net)).skim
             with pytest.raises(FurnessInfeasibleError):
-                distribute(zones, stratum, PathSet(net, free_flow_times(net)).skim)
+                distribute(ZoneAttributes(zones, skim.zone_ids), stratum, skim)
             assert obj(np.array([1.0, 1.0])) == math.inf
             assert math.isfinite(obj(np.array([1.0, 0.0])))
             assert obj(np.array([2.0, 1.0])) == math.inf

@@ -276,6 +276,10 @@ class TestValidateCommand:
          "initial_temp, cooling, n_sweeps, steps_per_sweep, restarts, polish"),
         ("bounds", {"mu": [3, 0]}, "calibration: everyone.mu = 1.5 outside bounds [3, 0]"),
         ("bounds", {"mu": [0, float("inf")]}, "calibration: everyone.mu: bounds must be finite"),
+        ("bounds", {"mu": [-1.0, 5.0]},
+         "calibration: everyone.mu: bounds must be finite and >= 0, got [-1.0, 5.0]"),
+        ("bound_overrides", {"everyone.beta": [-0.5, 0.5]},
+         "calibration: everyone.beta: bounds must be finite and >= 0, got [-0.5, 0.5]"),
         ("bounds", {"gamma": [0, 1]},
          "calibration: unknown bounds key(s) ['gamma']; accepted: mu, beta"),
         ("bound_overrides", {"nobody.mu": [0, 1]},
@@ -395,6 +399,18 @@ class TestValidateCommand:
         links.write_text("".join(",".join(row[:3] + row[4:]) + "\n" for row in rows))
         assert main(["validate", str(data_toy / "model.yaml")]) == 2
         assert f"{links}: missing column(s) ['t0_min']" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("table, column, cell", [
+        ("zones.csv", "attr:population", "5"), ("links.csv", "t0_min", "1e9")])
+    def test_repeated_column_exits_two(self, data_toy, capsys, table, column, cell):
+        path = data_toy / table
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join([f"{rows[0]},{column}"] + [f"{row},{cell}" for row in rows[1:]])
+                        + "\n")
+        assert main(["validate", str(data_toy / "model.yaml")]) == 2
+        out = capsys.readouterr().out
+        assert f"{path}: repeated column(s) ['{column}']" in out
+        assert "1 issue(s)" in out
 
     def test_invalid_yaml_exits_two(self, data_toy, capsys):
         spec = data_toy / "model.yaml"
@@ -571,6 +587,18 @@ class TestCalibrateCommand:
         assert main(["calibrate", str(spec), "-o", str(tmp_path / "o"),
                      "--method", "simulated_annealing"]) == 0
         assert "simulated_annealing" in capsys.readouterr().out
+
+    def test_box_outside_a_weight_range_exits_two_before_any_evaluation(
+            self, data_toy, tmp_path, capsys):
+        spec = data_toy / "model.yaml"
+        raw = yaml.safe_load(spec.read_text())
+        raw["calibration"]["bounds"] = {"mu": [-1.0, 5.0]}
+        spec.write_text(yaml.safe_dump(raw))
+        assert main(["calibrate", str(spec), "-o", str(tmp_path / "o"),
+                     "--method", "simulated_annealing"]) == 2
+        assert "everyone.mu: bounds must be finite and >= 0, got [-1.0, 5.0]" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_argument_exits_two(self, toy_spec, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

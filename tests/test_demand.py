@@ -20,11 +20,11 @@ from flowfit.demand import (
     ODMatrix,
     TripEnds,
     Zone,
+    ZoneAttributes,
     derive_jobs,
     deterrence,
     distribute,
     furness_balance,
-    generate_trip_ends,
     seed_matrix,
 )
 from flowfit.model_io import DerivationRule
@@ -71,23 +71,23 @@ class TestDeriveJobs:
             assert b - a < 10.0
 
 
-class TestGenerateTripEnds:
+class TestZoneAttributes:
     def test_single_zone_direct_arithmetic(self):
         stratum = DemandStratum("s", "population", "population", 1.5, 0.1)
-        ends = generate_trip_ends(pop_zones([1000]), stratum)
+        ends = ZoneAttributes(pop_zones([1000])).trip_ends(stratum)
         assert ends.origins.tolist() == [1500.0]
         assert ends.destinations.tolist() == [1500.0]
 
     def test_rescale_is_identity_when_totals_match(self):
         stratum = DemandStratum("s", "population", "population", 1.0, 0.0)
-        ends = generate_trip_ends(pop_zones([100, 300]), stratum)
+        ends = ZoneAttributes(pop_zones([100, 300])).trip_ends(stratum)
         assert ends.origins.tolist() == [100.0, 300.0]
         assert ends.destinations.tolist() == [100.0, 300.0]
 
     def test_occupancy_divides_origins(self):
         stratum = DemandStratum("s", "population", "population", 1.5, 0.1,
                                 occupancy=1.5)
-        ends = generate_trip_ends(pop_zones([1000]), stratum)
+        ends = ZoneAttributes(pop_zones([1000])).trip_ends(stratum)
         assert ends.origins.tolist() == [1000.0]
 
     def test_attraction_rescaled_to_origin_total(self):
@@ -96,14 +96,14 @@ class TestGenerateTripEnds:
             Zone("b", attributes={"population": 0.0, "jobs": 30.0}),
         ]
         stratum = DemandStratum("s", "population", "jobs", 1.0, 0.1)
-        ends = generate_trip_ends(zones, stratum)
+        ends = ZoneAttributes(zones).trip_ends(stratum)
         assert ends.origins.sum() == 1000.0
         assert ends.destinations.tolist() == [250.0, 750.0]
 
     def test_mu_zero_yields_zero_ends_with_warning(self, caplog):
         stratum = DemandStratum("s", "population", "population", 0.0, 0.1)
         with caplog.at_level("WARNING"):
-            ends = generate_trip_ends(pop_zones([1000, 2000]), stratum)
+            ends = ZoneAttributes(pop_zones([1000, 2000])).trip_ends(stratum)
         assert ends.origins.tolist() == [0.0, 0.0]
         assert ends.destinations.tolist() == [0.0, 0.0]
         assert any("no trips" in r.message for r in caplog.records)
@@ -115,9 +115,10 @@ class TestGenerateTripEnds:
                  for z in zones]
         zones[0].attributes["jobs"] = 1e-308
         stratum = DemandStratum("s", "population", "jobs", 1.0, 0.1)
-        ends = generate_trip_ends(zones, stratum)
+        ends = ZoneAttributes(zones).trip_ends(stratum)
         assert ends.destinations.tolist() == [ends.origins.sum()] + [0.0] * 7
-        trips = distribute(zones, stratum, net.free_flow_paths.skim).trips
+        skim = net.free_flow_paths.skim
+        trips = distribute(ZoneAttributes(zones, skim.zone_ids), stratum, skim).trips
         assert trips[:, 0].sum() == pytest.approx(ends.origins.sum(), rel=1e-12)
         assert trips[:, 1:].sum() == 0.0
         counts = synthetic_counts(zones, net, [stratum])
@@ -128,18 +129,18 @@ class TestGenerateTripEnds:
     def test_all_zero_production_is_degenerate(self):
         stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
         with pytest.raises(DegenerateStratumError, match="production"):
-            generate_trip_ends(pop_zones([0, 0]), stratum)
+            ZoneAttributes(pop_zones([0, 0])).trip_ends(stratum)
 
     def test_all_zero_attraction_is_degenerate(self):
         zones = [Zone("a", attributes={"population": 10.0, "jobs": 0.0})]
         stratum = DemandStratum("s", "population", "jobs", 1.0, 0.1)
         with pytest.raises(DegenerateStratumError, match="attraction"):
-            generate_trip_ends(zones, stratum)
+            ZoneAttributes(zones).trip_ends(stratum)
 
     def test_missing_attribute_counts_as_zero(self):
         zones = [Zone("a", attributes={"population": 10.0}), Zone("b")]
         stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
-        ends = generate_trip_ends(zones, stratum)
+        ends = ZoneAttributes(zones).trip_ends(stratum)
         assert ends.origins.tolist() == [10.0, 0.0]
 
     @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
@@ -149,7 +150,23 @@ class TestGenerateTripEnds:
         stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
         with pytest.raises(ValueError,
                            match=f"zone 'a' must be finite and >= 0, got {value!r}"):
-            generate_trip_ends(zones, stratum)
+            ZoneAttributes(zones).trip_ends(stratum)
+
+    def test_zone_order_is_the_zones_own_or_the_one_given(self):
+        zones = pop_zones([100, 300, 200])
+        stratum = DemandStratum("s", "population", "population", 1.0, 0.0)
+        assert ZoneAttributes(zones).zone_ids == ("z0", "z1", "z2")
+        given = ZoneAttributes(zones, ["z2", "z0", "z1"])
+        assert given.zone_ids == ("z2", "z0", "z1")
+        assert given.trip_ends(stratum).origins.tolist() == [200.0, 100.0, 300.0]
+
+    def test_vectors_are_read_once_per_attribute_pair(self):
+        zones = pop_zones([100, 300])
+        attributes = ZoneAttributes(zones)
+        first = attributes.vectors(DemandStratum("s", "population", "population", 1.0, 0.1))
+        zones[0].attributes["population"] = 7.0
+        again = attributes.vectors(DemandStratum("t", "population", "population", 0.5, 0.2))
+        assert again is first and first[0].tolist() == [100.0, 300.0]
 
     @pytest.mark.parametrize("name, value, rule", [
         ("mu", -1.0, ">= 0"), ("mu", math.nan, ">= 0"), ("mu", math.inf, ">= 0"),
@@ -727,9 +744,8 @@ class TestNewton:
     def grid_case(grid, beta):
         zones, net = grid
         costs = net.free_flow_paths.skim
-        by_id = {z.zone_id: z for z in zones}
         stratum = DemandStratum("all", "population", "population", 0.8, beta)
-        ends = generate_trip_ends([by_id[z] for z in costs.zone_ids], stratum)
+        ends = ZoneAttributes(zones, costs.zone_ids).trip_ends(stratum)
         return seed_matrix(ends, costs, beta, "exponential"), ends
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
@@ -980,7 +996,7 @@ class TestDistribute:
         zones = pop_zones([100, 250, 400])
         stratum = DemandStratum("s", "population", "population", 1.2, 0.0)
         costs = costs_of(rng.uniform(1.0, 30.0, (3, 3)))
-        out = distribute(zones, stratum, costs)
+        out = distribute(ZoneAttributes(zones), stratum, costs)
         O = 1.2 * np.array([100.0, 250.0, 400.0])
         expected = np.outer(O, O) / O.sum()
         assert np.allclose(out.trips, expected, rtol=1e-12)
@@ -989,14 +1005,14 @@ class TestDistribute:
         zones = pop_zones([500, 500])
         stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
         costs = costs_of([[2.0, 4.0], [4.0, 2.0]])
-        out = distribute(zones, stratum, costs)
+        out = distribute(ZoneAttributes(zones), stratum, costs)
         assert np.allclose(out.trips, out.trips.T, rtol=1e-12)
 
     def test_toy_margins_match_targets(self):
         zones, net = eight_zone_star()
         costs = PathSet(net, free_flow_times(net)).skim
         stratum = toy_strata(1.5, 0.1)[0]
-        out = distribute(zones, stratum, costs)
+        out = distribute(ZoneAttributes(zones, costs.zone_ids), stratum, costs)
         pops = {z.zone_id: z.attributes["population"] for z in zones}
         O = np.array([1.5 * pops[z] for z in costs.zone_ids])
         assert np.abs(out.trips.sum(axis=1) / O - 1.0).max() <= 1e-8
@@ -1005,21 +1021,35 @@ class TestDistribute:
         zones, net = grid_region(5, 4, seed=0)
         costs = PathSet(net, free_flow_times(net)).skim
         stratum = DemandStratum("s", "population", "population", 0.8, 0.08)
-        out = distribute(zones, stratum, costs)
+        out = distribute(ZoneAttributes(zones, costs.zone_ids), stratum, costs)
         assert out.trips.flags.c_contiguous
         assert np.shares_memory(np.ravel(out.trips), out.trips)
 
     def test_mu_zero_returns_zero_matrix(self):
         zones = pop_zones([100, 200])
         stratum = DemandStratum("s", "population", "population", 0.0, 0.1)
-        out = distribute(zones, stratum, costs_of([[1.0, 2.0], [2.0, 1.0]]))
+        out = distribute(ZoneAttributes(zones), stratum, costs_of([[1.0, 2.0], [2.0, 1.0]]))
         assert np.array_equal(out.trips, np.zeros((2, 2)))
 
     def test_zone_set_must_match_costs(self):
         zones = pop_zones([100, 200])
         stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
+        costs = costs_of(np.ones((3, 3)))
         with pytest.raises(ValueError, match="zone set"):
-            distribute(zones, stratum, costs_of(np.ones((3, 3))))
+            distribute(ZoneAttributes(zones, costs.zone_ids), stratum, costs)
+
+    def test_a_list_of_zones_is_rejected(self):
+        zones = pop_zones([100, 200])
+        stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
+        with pytest.raises(TypeError, match="expected a ZoneAttributes, got list"):
+            distribute(zones, stratum, costs_of([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_zone_order_must_match_costs(self):
+        zones = pop_zones([100, 200])
+        stratum = DemandStratum("s", "population", "population", 1.0, 0.1)
+        costs = costs_of([[1.0, 2.0], [2.0, 1.0]], zone_ids=("z1", "z0"))
+        with pytest.raises(ValueError, match="zone order does not match the cost matrix"):
+            distribute(ZoneAttributes(zones), stratum, costs)
 
     def test_mean_trip_cost_weakly_decreases_in_beta(self, rng):
         for _ in range(10):
@@ -1032,6 +1062,6 @@ class TestDistribute:
             for beta in betas:
                 stratum = DemandStratum("s", "population", "population", 1.0,
                                         float(beta))
-                out = distribute(zones, stratum, costs)
+                out = distribute(ZoneAttributes(zones), stratum, costs)
                 means.append((out.trips * costs.values).sum() / out.trips.sum())
             assert means[0] + 1e-9 >= means[1] >= means[2] - 1e-9

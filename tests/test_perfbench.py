@@ -35,3 +35,7 @@ def test_workload_runs_without_a_wrong_outcome(workloads, tmp_path, name):
     assert outcomes
     assert workloads.WRONG not in outcomes
     assert math.isfinite(j)
+
+
+def test_toy_star_ties_match_the_stored_flows(workloads):
+    assert workloads.check_toy_star() == workloads.OK
