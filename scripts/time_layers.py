@@ -12,10 +12,11 @@ repeated and reported as the median:
     origin blocks as the engine runs them (network._row_blocks), so the tie
     pass and the rest of the build (hop depths, their sort and the split
     into levels) read as differences;
-  * seed_matrix, the population -> population gravity seed over the
-    free-flow skim, at mu = 0.8 and beta 0.08 (exponential deterrence);
-  * furness_balance of that gravity seed at mu = 0.8 and beta 0.08, 0.3
-    and 1.0 (exponential deterrence), with its
+  * the gravity seed that distribute balances, the deterrence matrix
+    f(C; -beta) of the free-flow skim at beta 0.08 (exponential
+    deterrence);
+  * furness_balance of that gravity seed at beta 0.08, 0.3 and 1.0 to the
+    population -> population trip ends at mu = 0.8, with its
     outcome, its sweeps, whether it handed the balance to Newton, and the
     relaxation factor omega of its last sweep (1 for a plain sweep);
   * one Newton step (demand._newton_step on the beta 0.3 seed) against one
@@ -33,7 +34,7 @@ repeated and reported as the median:
   * the same on grid_region(10, 8, seed=0) whatever NXxNY is, against the
     criterion-7 grid's counts, at (0.8, 0.08) and at (0.8, 1.0), where the
     balance hands off to Newton: each row also gives that balance's sweeps,
-    omega and hand-off, and the median seconds of the seed_matrix,
+    omega and hand-off, and the median seconds of the gravity seed,
     furness_balance and PathSet.flow_vector calls the evaluation makes;
   * assign_iterative of that one stratum with n_outer = 5 and gap_tol = 0,
     so all five MSA iterations run;
@@ -86,9 +87,10 @@ from flowfit.demand import (
     FURNESS_RATE_WINDOW,
     DemandStratum,
     FurnessConvergenceError,
+    ODMatrix,
     ZoneAttributes,
+    deterrence,
     furness_balance,
-    seed_matrix,
 )
 from flowfit.model_io import write_model
 from flowfit.network import (
@@ -159,6 +161,11 @@ def held_bytes(obj):
 def copies(network, n):
     """n copies of network, each without its cached free-flow path set."""
     return [dataclasses.replace(network) for _ in range(n)]
+
+
+def gravity_seed(costs, beta):
+    """The seed distribute balances: f(C; -beta), exponential deterrence."""
+    return ODMatrix(costs.zone_ids, deterrence(costs.values, -beta, "exponential"))
 
 
 def sweeps(seed, ends):
@@ -279,15 +286,14 @@ def small_objective_rows(zones, net, counts, repeats):
         weights = np.array([MU, beta])
         stratum = DemandStratum("all", "population", "population", MU, beta)
         ends = attributes.trip_ends(stratum)
-        seed = seed_matrix(ends, paths.skim, beta, "exponential")
+        seed = gravity_seed(paths.skim, beta)
         od = furness_balance(seed, ends)
         swept, omega, handed = traced(lambda: objective(weights))
         rows.append({
             "layer": "one J eval (one-off, 10x8)", "mu": MU, "beta": beta,
             **timed(lambda: objective(weights), repeats), "j": float(objective(weights)),
             "sweeps": swept, "handed_off": handed is not None, "omega": omega,
-            "seed_matrix_s": timed(
-                lambda: seed_matrix(ends, paths.skim, beta, "exponential"), repeats)["median_s"],
+            "seed_s": timed(lambda: gravity_seed(paths.skim, beta), repeats)["median_s"],
             "furness_balance_s": timed(lambda: furness_balance(seed, ends), repeats)["median_s"],
             "flow_vector_s": timed(lambda: paths.flow_vector(od), repeats)["median_s"]})
     return rows
@@ -325,17 +331,16 @@ def main() -> None:
     stratum = DemandStratum("all", "population", "population", MU, J_BETA)
     ends = ZoneAttributes(zones, costs.zone_ids).trip_ends(stratum)
 
-    rows.append({"layer": "seed_matrix", "mu": MU, "beta": J_BETA,
-                 **timed(lambda: seed_matrix(ends, costs, J_BETA, "exponential"),
-                         args.repeats)})
+    rows.append({"layer": "gravity seed", "mu": None, "beta": J_BETA,
+                 **timed(lambda: gravity_seed(costs, J_BETA), args.repeats)})
     for beta in FURNESS_BETAS:
-        seed = seed_matrix(ends, costs, beta, "exponential")
+        seed = gravity_seed(costs, beta)
         swept, omega, handed = traced(lambda: furness_balance(seed, ends))
         rows.append({"layer": "furness_balance", "mu": MU, "beta": beta,
                      **timed(lambda: furness_balance(seed, ends), args.repeats),
                      "sweeps": swept, "handed_off": handed is not None, "omega": omega})
 
-    seed = seed_matrix(ends, costs, FURNESS_BETAS[1], "exponential")
+    seed = gravity_seed(costs, FURNESS_BETAS[1])
     sweep_s = timed(lambda: sweeps(seed, ends), args.repeats)["median_s"]
     sweep_s /= SWEEP_CALLS * FURNESS_RATE_WINDOW
     live_o, live_d = ends.origins > 0, ends.destinations > 0
@@ -350,7 +355,7 @@ def main() -> None:
                  "price_sweeps": demand.NEWTON_SWITCH_STEPS * flop_model})
 
     for beta in HANDOFF_BETAS:
-        seed = seed_matrix(ends, costs, beta, "exponential")
+        seed = gravity_seed(costs, beta)
         row = {"layer": "Newton hand-off", "mu": MU, "beta": beta, "sweeps_before": None,
                "newton_steps": 0, "median_s": None, "runs_s": [], "outcome": "no hand-off",
                "minor_faults": None}
@@ -363,7 +368,7 @@ def main() -> None:
                        cost_in_sweeps=row["median_s"] / sweep_s)
         rows.append(row)
 
-    od = furness_balance(seed_matrix(ends, costs, J_BETA, "exponential"), ends)
+    od = furness_balance(gravity_seed(costs, J_BETA), ends)
     rows.append({"layer": "PathSet.flow_vector (free flow)", "mu": MU, "beta": J_BETA,
                  **timed(lambda: paths.flow_vector(od), args.repeats),
                  "levels": len(paths._levels), "entries": paths._entries})

@@ -31,7 +31,6 @@ from .demand import (
     deterrence,
     distribute,
     furness_balance,
-    seed_matrix,
 )
 from .metrics import (
     EvaluationReport,

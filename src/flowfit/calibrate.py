@@ -392,8 +392,9 @@ class ModelObjective:
     attributes again.
 
     A Furness balance that fails (FurnessConvergenceError or
-    FurnessInfeasibleError) scores J = +inf, which the optimizers rank
-    worst, and is counted in furness_failures; any other pipeline error
+    FurnessInfeasibleError), or a J that is not finite, scores J = +inf,
+    which the optimizers rank worst, and is counted in furness_failures, with
+    numpy's overflow and invalid warnings silenced; any other pipeline error
     raises ObjectiveError with the weights attached.
     """
 
@@ -430,19 +431,23 @@ class ModelObjective:
             self._zones.vectors(s)
         self._count_idx = np.array([network.link_index[c.link_id] for c in self.counts])
 
+    @np.errstate(over="ignore", invalid="ignore")  # a weight whose flows leave float range
     def __call__(self, x) -> float:
         weights = self.template.with_values(x)
         try:
             result = assign(self.network, self._zones, weights.apply(self.strata), **self._settings)
-            return geh_objective(result.total[self._count_idx], self._observed)[0]
+            j = geh_objective(result.total[self._count_idx], self._observed)[0]
         except (FurnessConvergenceError, FurnessInfeasibleError):
-            self.furness_failures += 1
-            return math.inf
+            j = math.inf
         except Exception as exc:
             detail = ", ".join(
                 f"{e.stratum}.{e.param}={e.value:g}" for e in weights.entries
             )
             raise ObjectiveError(f"objective failed at {detail}: {exc}") from exc
+        if math.isfinite(j):
+            return j
+        self.furness_failures += 1
+        return math.inf
 
 
 def calibrate(

@@ -249,7 +249,7 @@ def deterrence(cost, beta: float, kind: str):
     exponential: f(c) = exp(beta * c); power: f(c) = c ** beta with the
     cost clamped below by COST_FLOOR. Accepts scalars or arrays; an array
     result is one new buffer, computed in place. For both kinds f(c; -beta)
-    is 1 / f(c; beta), the form seed_matrix multiplies by; exp(-beta * c)
+    is 1 / f(c; beta), the gravity seed that distribute balances; exp(-beta * c)
     is a positive subnormal where beta * c lies between about 709.8 and 745,
     where exp(beta * c) overflows and its reciprocal reads 0.
     """
@@ -266,21 +266,6 @@ def deterrence(cost, beta: float, kind: str):
     return float(out) if out.ndim == 0 else out
 
 
-def seed_matrix(ends: TripEnds, costs: CostMatrix, beta: float, kind: str) -> ODMatrix:
-    """Unbalanced gravity seed S_ij = O_i * D_j / f(C_ij), diagonal included,
-    formed in one row-major buffer as O_i * D_j * f(C_ij; -beta)."""
-    n = len(costs.zone_ids)
-    if ends.origins.shape != (n,) or ends.destinations.shape != (n,):
-        raise ValueError(
-            f"trip ends ({ends.origins.shape[0]} zones) do not match "
-            f"cost matrix ({n} zones)"
-        )
-    trips = deterrence(costs.values, -beta, kind)
-    trips *= ends.origins[:, None]
-    trips *= ends.destinations
-    return ODMatrix(costs.zone_ids, trips)
-
-
 def furness_balance(
     seed: ODMatrix,
     ends: TripEnds,
@@ -290,7 +275,8 @@ def furness_balance(
     """Alternate row/column scaling until both margins match the trip ends.
 
     The result has the form diag(a) @ seed @ diag(b), i.e. the seed's
-    cross-ratio structure is preserved. Only the scale vectors change
+    cross-ratio structure is preserved and a row or column factor of the
+    seed only rescales a or b. Only the scale vectors change
     during the sweeps: each costs two matrix-vector products with the
     seed, row = seed @ b and col = a @ seed, and the product is formed
     once, on convergence, in place in one new buffer. The buffers are made
@@ -583,10 +569,11 @@ def _infeasible(scale, sums, off, zone_ids, axis: str, margin: str):
 
 
 def distribute(zones: ZoneAttributes, stratum: DemandStratum, costs: CostMatrix) -> ODMatrix:
-    """Per-stratum OD matrix: trip ends -> gravity seed -> Furness balancing,
-    in the zone order of costs (a PathSet's skim gives its flow_vector's),
-    which zones must share."""
+    """Per-stratum OD matrix in the zone order of costs (a PathSet's skim
+    gives its flow_vector's), which zones must share: the deterrence matrix
+    f(C; -beta) balanced to the trip ends, which absorbs the O_i D_j factor
+    of Wilson's (1967) gravity model T_ij = A_i O_i B_j D_j f(C_ij; -beta)."""
     require_zone_order(zones, costs.zone_ids)
     ends = zones.trip_ends(stratum)
-    seed = seed_matrix(ends, costs, stratum.beta, stratum.deterrence_kind)
-    return furness_balance(seed, ends)
+    seed = deterrence(costs.values, -stratum.beta, stratum.deterrence_kind)
+    return furness_balance(ODMatrix(costs.zone_ids, seed), ends)

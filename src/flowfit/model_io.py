@@ -383,20 +383,24 @@ def _resolve_counts(rows, network: Network, source: Path, diagnostics: list[str]
     return counts
 
 
-class _Loader(yaml.SafeLoader):
-    """yaml.SafeLoader that also reads an exponent form without a dot or an
+def _exponent_floats(loader):
+    """loader, subclassed to also read an exponent form without a dot or an
     exponent sign, such as 1e-3, 2E4 or 1e5, as a float, as YAML 1.2 does."""
+    subclass = type(loader.__name__, (loader,), {})
+    subclass.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+    return subclass
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
+# libyaml where PyYAML has it; the pure-Python loader words the diagnostic of
+# a file libyaml rejects, which libyaml words otherwise, without the caret
+_Loader = _exponent_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+_PureLoader = _exponent_floats(yaml.SafeLoader)
 
 
 def _read_yaml_mapping(path: Path) -> dict:
     """A YAML file's top-level mapping (an empty file reads as {}), read by
-    _Loader, so an unquoted 1e-3 is a number.
+    _Loader, so an unquoted 1e-3 is a number, or by _PureLoader if it rejects it.
 
     A missing file, invalid YAML or any other top-level value raises
     ModelLoadError(stage="parse").
@@ -405,7 +409,11 @@ def _read_yaml_mapping(path: Path) -> dict:
         raise ModelLoadError("parse", [f"{path}: file not found"])
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=_Loader) or {}
+            try:
+                raw = yaml.load(fh, Loader=_Loader) or {}
+            except yaml.YAMLError:
+                fh.seek(0)
+                raw = yaml.load(fh, Loader=_PureLoader) or {}
     except yaml.YAMLError as exc:
         raise ModelLoadError("parse", [f"{path}: invalid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -355,7 +356,7 @@ class TestObjective:
         def breaks(*args):
             raise ValueError("seed broke")
 
-        monkeypatch.setattr(demand, "seed_matrix", breaks)
+        monkeypatch.setattr(demand, "deterrence", breaks)
         with pytest.raises(ObjectiveError, match=r"s\.mu=1.*seed broke"):
             obj(np.array([1.0, 0.1]))
 
@@ -409,6 +410,40 @@ class TestObjective:
 
         monkeypatch.setattr(demand, "furness_balance", stalls)
         assert obj(np.array([1.0, 0.0])) == math.inf
+        assert obj.furness_failures == 1
+
+    def test_tiny_mu_scores_as_a_small_one(self, toy_setup):
+        # mu scales the trip ends, the seed's margins, and never the seed
+        # f(C; -beta), so no mu in the box underflows it
+        zones, net, counts = toy_setup
+        obj = ModelObjective(zones, net, toy_strata(), counts)
+        reference = obj(np.array([1e-160, TOY_TRUE_BETA]))
+        assert math.isfinite(reference)
+        for mu in (1e-170, 1e-300):
+            assert obj(np.array([mu, TOY_TRUE_BETA])) == pytest.approx(reference, rel=1e-9)
+        assert obj.furness_failures == 0
+
+    def test_flows_past_float_range_score_inf_and_are_counted(self, toy_setup):
+        # the balance holds at mu 1e150; from about 1e152 the GEH leaves float range
+        zones, net, counts = toy_setup
+        obj = ModelObjective(zones, net, toy_strata(), counts)
+        assert math.isfinite(obj(np.array([1e150, TOY_TRUE_BETA])))
+        assert obj.furness_failures == 0
+        for failures, mu in enumerate((1e152, 1e302), start=1):
+            assert obj(np.array([mu, TOY_TRUE_BETA])) == math.inf
+            assert obj.furness_failures == failures
+
+    @pytest.mark.parametrize("x", [[1e300, TOY_TRUE_BETA], [TOY_TRUE_MU, 1e300],
+                                   [TOY_TRUE_MU, 1e308]])
+    def test_extreme_weights_score_inf_without_a_warning(self, toy_setup, x):
+        # mu 1e300 overflows the trip ends, beta 1e308 the deterrence's
+        # beta * c; beta 1e300 keeps beta * c in range, and the seed is 0
+        # off the diagonal
+        zones, net, counts = toy_setup
+        obj = ModelObjective(zones, net, toy_strata(), counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert obj(np.array(x)) == math.inf
         assert obj.furness_failures == 1
 
     def test_iterative_evaluation_builds_a_path_set_per_later_iteration(

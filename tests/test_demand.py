@@ -25,7 +25,6 @@ from flowfit.demand import (
     deterrence,
     distribute,
     furness_balance,
-    seed_matrix,
 )
 from flowfit.model_io import DerivationRule
 from flowfit.network import CostMatrix, free_flow_times
@@ -267,51 +266,20 @@ class TestDeterrence:
             product = deterrence(costs, -beta, kind) * deterrence(costs, beta, kind)
             assert np.abs(product - 1.0).max() <= 2 * np.finfo(float).eps
 
-
-class TestSeedMatrix:
-    def test_beta_zero_gives_pure_product(self):
-        ends = TripEnds(np.array([10.0, 20.0]), np.array([15.0, 15.0]))
-        seed = seed_matrix(ends, costs_of([[1.0, 2.0], [2.0, 1.0]]), 0.0, "exponential")
-        assert np.array_equal(seed.trips, np.outer([10.0, 20.0], [15.0, 15.0]))
-
-    def test_one_by_one_direct_product(self):
-        ends = TripEnds(np.array([10.0]), np.array([10.0]))
-        seed = seed_matrix(ends, costs_of([[2.0]]), 0.0, "exponential")
-        assert seed.trips.tolist() == [[100.0]]
-
-    def test_symmetric_inputs_give_symmetric_seed(self):
-        ends = TripEnds(np.array([5.0, 5.0]), np.array([5.0, 5.0]))
-        seed = seed_matrix(ends, costs_of([[1.0, 3.0], [3.0, 1.0]]), 0.2, "exponential")
-        assert np.array_equal(seed.trips, seed.trips.T)
-
-    def test_dimension_mismatch(self):
-        ends = TripEnds(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError, match="do not match"):
-            seed_matrix(ends, costs_of([[1.0]]), 0.0, "exponential")
-
-    @pytest.mark.parametrize("kind", ["exponential", "power"])
-    def test_matches_the_product_over_the_deterrence(self, rng, kind):
-        n = 40
-        values = rng.uniform(0.0, 120.0, (n, n))
-        values[rng.random((n, n)) < 0.1] = 0.0
-        ends = TripEnds(rng.uniform(0.0, 5e3, n), rng.uniform(0.0, 5e3, n))
-        for beta in (0.0, 0.05, 0.3, 1.0):
-            trips = seed_matrix(ends, costs_of(values), beta, kind).trips
-            expected = np.outer(ends.origins, ends.destinations) / deterrence(values, beta, kind)
-            assert trips.flags.c_contiguous
-            assert np.all(np.abs(trips - expected) <= 1e-15 * expected)
-
     def test_entry_past_exp_overflow_is_positive(self):
         # exp(beta * c) overflows above about 709.8, but exp(-beta * c) stays
         # a positive subnormal up to about 745
-        ends = TripEnds(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        costs = costs_of([[1.0, 720.0], [740.0, 1.0]])
-        trips = seed_matrix(ends, costs, 1.0, "exponential").trips
-        assert trips[0, 1] > 0.0 and trips[1, 0] > 0.0
-        assert trips[0, 1] < np.finfo(float).tiny
+        seed = deterrence(np.array([[1.0, 720.0], [740.0, 1.0]]), -1.0, "exponential")
+        assert seed[0, 1] > 0.0 and seed[1, 0] > 0.0
+        assert seed[0, 1] < np.finfo(float).tiny
 
 
 class TestFurnessBalance:
+    def test_dimension_mismatch(self):
+        ends = TripEnds(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="does not match"):
+            furness_balance(ODMatrix(("z0",), np.ones((1, 1))), ends)
+
     def test_already_balanced_is_fixed_point(self):
         seed = ODMatrix(("a", "b"), np.ones((2, 2)))
         ends = TripEnds(np.array([2.0, 2.0]), np.array([2.0, 2.0]))
@@ -746,7 +714,7 @@ class TestNewton:
         costs = net.free_flow_paths.skim
         stratum = DemandStratum("all", "population", "population", 0.8, beta)
         ends = ZoneAttributes(zones, costs.zone_ids).trip_ends(stratum)
-        return seed_matrix(ends, costs, beta, "exponential"), ends
+        return ODMatrix(costs.zone_ids, deterrence(costs.values, -beta, "exponential")), ends
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
     @pytest.mark.parametrize("size", [(10, 8), (30, 30)], ids=["10x8", "30x30"])
@@ -797,8 +765,8 @@ class TestNewton:
         assert 0.0 < err.value.deviation < 1e-12
 
     def test_fast_400_zone_balance_never_hands_off(self, grid, newton_sweeps):
-        # grid 20x20 at the benchmark's generating weights converges in 33
-        # relaxed sweeps (61 plain ones); at a price of zero it would hand
+        # grid 20x20 at the benchmark's generating weights converges in 32
+        # relaxed sweeps (60 plain ones); at a price of zero it would hand
         # off after 20
         seed, ends = self.grid_case(grid(20, 20), 0.08)
         assert_margins(furness_balance(seed, ends).trips, ends)
@@ -1016,6 +984,27 @@ class TestDistribute:
         pops = {z.zone_id: z.attributes["population"] for z in zones}
         O = np.array([1.5 * pops[z] for z in costs.zone_ids])
         assert np.abs(out.trips.sum(axis=1) / O - 1.0).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["exponential", "power"])
+    @pytest.mark.parametrize("size", [None, (10, 8)], ids=["star", "10x8"])
+    def test_matches_the_balance_of_the_trip_end_product_seed(self, grid, size, kind):
+        # T_ij = A_i O_i B_j D_j f(c_ij) (Wilson 1967): the balancing factors
+        # absorb the seed's row and column factors O_i and D_j, so balancing
+        # f(C; -beta) alone gives the OD of the O_i D_j f(C; -beta) seed
+        zones, net = eight_zone_star() if size is None else grid(*size)
+        costs = net.free_flow_paths.skim
+        attributes = ZoneAttributes(zones, costs.zone_ids)
+        for beta in (0.02, 0.08, 0.3, 1.0):
+            stratum = DemandStratum("s", "population", "population", 0.8, beta, kind)
+            ends = attributes.trip_ends(stratum)
+            product = deterrence(costs.values, -beta, kind)
+            product *= ends.origins[:, None]
+            product *= ends.destinations
+            reference = furness_balance(ODMatrix(costs.zone_ids, product), ends).trips
+            trips = distribute(attributes, stratum, costs).trips
+            assert_margins(trips, ends)
+            assert_margins(reference, ends)
+            assert np.all(np.abs(trips - reference) <= 1e-7 * reference), beta
 
     def test_trips_flatten_without_a_copy(self):
         zones, net = grid_region(5, 4, seed=0)

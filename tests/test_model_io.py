@@ -392,6 +392,40 @@ class TestSpecChecks:
         assert err.value.diagnostics == [message]
 
 
+class TestSpecParse:
+    """Specs are parsed by libyaml where PyYAML has it; a file that libyaml
+    rejects is worded by the pure-Python parser."""
+
+    def test_libyaml_parses_where_pyyaml_has_it(self):
+        assert issubclass(model_io._Loader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert issubclass(model_io._PureLoader, yaml.SafeLoader)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e-3", 0.001), ("2E4", 20000.0), ("1e5", 100000.0), ("'1e-3'", "1e-3"),
+        (".5", 0.5), ("0x10", 16), ("yes", True), ("~", None), ("12:30", 750),
+        ("&x [1, 2.5]\nb: *x", [1, 2.5]), ("1\na: 2", 2),
+    ])
+    def test_both_loaders_read_the_same_values(self, text, value):
+        read = [yaml.load(f"a: {text}", Loader=loader)
+                for loader in (model_io._Loader, model_io._PureLoader)]
+        assert repr(read[0]) == repr(read[1])
+        assert read[0]["a"] == value and type(read[0]["a"]) is type(value)
+
+    @pytest.mark.parametrize("text", [
+        "files: [zones.csv\n", "a: b: c\n", "a:\n\tb: 1\n", "a: 'x\n", "a: *nope\n",
+        "a: !!python/object:os.system 1\n", "a: \x07\n", "? [1]\n: 2\n",
+    ])
+    def test_invalid_yaml_is_worded_by_the_pure_python_loader(self, tmp_path, text):
+        spec = tmp_path / "model.yaml"
+        spec.write_text(text)
+        with open(spec) as fh, pytest.raises(yaml.YAMLError) as expected:
+            yaml.load(fh, Loader=model_io._PureLoader)
+        with pytest.raises(ModelLoadError) as err:
+            load_model(spec)
+        assert err.value.stage == "parse"
+        assert err.value.diagnostics == [f"{spec}: invalid YAML: {expected.value}"]
+
+
 class TestScenario:
     def test_empty_edit_list_is_identity(self, toy_dir):
         model = load_model(toy_dir / "model.yaml")

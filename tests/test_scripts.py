@@ -60,7 +60,7 @@ def test_time_layers_reports_every_row():
     rows = report["rows"]
     assert [(r["layer"], r["beta"]) for r in rows] == [
         ("PathSet build (free flow)", None), ("shortest_path_tree (free flow)", None),
-        ("_frontier_distances (free flow)", None), ("seed_matrix", 0.08),
+        ("_frontier_distances (free flow)", None), ("gravity seed", 0.08),
         ("furness_balance", 0.08),
         ("furness_balance", 0.3), ("furness_balance", 1.0),
         ("Newton step / sweep", 0.3), ("Newton hand-off", 0.3), ("Newton hand-off", 1.0),
@@ -101,7 +101,7 @@ def test_time_layers_reports_every_row():
     assert small[1]["sweeps"] == 20
     for row in small:
         assert math.isfinite(row["j"]) and row["j"] > 0.0
-        for layer in ("seed_matrix_s", "furness_balance_s", "flow_vector_s"):
+        for layer in ("seed_s", "furness_balance_s", "flow_vector_s"):
             assert row[layer] > 0.0
     # load_model and its parts: each table's data rows, read per second
     loads = {r["layer"]: r for r in rows if r["layer"].startswith("load_model")}
