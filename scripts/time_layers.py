@@ -8,10 +8,12 @@ repeated and reported as the median:
   * the PathSet build at free-flow times (shortest-path trees and their
     loading order), with held_bytes, the summed nbytes of the arrays the
     built path set holds; shortest_path_tree alone on the same call, and its
-    label rounds (network._frontier_distances) alone, run in the same
-    origin blocks as the engine runs them (network._row_blocks), so the tie
-    pass and the rest of the build (hop depths, their sort and the split
-    into levels) read as differences;
+    label rounds (network._frontier_distances) alone, on the padded link
+    tables the engine builds (network._link_tables, built once outside the
+    timing) and in the same origin blocks as the engine runs them
+    (network._row_blocks), so the table build and the tie pass, and the
+    rest of the build (hop depths, their sort and the split into levels)
+    read as differences;
   * the gravity seed that distribute balances, the deterrence matrix
     f(C; -beta) of the free-flow skim at beta 0.08 (exponential
     deterrence);
@@ -61,7 +63,10 @@ like) again inside the timing, a few milliseconds at 30x30.
 
 Prints one JSON object, with the BLAS thread settings (OPENBLAS_NUM_THREADS
 and OMP_NUM_THREADS, null when unset), the CPU count and the strands a path
-build runs at once (network.path_workers). Wall times depend
+build runs at once (network.path_workers), and each grid's padding
+factors: nodes times the most out-links (and in-links) of any node, over
+the links, which a label round's (and the tie pass's) work grows with.
+Wall times depend
 on the machine; compare two versions of flowfit by running this script
 against each, alternately.
 
@@ -94,8 +99,10 @@ from flowfit.demand import (
 )
 from flowfit.model_io import write_model
 from flowfit.network import (
+    ROUND_CANDIDATES,
     PathSet,
     _frontier_distances,
+    _link_tables,
     _row_blocks,
     free_flow_times,
     path_workers,
@@ -156,6 +163,15 @@ def held_bytes(obj):
     if isinstance(obj, (list, tuple)):
         return sum(held_bytes(item) for item in obj)
     return sum(held_bytes(value) for value in getattr(obj, "__dict__", {}).values())
+
+
+def padding_factors(network):
+    """{"out": ..., "in": ...}: nodes times the most out-links (in-links) of
+    any node, over the routable links; the share of padding in the link
+    tables that the label rounds (the tie pass) read."""
+    out_head, out_time, in_tail, *_ = _link_tables(network, free_flow_times(network))
+    links = int(np.isfinite(out_time).sum())
+    return {"out": out_head.size / links, "in": in_tail.size / links}
 
 
 def copies(network, n):
@@ -316,13 +332,13 @@ def main() -> None:
     rows.append({"layer": "shortest_path_tree (free flow)", "mu": None, "beta": None,
                  **timed(lambda: shortest_path_tree(net, free_flow_times(net), anchors),
                          args.repeats)})
-    tail, head = net.link_ends  # every grid link joins two known nodes
     sources = np.array([net.node_index[a] for a in anchors])
+    out_head, out_time, in_tail, *_ = _link_tables(net, free_flow_times(net))
 
     def rounds():
-        times = free_flow_times(net)
-        return _row_blocks(lambda lo, hi: _frontier_distances(
-            len(net.node_ids), tail, head, times, sources[lo:hi]), sources.size, tail.size)
+        # the blocks, width and strand threshold of shortest_path_tree's call
+        return _row_blocks(lambda lo, hi: _frontier_distances(out_head, out_time, sources[lo:hi]),
+                           sources.size, max(out_head.size, in_tail.size), ROUND_CANDIDATES >> 5)
 
     rows.append({"layer": "_frontier_distances (free flow)", "mu": None, "beta": None,
                  **timed(rounds, args.repeats)})
@@ -414,6 +430,8 @@ def main() -> None:
     print(json.dumps({
         "instance": f"grid_region({nx}, {ny}, seed={GRID_SEED})",
         "zones": len(zones), "links": len(net.links),
+        "padding": {f"grid_region({gx}, {gy}, seed={GRID_SEED})": padding_factors(g)
+                    for (gx, gy), g in (((nx, ny), net), (SPLIT_GRID, split_net))},
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpu": platform.processor() or platform.machine(),
                     "cpu_count": os.cpu_count(), "path_workers": path_workers(),

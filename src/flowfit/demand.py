@@ -188,10 +188,17 @@ class ZoneAttributes:
     attributes: each stratum's production and attraction vectors are read
     once and kept by attribute pair (calibration changes only mu and beta).
     distribute and load_strata take one in their skim's zone order, which
-    assign_iterative and ModelObjective make from a list of Zone."""
+    assign_iterative and ModelObjective make from a list of Zone. Two zones
+    with one zone_id raise ValueError: neither may silently win."""
 
     def __init__(self, zones, zone_ids=None):
-        by_id = {z.zone_id: z for z in zones}
+        by_id, shared = {}, set()
+        for z in zones:
+            if z.zone_id in by_id:
+                shared.add(z.zone_id)
+            by_id[z.zone_id] = z
+        if shared:
+            raise ValueError(f"zones share an id: {sorted(shared)}")
         if zone_ids is not None and set(by_id) != set(zone_ids):
             raise ValueError("zone set does not match the cost matrix")
         self.zone_ids = tuple(by_id if zone_ids is None else zone_ids)

@@ -3,11 +3,13 @@
 Link times and flows are float arrays aligned to Network.link_ids, and
 volume_delay takes the per-link BPR arrays that Network.bpr caches.
 
-shortest_path_tree is the package's one shortest-path engine: distances for
-all origins at once by label-correcting rounds over numpy arrays
-(Bellman-Ford-Moore with a FIFO frontier), followed by one exact array pass
-that applies the (node_id, link_id) tie rule. Origins are independent, so
-the engine and PathSet's hop depths run in origin blocks on every CPU.
+shortest_path_tree is the package's one shortest-path engine. It lays each
+node's out-links and in-links out as one row of a padded table, then finds
+distances for all origins at once by label-correcting rounds that gather
+whole out-link rows (Bellman-Ford-Moore with a FIFO frontier), followed by
+one exact pass over the in-link rows that applies the (node_id, link_id)
+tie rule. Origins are independent, so the engine and PathSet's hop depths
+run in origin blocks on every CPU.
 PathSet decodes the trees from every zone anchor into the skim and the
 loader from trips to link flows, and keeps only those two;
 Network.free_flow_paths keeps the one at free-flow times.
@@ -23,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-# A label-correcting round and the tie pass each form up to origins x links
-# candidates; shortest_path_tree runs the origins in row blocks that together
-# keep this across all blocks in flight, whatever the CPU count.
+# A label-correcting round forms up to origins x nodes x (most out-links of a
+# node) candidates; shortest_path_tree runs the origins in row blocks that
+# together keep this across all blocks in flight, whatever the CPU count.
 ROUND_CANDIDATES = 1 << 22
 
 # Rule-of-thumb BPR constants, used when the input does not set its own.
@@ -173,25 +175,26 @@ def path_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _row_blocks(fn, rows: int, width: int) -> list:
+def _row_blocks(fn, rows: int, width: int, min_strand: int) -> list:
     """[fn(lo, hi) for each row block lo:hi of range(rows)], in row order.
 
     A row holds width candidates (or entries). The rows are split into up
     to path_workers() contiguous strands that run at once: the first on the
-    calling thread, the others on a pool that lives only for this call
-    (numpy releases the GIL in its array loops). Each strand runs its rows
-    in blocks small enough that the blocks in flight hold ROUND_CANDIDATES
-    together at most, so the memory peak does not grow with the CPU count.
-    A strand needs ROUND_CANDIDATES >> 6 (64Ki) of them to repay its thread,
-    so smaller calls run inline. On 2 vCPUs two strands broke even with one
-    between 52k and 80k entries each for the hop depths (grids 18x18 and
-    20x20) and at about 120k candidates each for the label rounds and tie
-    pass (16x16), and cost under 3% more at 71k (14x14). A block's
-    exception is raised as a serial run raises it: the first one.
+    calling thread, the others on a pool that lives only for this call.
+    Each strand runs its rows in blocks small enough that the blocks in
+    flight hold ROUND_CANDIDATES together at most, so the memory peak does
+    not grow with the CPU count. A strand needs min_strand candidates to
+    repay its thread, so smaller calls run inline. On 2 vCPUs two strands
+    broke even with one between 131k and 167k candidates each for the
+    label rounds and tie pass (grids 16x16 and 17x17; 1.8x slower at 77k,
+    14x14), and between 19k and 33k entries each for the hop depths (14x14
+    and 16x16). Gathers and elementwise loops release the GIL, but
+    np.minimum.at hardly does (two threads ran at 0.87-1.31x of one's
+    throughput), so a strand's gain stays under 2x.
+    A block's exception is raised as a serial run raises it: the first one.
     """
     width = max(width, 1)
-    workers = max(1, min(path_workers(), rows,
-                         rows * width // max(ROUND_CANDIDATES >> 6, 1)))
+    workers = max(1, min(path_workers(), rows, rows * width // max(min_strand, 1)))
     size = max(1, ROUND_CANDIDATES // (width * workers))
     cuts = [rows * k // workers for k in range(workers + 1)]
 
@@ -205,41 +208,77 @@ def _row_blocks(fn, rows: int, width: int) -> list:
         return strand(cuts[0], cuts[1]) + [out for f in rest for out in f.result()]
 
 
-def _frontier_distances(n_nodes: int, tail, head, times, sources) -> np.ndarray:
-    """Shortest distances from each source over the links tail -> head, one
-    row per source: Bellman-Ford-Moore in FIFO rounds, all sources at once.
+def _padded_rows(row: np.ndarray, n_rows: int, *columns) -> list[np.ndarray]:
+    """Padded tables, one per (values, fill) column, each n_rows x (the most
+    links of any row). row, sorted ascending, names each link's row; row r
+    of a table holds the values of r's links in link order, then fill."""
+    width = max(int(np.bincount(row, minlength=n_rows).max(initial=0)), 1)
+    slot = np.arange(row.size) - np.searchsorted(row, row)
+    tables = []
+    for values, fill in columns:
+        table = np.full((n_rows, width), fill, dtype=values.dtype)
+        table[row, slot] = values
+        tables.append(table)
+    return tables
 
-    Labels are flat over (source, node). Each round relaxes the out-links
-    of the labels that improved in the previous round and keeps the strictly
-    better candidates. With positive times every label is final after
-    n_nodes - 1 rounds, so a frontier left after n_nodes rounds is an
-    internal error.
+
+def _frontier_distances(out_head: np.ndarray, out_time: np.ndarray, sources) -> np.ndarray:
+    """Shortest distances from each source, one row per source:
+    Bellman-Ford-Moore in FIFO rounds, all sources at once.
+
+    out_head and out_time are padded link tables, one row per node: row v
+    holds the heads and times of v's out-links, then any head and +inf.
+    Labels are flat over (source, node). Each round gathers the out-link
+    rows of the labels that improved in the previous round as whole rows,
+    adds each label to its row, and keeps the strictly better candidates
+    (a padding slot's +inf never is), so a round's work follows the
+    frontier times the most out-links of any node. With positive times
+    every label is final after nodes - 1 rounds, so a frontier left after
+    as many rounds as nodes is an internal error.
     """
-    by_tail = np.argsort(tail, kind="stable")
-    out_head, out_time = head[by_tail], times[by_tail]
-    degree = np.bincount(tail, minlength=n_nodes)
-    first_out = np.concatenate(([0], np.cumsum(degree)[:-1]))
+    n_nodes = out_head.shape[0]
     dist = np.full(sources.size * n_nodes, np.inf)
     frontier = np.arange(sources.size) * n_nodes + sources
     dist[frontier] = 0.0
     improved = np.zeros(dist.size, dtype=bool)
     for _ in range(n_nodes):
         node = frontier % n_nodes
-        deg = degree[node]
-        ends = np.cumsum(deg)
-        # the CSR position of every out-link of every frontier label
-        pos = np.arange(ends[-1]) + np.repeat(first_out[node] - ends + deg, deg)
-        cand = np.repeat(dist[frontier], deg) + out_time[pos]
-        target = np.repeat(frontier - node, deg) + out_head[pos]
-        better = cand < dist[target]
-        target = target[better]
-        np.minimum.at(dist, target, cand[better])
+        cand = np.take(out_time, node, axis=0)
+        cand += np.take(dist, frontier)[:, None]
+        target = np.take(out_head, node, axis=0)
+        target += (frontier - node)[:, None]
+        # np.take of flat positions, not boolean masks: a 2-D mask gathers
+        # several times slower
+        better = np.flatnonzero(cand < np.take(dist, target))
+        target = np.take(target, better)
+        np.minimum.at(dist, target, np.take(cand, better))
         improved[target] = True
         frontier = np.flatnonzero(improved)
         if not frontier.size:
             return dist.reshape(sources.size, n_nodes)
         improved[frontier] = False
     raise RuntimeError(f"labels still improving after {n_nodes} rounds")
+
+
+def _link_tables(network: Network, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The padded link tables of shortest_path_tree, one row per node:
+    (out_head, out_time) of each node's out-links, padded with head 0 and
+    time +inf, and (in_tail, in_time, in_link) of its in-links, padded with
+    tail 0, time +inf and link -1. in_link holds positions in link_ids.
+    Links that name an unknown node are left out. A node's in-links run
+    in (tail rank, link rank) order: among the tight links into a node,
+    the first has the smallest (node_id, link_id)."""
+    tail, head = network.link_ends
+    routable = np.flatnonzero((tail >= 0) & (head >= 0))
+    order = routable[np.lexsort((routable, tail[routable], head[routable]))]
+    tail, head, times = tail[order], head[order], times[order]
+    n = len(network.node_ids)
+    by_tail = np.argsort(tail, kind="stable")
+    out_head, out_time = _padded_rows(tail[by_tail], n, (head[by_tail], 0),
+                                      (times[by_tail], np.inf))
+    in_tail, in_time, in_link = _padded_rows(head, n, (tail, 0), (times, np.inf),
+                                             (order, -1))
+    return out_head, out_time, in_tail, in_time, in_link
 
 
 def shortest_path_tree(
@@ -253,17 +292,20 @@ def shortest_path_tree(
     node, the position in network.link_ids of the link on which the path
     enters it, and -1 at the origin and at unreachable nodes.
 
-    The origins run in row blocks (_row_blocks), one strand per CPU, each
-    block writing only its own rows of dist and pred, so both are bitwise
-    equal for any CPU count. In each block, label-correcting rounds
-    (_frontier_distances) compute distances only, and one flat pass over
-    (origin, link) picks predecessors: a link is tight when dist[tail] + t
-    == dist[head], and each reached node takes the tight link with the
-    smallest (node_id, link_id) pair, so the tree depends only on the
-    network content, never on input ordering. The pass is exact
-    because both steps form dist[tail] + t with the same double addition,
-    and when the rounds stop each reached node's label is the smallest such
-    sum over the links into it.
+    The call first lays each node's out-links and in-links out as one row
+    of a padded table (_link_tables). The origins then run in row blocks
+    (_row_blocks), one strand per CPU, each block writing only its own rows
+    of dist and pred, so both are bitwise equal for any CPU count. In each
+    block, label-correcting rounds (_frontier_distances) compute distances
+    only, and one tie pass over (origin, node) picks predecessors: an
+    in-link is tight when dist[tail] + t == dist[head], and each reached
+    node takes the first tight slot of its in-link row, the tight link with
+    the smallest (node_id, link_id) pair, so the tree depends only on the
+    network content, never on input ordering. The pass is exact because
+    both steps form dist[tail] + t with the same double addition, and when
+    the rounds stop each reached node's label is the smallest such sum over
+    the links into it. A round's and the pass's work grow with the most
+    out- and in-links of any node, not with the mean.
     """
     index = network.node_index
     for origin in origins:
@@ -277,30 +319,29 @@ def shortest_path_tree(
     if bad:
         raise ValueError(f"nonpositive travel time on link(s) {bad[:5]}")
 
-    tail, head = network.link_ends
-    routable = np.flatnonzero((tail >= 0) & (head >= 0))
-    # links sorted by (head, tail rank, link rank): among the tight links
-    # into a node, the first has the smallest (node_id, link_id)
-    order = routable[np.lexsort((routable, tail[routable], head[routable]))]
-    tail, head, times = tail[order], head[order], times[order]
+    out_head, out_time, in_tail, in_time, in_link = _link_tables(network, times)
     sources = np.array([index[o] for o in origins], dtype=np.intp)
     n = len(index)
     dist = np.empty((sources.size, n))
     pred = np.full(dist.shape, -1, dtype=np.intp)
+    # the in-link table a slot (column) at a time, last slot first
+    slots = list(zip(in_tail.T[::-1], in_time.T[::-1], in_link.T[::-1]))
 
     def block(lo, hi):
-        d = dist[lo:hi]
-        d[:] = _frontier_distances(n, tail, head, times, sources[lo:hi])
-        # tie pass: flat positions run row-major over (origin, sorted link),
-        # so each (origin, head) cell's tight links come in one run, best first
-        tight = np.flatnonzero(np.take(d, tail, 1) + times == np.take(d, head, 1))
-        o, j = np.divmod(tight, order.size)
-        cell = o * n + head[j]
-        first = np.flatnonzero(np.diff(cell, prepend=-1))
-        keep = first[np.isfinite(d.ravel()[cell[first]])]
-        pred[lo:hi].ravel()[cell[keep]] = order[j[keep]]
+        d, p = dist[lo:hi], pred[lo:hi]
+        d[:] = _frontier_distances(out_head, out_time, sources[lo:hi])
+        # tie pass: a slot of every node's in-link row at a time, last slot
+        # first, so each node keeps its first tight slot. An unreached node's
+        # +inf equals the sum over an unreached tail, so it goes back to -1.
+        for tails, t, links in slots:
+            total = np.take(d, tails, axis=1)
+            total += t
+            np.copyto(p, links, where=total == d)
+        p[np.isinf(d)] = -1
 
-    _row_blocks(block, sources.size, order.size)
+    # a block's round gathers up to rows x nodes x (most out-links of a node)
+    # candidates at once, and its tie pass reads rows x in_tail.size slots
+    _row_blocks(block, sources.size, max(out_head.size, in_tail.size), ROUND_CANDIDATES >> 5)
     return dist, pred
 
 
@@ -383,7 +424,7 @@ class PathSet:
             depth[first:last] = hops[edge]
 
         # each block's origins x nodes temporaries are its own rows'
-        _row_blocks(hop_depths, len(anchors), n_nodes)
+        _row_blocks(hop_depths, len(anchors), n_nodes, ROUND_CANDIDATES >> 7)
         # deepest level first; a stable sort of keys of 16 bits or fewer is a radix sort
         max_depth = depth.max(initial=0)
         key = (max_depth - depth).astype(np.min_scalar_type(max_depth))

@@ -538,6 +538,15 @@ class TestIterativeAssignment:
         with pytest.raises(ValueError, match="strata share a name"):
             assign_iterative(net, zones, [s, s], n_outer=1)
 
+    @pytest.mark.parametrize("n_outer", [1, 3])
+    def test_zones_sharing_an_id_rejected(self, n_outer):
+        # a second Z1 used to replace the first quietly: one-off total flow
+        # went from 381,297.5 to 521,829.2 veh/24h
+        zones, net = eight_zone_star()
+        zones = [*zones, Zone("Z1", attributes={"population": 1e6})]
+        with pytest.raises(ValueError, match=r"^zones share an id: \['Z1'\]$"):
+            assign_iterative(net, zones, toy_strata(), n_outer=n_outer)
+
     def test_single_iteration_equals_free_flow_pipeline(self):
         zones, net = eight_zone_star()
         strata = toy_strata(0.7, 0.074)

@@ -467,6 +467,14 @@ class TestObjective:
             ModelObjective(zones, net, [stratum], [TrafficCount("ab", 50.0)],
                            assignment_mode=mode)
 
+    @pytest.mark.parametrize("mode", ["oneoff", "iterative"])
+    def test_zones_sharing_an_id_rejected_at_construction(self, toy_setup, mode):
+        # a second Z1 used to replace the first quietly, and J moved with it
+        zones, net, counts = toy_setup
+        zones = [*zones, Zone("Z1", attributes={"population": 1e6})]
+        with pytest.raises(ValueError, match=r"^zones share an id: \['Z1'\]$"):
+            ModelObjective(zones, net, toy_strata(), counts, assignment_mode=mode)
+
     def test_unknown_count_link_rejected_up_front(self, toy_setup):
         zones, net, _ = toy_setup
         with pytest.raises(ValueError, match="unknown link"):

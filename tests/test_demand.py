@@ -159,6 +159,18 @@ class TestZoneAttributes:
         assert given.zone_ids == ("z2", "z0", "z1")
         assert given.trip_ends(stratum).origins.tolist() == [200.0, 100.0, 300.0]
 
+    def test_zones_sharing_an_id_rejected(self):
+        def zones(*ids):
+            return [Zone(zid, attributes={"population": 100.0 * (k + 1)})
+                    for k, zid in enumerate(ids)]
+
+        with pytest.raises(ValueError, match=r"^zones share an id: \['z1'\]$"):
+            ZoneAttributes(zones("z0", "z1", "z2", "z1"))
+        with pytest.raises(ValueError, match=r"^zones share an id: \['z1'\]$"):
+            ZoneAttributes(zones("z1", "z0", "z1"), ["z0", "z1"])
+        with pytest.raises(ValueError, match=r"^zones share an id: \['z0', 'z1'\]$"):
+            ZoneAttributes(iter(zones("z1", "z0", "z1", "z0", "z2")))
+
     def test_vectors_are_read_once_per_attribute_pair(self):
         zones = pop_zones([100, 300])
         attributes = ZoneAttributes(zones)

@@ -263,9 +263,10 @@ class TestFrontierEngine:
 
     def test_labels_still_improving_after_node_count_rounds_is_an_internal_error(self):
         # only a negative cycle, which the positive-time check keeps out, does it
+        # padded link tables a -> b at 1 min, b -> a at -2 min
         with pytest.raises(RuntimeError, match="still improving after 2 rounds"):
-            _frontier_distances(2, np.array([0, 1]), np.array([1, 0]),
-                                np.array([1.0, -2.0]), np.array([0]))
+            _frontier_distances(np.array([[1], [0]]), np.array([[1.0], [-2.0]]),
+                                np.array([0]))
 
     @pytest.mark.parametrize("limit", [1, 1000, 5000])
     def test_origins_in_chunks_give_the_same_trees(self, rng, monkeypatch, limit):
@@ -364,7 +365,8 @@ class TestOriginBlocks:
                 live[0] -= (hi - lo) * width
             return lo, hi
 
-        blocks = with_blocks(monkeypatch, workers, limit, network._row_blocks, block, rows, width)
+        blocks = with_blocks(monkeypatch, workers, limit, network._row_blocks,
+                             block, rows, width, limit >> 6)
         assert [lo for lo, _ in blocks] == [0, *(hi for _, hi in blocks[:-1])]
         assert blocks[-1][1] == rows and all(lo < hi for lo, hi in blocks)
         # a block of one row may exceed the limit alone, never with others
@@ -376,19 +378,20 @@ class TestOriginBlocks:
 
         for workers in (1, 2, 3):
             with pytest.raises(ValueError, match="^block 0$"):
-                with_blocks(monkeypatch, workers, 64, network._row_blocks, block, 12, 1)
+                with_blocks(monkeypatch, workers, 64, network._row_blocks, block, 12, 1, 1)
 
     def test_labels_still_improving_in_a_worker_block(self, monkeypatch):
         # a negative cycle, which the positive-time check keeps out of the
         # engine; the second strand's origin reaches it, the first's does not
-        tail, head, times = np.array([1, 2]), np.array([2, 1]), np.array([1.0, -2.0])
+        # padded link tables: node 0 has no out-link, 1 -> 2 at 1 min, 2 -> 1 at -2 min
+        out_head, out_time = np.array([[0], [2], [1]]), np.array([[np.inf], [1.0], [-2.0]])
 
         def rounds(lo, hi):
-            return network._frontier_distances(3, tail, head, times, np.array([0, 1])[lo:hi])
+            return network._frontier_distances(out_head, out_time, np.array([0, 1])[lo:hi])
 
-        assert with_blocks(monkeypatch, 2, 64, network._row_blocks, rounds, 1, 2)[0].size == 3
+        assert with_blocks(monkeypatch, 2, 64, network._row_blocks, rounds, 1, 2, 1)[0].size == 3
         with pytest.raises(RuntimeError, match="^labels still improving after 3 rounds$"):
-            with_blocks(monkeypatch, 2, 64, network._row_blocks, rounds, 2, 2)
+            with_blocks(monkeypatch, 2, 64, network._row_blocks, rounds, 2, 2, 1)
 
     def test_predecessor_cycle_in_a_worker_block(self, monkeypatch):
         # zone z2's tree, the second strand's, holds the cycle a <-> b at 1e-20
@@ -430,6 +433,85 @@ class TestOriginBlocks:
         with_blocks(monkeypatch, 2, 1 << 15, PathSet, net, free_flow_times(net))
         assert calls == [threading.get_ident()]
         assert len(block_threads) == 2 and threading.get_ident() in block_threads
+
+
+# Links around every shape the padded link tables pad: hub has 10 out-links
+# and 10 in-links at equal times; sink has no out-link; src has no in-link
+# and is no origin; pq_b and pq_a join p to q at equal times; island has no
+# link. a0_a1 and a4_a5 tie with the path through hub, which the tail's
+# node_id decides ("a0" < "hub").
+SPOKES = [f"a{i}" for i in range(9)]
+EDGE_ROWS = ([(f"in_{s}", s, "hub", 1.0) for s in SPOKES]
+             + [(f"out_{s}", "hub", s, 1.0) for s in SPOKES]
+             + [("a0_a1", "a0", "a1", 2.0), ("a4_a5", "a4", "a5", 2.0),
+                ("hub_sink", "hub", "sink", 1.0), ("src_hub", "src", "hub", 1.0),
+                ("a2_p", "a2", "p", 1.0), ("pq_b", "p", "q", 2.0), ("pq_a", "p", "q", 2.0),
+                ("q_a3", "q", "a3", 1.0)])
+EDGE_NODES = [*SPOKES, "hub", "sink", "src", "p", "q", "island"]
+# links that name the unknown node ghost
+GHOST_ROWS = [("to_ghost", "a6", "ghost", 1.0), ("from_ghost", "ghost", "a7", 1.0)]
+
+
+def tie_rule_tree(net, origin):
+    """(dist, pred) from origin as dicts over reached nodes by enumeration:
+    brute-force distances (exact at these integer times), and each node but
+    the origin entered on its tight link with the smallest (node_id, link_id)."""
+    dist = {origin: 0.0}
+    for v in net.node_ids:
+        best = brute_force_shortest(net, origin, v) if v != origin else None
+        if best is not None:
+            dist[v] = best[0]
+    pred = {v: min((l.from_node, l.link_id) for l in net.links.values()
+                   if l.to_node == v and dist.get(l.from_node, math.inf) + l.t0 == dist[v])[1]
+            for v in dist if v != origin}
+    return dist, pred
+
+
+class TestPaddedTables:
+    """shortest_path_tree reads each node's links as one row of a padded
+    table; the padding must never route, whatever the degrees."""
+
+    def test_tables_pad_each_node_to_the_most_links(self):
+        net = make_network(EDGE_NODES, EDGE_ROWS + GHOST_ROWS, {})
+        out_head, out_time, in_tail, in_time, in_link = network._link_tables(
+            net, free_flow_times(net))
+        assert out_head.shape == in_tail.shape == (len(EDGE_NODES), 10)
+        ix = net.node_index
+        assert np.isinf(out_time[ix["sink"]]).all() and (in_link[ix["src"]] == -1).all()
+        assert [net.link_ids[k] for k in in_link[ix["q"]] if k >= 0] == ["pq_a", "pq_b"]
+        ghosts = {net.link_index[lid] for lid, *_ in GHOST_ROWS}
+        assert ghosts.isdisjoint(in_link.ravel().tolist())
+        assert (out_time[ix["a6"]] < np.inf).sum() == 1  # in_a6 only, not to_ghost
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("limit", [1, 1000])
+    def test_trees_match_the_oracles_for_any_blocks(self, monkeypatch, workers, limit):
+        net = make_network(EDGE_NODES, EDGE_ROWS + GHOST_ROWS, {})
+        routable = make_network(EDGE_NODES, EDGE_ROWS, {})  # what the oracles read
+        origins = [v for v in EDGE_NODES if v != "src"]
+        times = free_flow_times(net)
+        dist, pred = with_blocks(monkeypatch, workers, limit, shortest_path_tree,
+                                 net, times, origins)
+        serial = with_blocks(monkeypatch, 1, 1 << 22, shortest_path_tree, net, times, origins)
+        assert [dist.tobytes(), pred.tobytes()] == [a.tobytes() for a in serial]
+        assert np.array_equal(dist, networkx_dist(net, times, origins))
+        for row, origin in enumerate(origins):
+            assert pred[row, net.node_index[origin]] == -1
+            expected_dist, expected_pred = tie_rule_tree(routable, origin)
+            assert {v: d for v, d in zip(net.node_ids, dist[row].tolist())
+                    if d < math.inf} == expected_dist
+            assert {v: net.link_ids[k] for v, k in zip(net.node_ids, pred[row])
+                    if k >= 0} == expected_pred
+        # src has no in-link, island no link, sink no out-link
+        assert np.isinf(dist[:, net.node_index["src"]]).all()
+        assert (pred[:, net.node_index["src"]] == -1).all()
+        for lonely in ("sink", "island"):
+            row = origins.index(lonely)
+            assert np.isinf(dist[row]).sum() == len(EDGE_NODES) - 1
+            assert (pred[row] == -1).all()
+        hub = origins.index("hub")
+        assert net.link_ids[pred[hub, net.node_index["q"]]] == "pq_a"
+        assert net.link_ids[pred[origins.index("a0"), net.node_index["a1"]]] == "a0_a1"
 
 
 class TestSkimMatrix:

@@ -57,6 +57,10 @@ def test_time_layers_reports_every_row():
         name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     assert report["machine"]["cpu_count"] == os.cpu_count()
     assert report["machine"]["path_workers"] == network.path_workers() >= 1
+    # 80 nodes, at most 4 out-links and 4 in-links each, 284 links; the main
+    # grid and the split grid are the same instance here
+    assert report["padding"] == {"grid_region(10, 8, seed=0)": {"out": 320 / 284,
+                                                                "in": 320 / 284}}
     rows = report["rows"]
     assert [(r["layer"], r["beta"]) for r in rows] == [
         ("PathSet build (free flow)", None), ("shortest_path_tree (free flow)", None),
